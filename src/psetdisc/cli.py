@@ -4,7 +4,7 @@ Every run is fully determined by its flags (seeds are explicit, enumeration
 orders fixed), so identical invocations produce byte-identical output.  CSV
 blocks carry '#'-prefixed metadata lines recording the command line, version,
 and caps in force.  Exit codes: 0 success, 1 usage error, 2 computational cap
-exceeded, 3 internal invariant violation.
+exceeded or out of memory, 3 internal invariant violation.
 """
 from __future__ import annotations
 
@@ -119,7 +119,7 @@ def _cmd_sum(args, caps, out: _Output, argv):
             raise ValueError("--double uses modulus p; --mod-power must be 1")
         val = hua_wang_double_sum(h, args.p)
     else:
-        val = korobov_sum(h, args.p, modulus_power=args.mod_power)
+        val = korobov_sum(h, args.p, modulus_power=args.mod_power, caps=caps)
     out.emit(f"re={_fmt(val.value.real)}")
     out.emit(f"im={_fmt(val.value.imag)}")
     out.emit(f"magnitude={_fmt(val.magnitude)}")
@@ -329,6 +329,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, TypeError, DivergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return 2
     except InvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 3

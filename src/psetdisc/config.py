@@ -1,10 +1,10 @@
 """Computational caps and shared error types.
 
 Every potentially explosive enumeration (corner grids, frequency-vector
-sweeps, point-set materialization) is guarded by a cap from the `Caps`
-record.  The environment variable PSET_DISC_MAX_OPS replaces all three
-operation-count caps with a single value; the subset-dimension guard is a
-structural limit and stays fixed.
+sweeps, point-set materialization, the terms of one Korobov sum) is guarded
+by a cap from the `Caps` record.  The environment variable PSET_DISC_MAX_OPS
+replaces all three operation-count caps with a single value; the
+subset-dimension guard is a structural limit and stays fixed.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ class InvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class Caps:
-    max_point_entries: int = 10**7  # N*s entries per generated point set
+    max_point_entries: int = 10**7  # N*s entries per point set or Korobov sum
     max_corners: int = 10**9        # corner-count operations in the exact scan
     max_freq_vectors: int = 10**7   # frequency vectors per enumeration
     max_subset_dim: int = 20        # 2^s guard for subset enumeration

@@ -91,7 +91,8 @@ def _roots_of_unity(m: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(m) / m)
 
 
-def korobov_sum(h, p: int, modulus_power: int = 1) -> ExpSumValue:
+def korobov_sum(h, p: int, modulus_power: int = 1,
+                caps: Caps = DEFAULT_CAPS) -> ExpSumValue:
     """sum_{n=0}^{M-1} e(2*pi*i (h_1 n + h_2 n^2 + ... + h_s n^s)/M), M = p^power."""
     hs = _entries(h)
     if modulus_power not in (1, 2):
@@ -99,6 +100,10 @@ def korobov_sum(h, p: int, modulus_power: int = 1) -> ExpSumValue:
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     m = p ** modulus_power
+    if m * len(hs) > caps.max_point_entries:
+        raise BudgetError(
+            f"{m} terms x {len(hs)} dims exceeds cap of "
+            f"{caps.max_point_entries} entries")
     n = np.arange(m, dtype=np.int64)
     phase = np.zeros(m, dtype=np.int64)
     power = np.ones(m, dtype=np.int64)

@@ -75,9 +75,6 @@ class RationalPointSet:
     def rows(self) -> list[tuple[int, ...]]:
         return [tuple(int(v) for v in row) for row in self.numerators]
 
-    def coords_float(self) -> np.ndarray:
-        return self.numerators / float(self.modulus)
-
 
 def generate(kind: PSetKind, p: int, s: int,
              caps: Caps = DEFAULT_CAPS) -> RationalPointSet:

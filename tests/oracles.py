@@ -26,6 +26,26 @@ def naive_dstar(rows, modulus):
     return best
 
 
+def naive_dstar_witness(rows, modulus):
+    """(D*, corner, side) at the first corner in lexicographic order attaining
+    D*, the closed branch checked before the open one at each corner."""
+    n = len(rows)
+    s = len(rows[0])
+    grids = [sorted(set(r[j] for r in rows)) + [modulus] for j in range(s)]
+    best = (Fraction(-1), None, None)
+    for corner in itertools.product(*grids):
+        vol = Fraction(1)
+        for c in corner:
+            vol *= Fraction(c, modulus)
+        a_closed = sum(1 for r in rows if all(r[j] <= corner[j] for j in range(s)))
+        a_open = sum(1 for r in rows if all(r[j] < corner[j] for j in range(s)))
+        for side, value in (("closed", Fraction(a_closed, n) - vol),
+                            ("open", vol - Fraction(a_open, n))):
+            if value > best[0]:
+                best = (value, tuple(Fraction(c, modulus) for c in corner), side)
+    return best
+
+
 def naive_local(rows, modulus, z):
     """Delta(z) with strict counting, Fraction-exact."""
     n = len(rows)

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from psetdisc import cli
 from psetdisc.cli import main
 
 HALVING_TEXT = "product\n1 0.5\n2 0.25\ntail geometric 0.5\n"
@@ -240,3 +241,24 @@ def test_env_cap_invalid(capsys, monkeypatch):
     monkeypatch.setenv("PSET_DISC_MAX_OPS", "zero")
     assert main(["disc", "--kind", "P", "--p", "5", "--s", "1"]) == 1
     capsys.readouterr()
+
+
+def test_sum_honours_env_cap(capsys, monkeypatch):
+    monkeypatch.setenv("PSET_DISC_MAX_OPS", "100")
+    rc = main(["sum", "--p", "101", "--s", "3", "--h", "1,2,3"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cap exceeded: 101 terms x 3 dims")
+
+
+def test_memory_error_exits_two(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError("table too large")
+
+    monkeypatch.setattr(cli, "_cmd_disc", exhausted)
+    rc = main(["disc", "--kind", "P", "--p", "5", "--s", "1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "out of memory: table too large\n"

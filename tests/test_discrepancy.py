@@ -14,8 +14,10 @@ from psetdisc.discrepancy import (_closed_local_value, box_counts,
 from psetdisc.pointset import PSetKind, RationalPointSet, generate, project
 from psetdisc.weights import GeneralWeights, GeometricTail, ProductWeights, gamma_of
 
-from oracles import naive_dstar, naive_local, naive_weighted_dstar, sieve_primes
+from oracles import (naive_dstar, naive_dstar_witness, naive_local,
+                     naive_weighted_dstar, sieve_primes)
 
+INT64_SAFE = 2**62
 HALVING = ProductWeights(gammas=(0.5, 0.25), tail=GeometricTail(0.5))
 
 
@@ -32,6 +34,25 @@ def small_point_sets(draw):
     rows = draw(st.lists(st.tuples(*[st.integers(0, m - 1)] * s),
                          min_size=n, max_size=n))
     return _point_set(m, rows)
+
+
+@st.composite
+def big_modulus_point_sets(draw):
+    """(point set, N*M^s >= 2^62) with M in [2^31, 2^62) and duplicate values.
+
+    M >= 2^31 puts every s >= 2 set past 2^62, so the int64 side is s = 1."""
+    big = draw(st.booleans())
+    n = draw(st.integers(2 if big else 1, 7))
+    s = draw(st.integers(1, 4)) if big else 1
+    if s == 1:
+        lo, hi = (INT64_SAFE // n + 1, INT64_SAFE - 1) if big else (2**31, (INT64_SAFE - 1) // n)
+    else:
+        lo, hi = 2**31, INT64_SAFE - 1
+    m = draw(st.integers(lo, hi))
+    pools = [draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=3)) for _ in range(s)]
+    rows = draw(st.lists(st.tuples(*[st.sampled_from(pool) for pool in pools]),
+                         min_size=n, max_size=n))
+    return _point_set(m, rows), big
 
 
 # ---------------------------------------------------------------- local
@@ -107,20 +128,24 @@ def test_q22_r22_exact_frozen():
     assert star_discrepancy_exact(generate(PSetKind.HUA_WANG_R, 2, 2)).exact == Fraction(3, 4)
 
 
+def _result_triple(ps):
+    res = star_discrepancy_exact(ps)
+    return res.exact, res.witness, res.side
+
+
 @given(small_point_sets())
 @settings(max_examples=100, deadline=None)
 def test_exact_matches_bruteforce_oracle(ps):
-    want = naive_dstar(ps.rows(), ps.modulus)
-    assert star_discrepancy_exact(ps).exact == want
-    assert star_discrepancy_exact(ps, method="python").exact == want
+    assert star_discrepancy_exact(ps).exact == naive_dstar(ps.rows(), ps.modulus)
+    assert _result_triple(ps) == naive_dstar_witness(ps.rows(), ps.modulus)
 
 
-@given(small_point_sets())
-@settings(max_examples=60, deadline=None)
-def test_numpy_and_python_paths_agree_fully(ps):
-    a = star_discrepancy_exact(ps, method="numpy")
-    b = star_discrepancy_exact(ps, method="python")
-    assert (a.exact, a.witness, a.side) == (b.exact, b.witness, b.side)
+@given(big_modulus_point_sets())
+@settings(max_examples=100, deadline=None)
+def test_exact_matches_witness_oracle_big_modulus(case):
+    ps, big = case
+    assert (ps.n * ps.modulus**ps.dim >= INT64_SAFE) == big
+    assert _result_triple(ps) == naive_dstar_witness(ps.rows(), ps.modulus)
 
 
 @given(small_point_sets())
@@ -236,6 +261,21 @@ def test_weighted_matches_subset_oracle(ps):
     got = weighted_star_discrepancy_exact(ps, HALVING).value
     want = naive_weighted_dstar(ps.rows(), ps.modulus, lambda j: 2.0**-j)
     assert got == pytest.approx(want, abs=1e-12)
+
+
+@given(big_modulus_point_sets())
+@settings(max_examples=40, deadline=None)
+def test_weighted_matches_subset_oracle_big_modulus(case):
+    ps, _ = case
+    res = weighted_star_discrepancy_exact(ps, HALVING)
+    rows = ps.rows()
+    want = naive_weighted_dstar(rows, ps.modulus, lambda j: 2.0**-j)
+    assert res.value == pytest.approx(want, abs=1e-12)
+    proj = [tuple(r[j - 1] for j in res.subset) for r in rows]
+    _, corner, side = naive_dstar_witness(proj, ps.modulus)
+    wit = dict(zip(res.subset, corner))
+    assert res.witness == tuple(wit.get(j, 1) for j in range(1, ps.dim + 1))
+    assert res.side == side
 
 
 @given(small_point_sets(), st.floats(0.25, 4.0))

@@ -115,6 +115,14 @@ def test_korobov_sum_validation():
         korobov_sum((1,), 5, modulus_power=3)
 
 
+def test_korobov_sum_point_entry_cap():
+    # M*s = 49*2 = 98 entries: allowed at exactly 98, refused below
+    assert korobov_sum((1, 1), 7, modulus_power=2,
+                       caps=Caps(max_point_entries=98)).terms == 49
+    with pytest.raises(BudgetError):
+        korobov_sum((1, 1), 7, modulus_power=2, caps=Caps(max_point_entries=97))
+
+
 # ---------------------------------------------------------------- hua-wang
 
 

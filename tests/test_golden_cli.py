@@ -1,0 +1,75 @@
+"""Byte-exact CLI regression: replay recorded commands through cli.main.
+
+Each case's stdout is stored in tests/golden/<name>.stdout and its exit code
+in tests/golden/cases.json.  Commands run with tests/golden as the working
+directory so that weight-file paths echoed in '# cmd:' lines are stable.
+
+Regenerate (only when an output change is intended) with
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+from psetdisc.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+ENV_MAX_OPS = "PSET_DISC_MAX_OPS"
+
+# name -> (argv, PSET_DISC_MAX_OPS value or None)
+CASES = {
+    "disc_P_13_3": ("disc --kind P --p 13 --s 3", None),
+    "disc_Q_5_2": ("disc --kind Q --p 5 --s 2", None),
+    "disc_R_7_3": ("disc --kind R --p 7 --s 3", None),
+    "disc_P_11_1": ("disc --kind P --p 11 --s 1", None),
+    "wdisc_product_P_11_3": ("wdisc --kind P --p 11 --s 3 --weights geo.txt", None),
+    "wdisc_general_R_7_3": ("wdisc --kind R --p 7 --s 3 --weights general.txt", None),
+    "chain_P_7_2": ("chain --kind P --p 7 --s 2 --weights geo.txt --delta 0.25", None),
+    "integrate_R_2": ("integrate --kind R --s 2 --primes 5,11,23 --coeffs 1,0.5", None),
+    "disc_corner_cap": ("disc --kind P --p 13 --s 3", "100"),
+    "check_weil_p2_lemma5": ("check-weil --p 2 --s 2 --lemma 5", None),
+}
+
+
+def _run(name, capsys, monkeypatch):
+    argv, max_ops = CASES[name]
+    monkeypatch.chdir(GOLDEN)
+    if max_ops is None:
+        monkeypatch.delenv(ENV_MAX_OPS, raising=False)
+    else:
+        monkeypatch.setenv(ENV_MAX_OPS, max_ops)
+    rc = main(argv.split())
+    return rc, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, capsys, monkeypatch):
+    rc, out = _run(name, capsys, monkeypatch)
+    exit_codes = json.loads((GOLDEN / "cases.json").read_text())
+    assert rc == exit_codes[name]
+    assert out == (GOLDEN / f"{name}.stdout").read_text(encoding="utf-8")
+
+
+def _regenerate():
+    import io
+    from contextlib import redirect_stdout
+
+    os.chdir(GOLDEN)
+    exit_codes = {}
+    for name, (argv, max_ops) in sorted(CASES.items()):
+        os.environ.pop(ENV_MAX_OPS, None)
+        if max_ops is not None:
+            os.environ[ENV_MAX_OPS] = max_ops
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            exit_codes[name] = main(argv.split())
+        Path(f"{name}.stdout").write_text(buf.getvalue(), encoding="utf-8")
+    os.environ.pop(ENV_MAX_OPS, None)
+    Path("cases.json").write_text(json.dumps(exit_codes, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    _regenerate()
