@@ -215,8 +215,9 @@ def _cmd_chain(args, caps, out: _Output, argv):
     kind = _KINDS[args.kind]
     w = _load_weights(args.weights)
     ps = generate(kind, args.p, args.s, caps=caps)
-    exact = weighted_star_discrepancy_exact(ps, w, caps=caps).value
+    # the rhs first: it checks its frequency cap before doing any work
     rhs = weighted_niederreiter_rhs(ps, w, caps=caps).value
+    exact = weighted_star_discrepancy_exact(ps, w, caps=caps).value
     t1 = thm1_bound(kind, args.p, args.s, w).value
     t2 = thm2_bound(kind, args.p, args.s, thm2_params(w, args.delta, args.t))
     chain = [exact, rhs, t1, t2]

@@ -13,19 +13,25 @@ numerators over the common modulus M, so every corner value is the exact
 rational (A*M^s - N*volnum) / (N*M^s) and the scan compares integers only;
 no floating point enters the maximization.
 
-Each coordinate is replaced by its index on its axis's grid.  The scan is
-depth-first over the leading axes with incremental point filtering; each leaf
-covers the trailing axes with one cumulative count table (a summed-area
-table): the histogram of the points' grid indices summed along every axis
-gives A_closed at every corner, the same table over the still-strict points
-shifted one index along every axis gives A_open, and the volumes are an outer
-product of the grid values.  The arithmetic runs in int64 when N*M^s < 2^62
-and on dtype=object arrays of Python integers otherwise, on the same lines.
+Each coordinate is replaced by its index on its axis's grid.  The closed
+counts form a cumulative count table (a summed-area table): the histogram of
+the points' grid indices summed along every axis.  The open counts are the
+same table over the strict points shifted one index along every axis, and the
+volumes are an outer product of the grid values.  A table covers the trailing
+axes, as many as fit in the corner budget; its closed and open counts are two
+contiguous halves.  When the whole grid fits, one table is the whole scan.
+Otherwise the scan goes depth-first over the leading axes, filtering points as
+it descends, and sweeps the axis in front of the table in slabs of consecutive
+grid values.  Each slab's table starts from the last row of the slab before
+(a carried running sum), so no table outgrows the budget.  The arithmetic runs
+in int64 when N*M^s < 2^62 and on dtype=object arrays of Python integers
+otherwise, on the same lines.
 """
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -40,10 +46,14 @@ from .weights import ProductWeights, Weights, gamma_of
 Box = Sequence
 
 _INT64_SAFE = 2**62
-# Corners in one leaf's count table.  Larger tables mean fewer leaves but more
-# memory: covering the trailing 255x508 plane of Q 23/s3 in one table adds
-# about 8 MB of peak RSS (about 0.6 MB at this size) for 2.7x less CPU time.
+# Corners in one count table, 256 KB per branch in int64.  A slab takes as
+# many rows as fit in the same bytes, so a dtype=object slab, whose corners
+# hold Python integers, takes fewer.
 _TABLE_CORNERS = 2**15
+# Elements the sampled lower bound works on at once: boxes x points x axes per
+# chunk of boxes, and thresholds x points in one block's bitset masks.
+_SAMPLE_ELEMENTS = 2_000_000
+_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -143,39 +153,86 @@ def _scan(ps, grids, ms):
     n_pts, s = ps.n, ps.dim
     # every term below is at most N*M^s in magnitude
     dtype = np.int64 if n_pts * ms < _INT64_SAFE else object
-    d = 1  # trailing axes covered by one count table per leaf
+    d = 1  # trailing axes covered by every count table
     while d < s and math.prod(len(g) for g in grids[s - d - 1:]) <= _TABLE_CORNERS:
         d += 1
-    lead, tail = grids[:s - d], grids[s - d:]
+    tail = grids[s - d:]
     shape = tuple(len(g) for g in tail)
+    size = math.prod(shape)
     idx = np.stack([np.searchsorted(g, ps.numerators[:, j])
                     for j, g in enumerate(grids)], axis=1)
-    # The table interleaves each corner's closed count (last index 0) and open
-    # count (last index 1); keys are the points' flat indices into it.  A value
-    # lies below M, so its index + 1 on every axis stays on the grid: open
-    # counts are the strict points shifted one index along every axis.
-    keys = 2 * np.ravel_multi_index(tuple(idx[:, s - d:].T), shape)
-    open_key = 2 * int(np.ravel_multi_index((1,) * d, shape)) + 1
-    sign = np.array([1, -1], dtype=dtype)
-    vol_tail = functools.reduce(np.multiply.outer, [g.astype(dtype) for g in tail])
-    signed_ms, signed_n_vol = ms * sign, n_pts * vol_tail[..., None] * sign
-    best = (-1, None, "closed")  # numerator over n_pts*ms, corner, side
-    leaves = _leaves(idx[:, :s - d], keys, np.ones(n_pts, dtype=bool), lead)
-    for held, strict, vol_prefix, prefix in leaves:
-        counts = np.bincount(np.concatenate((held, held[strict] + open_key)),
-                             minlength=signed_n_vol.size).reshape(signed_n_vol.shape)
-        for axis in range(d):
+    # Keys are the points' flat indices into the table.  A value lies below M,
+    # so its index + 1 on every axis stays on the grid: open counts are the
+    # strict points shifted one index along every axis.
+    keys = np.ravel_multi_index(tuple(idx[:, s - d:].T), shape)
+    shift = int(np.ravel_multi_index((1,) * d, shape))
+    n_vol = n_pts * functools.reduce(np.multiply.outer, [g.astype(dtype) for g in tail])
+    if d == s:
+        counts = np.bincount(np.concatenate((keys, keys + size + shift)),
+                             minlength=2 * size).reshape((2,) + shape)
+        for axis in range(1, d + 1):
             counts.cumsum(axis=axis, out=counts)
-        value = counts.astype(dtype, copy=False)
-        value *= signed_ms
-        value -= vol_prefix * signed_n_vol
-        i = int(value.argmax())  # C order: first corner, closed before open
-        if value.flat[i] > best[0]:
-            at = np.unravel_index(i // 2, shape)
-            best = (int(value.flat[i]),
-                    prefix + tuple(int(g[k]) for g, k in zip(tail, at)),
-                    ("closed", "open")[i % 2])
+        num, i, side = _best(counts, n_vol, ms, dtype)
+        return num, _corner(tail, i), side
+    # Axis a, in front of the table, is swept k grid values (rows) at a time;
+    # keys on it count whole tables.
+    a = s - d - 1
+    n_rows = len(grids[a])
+    item = np.dtype(dtype).itemsize + (sys.getsizeof(n_pts * ms) if dtype is object else 0)
+    k = max(1, _TABLE_CORNERS * 8 // (size * item))
+    edges = list(range(0, n_rows, k)) + [n_rows]
+    key_edges = np.array(edges) * size
+    row_vals = grids[a].astype(dtype)
+    keys = keys + idx[:, a] * size
+    best = (-1, None, "closed")  # numerator over n_pts*ms, corner, side
+    leaves = _leaves(idx[:, :a], keys, np.ones(n_pts, dtype=bool), grids[:a])
+    for held, strict, vol_prefix, prefix in leaves:
+        closed = np.sort(held)
+        opened = np.sort(held[strict]) + (size + shift)
+        c_ends = np.searchsorted(closed, key_edges).tolist()
+        o_ends = np.searchsorted(opened, key_edges).tolist()
+        carry = 0  # the counts of the previous slab's last row
+        for j, (r0, r1) in enumerate(zip(edges, edges[1:])):
+            n = r1 - r0
+            counts = np.bincount(
+                np.concatenate((closed[c_ends[j]:c_ends[j + 1]] - r0 * size,
+                                opened[o_ends[j]:o_ends[j + 1]] + (n - r0) * size)),
+                minlength=2 * n * size).reshape((2, n) + shape)
+            for axis in range(2, d + 2):
+                counts.cumsum(axis=axis, out=counts)
+            counts[:, 0] += carry
+            for half in counts:  # row adds on contiguous rows beat cumsum
+                half_rows = list(half)
+                for prev, row in zip(half_rows, half_rows[1:]):
+                    row += prev
+            carry = counts[:, -1].copy()
+            vol = np.multiply.outer(vol_prefix * row_vals[r0:r1], n_vol)
+            num, i, side = _best(counts, vol, ms, dtype)
+            if num > best[0]:
+                r, i = divmod(i, size)
+                best = (num, prefix + (int(grids[a][r0 + r]),) + _corner(tail, i), side)
     return best
+
+
+def _best(counts, n_vol, ms, dtype):
+    """Largest corner numerator of a table whose first axis holds the closed
+    and the open counts, with its flat corner index and side.  The first corner
+    wins a tie, and at one corner the closed branch wins.  Overwrites counts."""
+    value = counts.astype(dtype, copy=False)
+    value *= ms
+    closed, opened = value
+    closed -= n_vol
+    opened -= n_vol  # the open branch's value is minus this
+    ic, io = int(closed.argmax()), int(opened.argmin())
+    vc, vo = closed.flat[ic], -opened.flat[io]
+    if vo > vc or (vo == vc and io < ic):
+        return int(vo), io, "open"
+    return int(vc), ic, "closed"
+
+
+def _corner(tail, i):
+    at = np.unravel_index(i, tuple(len(g) for g in tail))
+    return tuple(int(g[k]) for g, k in zip(tail, at))
 
 
 def _leaves(sub, keys, strict, lead, vol_prefix=1, prefix=()):
@@ -231,36 +288,56 @@ def star_discrepancy_sampled_lb(ps: RationalPointSet, trials: int,
     keep = 32
     pts = ps.numerators
 
+    # A point is <= down_j = uniq[i-1] exactly when its rank on axis j is below
+    # i, which is exactly when it is < up_j = uniq[i] (or M).  So one AND of
+    # per-axis rank-prefix bitsets and a popcount give both branch counts.
+    ranks = [np.searchsorted(u, pts[:, j]) for j, u in enumerate(uniq)]
+    levels = [np.arange(len(u) + 1)[:, None] for u in uniq]
+    width = sum(len(u) + 1 for u in uniq)
+    block = max(8, _SAMPLE_ELEMENTS // width // 8 * 8)  # points per bitset table
+    # Candidates are kept per chunk of boxes, so the chunk fixes the result.
+    # Boxes are counted in batches of whole chunks, long enough that building
+    # the tables costs less than using them.
+    chunk = max(1, _SAMPLE_ELEMENTS // max(1, n_pts * s))
+    batch = chunk * math.ceil(8 * width / (s * chunk))
+
     closed_cand: list[tuple[float, np.ndarray]] = []
     open_cand: list[tuple[float, np.ndarray]] = []
-    chunk = max(1, int(2_000_000 // max(1, n_pts * s)))
     remaining = trials
     while remaining > 0:
-        b = min(chunk, remaining)
+        b = min(batch, remaining)
         remaining -= b
         boxes = rng.random((b, s)) * m  # box corners scaled by the modulus
 
         down = np.empty((b, s), dtype=np.int64)
         up = np.empty((b, s), dtype=np.int64)
-        valid_down = np.ones(b, dtype=bool)
+        at = np.empty((s, b), dtype=np.intp)
         for j in range(s):
-            i = np.searchsorted(uniq[j], boxes[:, j], side="left")
-            valid_down &= i > 0
-            down[:, j] = uniq[j][np.maximum(i - 1, 0)]
-            up[:, j] = np.where(i < len(uniq[j]), uniq[j][np.minimum(i, len(uniq[j]) - 1)], m)
+            at[j] = np.searchsorted(uniq[j], boxes[:, j], side="left")
+            down[:, j] = uniq[j][np.maximum(at[j] - 1, 0)]
+            up[:, j] = np.where(at[j] < len(uniq[j]),
+                                uniq[j][np.minimum(at[j], len(uniq[j]) - 1)], m)
+        valid_down = at.min(axis=0) > 0
 
-        a_closed = np.all(pts[None, :, :] <= down[:, None, :], axis=2).sum(axis=1)
+        count = np.zeros(b, dtype=np.int64)
+        for lo in range(0, n_pts, block):
+            bits = [np.packbits(lv > r[lo:lo + block], axis=1)
+                    for lv, r in zip(levels, ranks)]
+            hit = bits[0][at[0]]
+            for j in range(1, s):
+                hit &= bits[j][at[j]]
+            count += _POPCOUNT[hit].sum(axis=1, dtype=np.int64)
+
         vol_down = (down / m).prod(axis=1)
-        val_closed = np.where(valid_down, a_closed / n_pts - vol_down, -np.inf)
-
-        a_open = np.all(pts[None, :, :] < up[:, None, :], axis=2).sum(axis=1)
+        val_closed = np.where(valid_down, count / n_pts - vol_down, -np.inf)
         vol_up = (up / m).prod(axis=1)
-        val_open = vol_up - a_open / n_pts
+        val_open = vol_up - count / n_pts
 
-        for vals, corners, bucket in ((val_closed, down, closed_cand),
-                                      (val_open, up, open_cand)):
-            top = np.argsort(vals)[-keep:]
-            bucket.extend((float(vals[i]), corners[i].copy()) for i in top)
+        for c in range(0, b, chunk):
+            for vals, corners, bucket in ((val_closed, down, closed_cand),
+                                          (val_open, up, open_cand)):
+                top = c + np.argsort(vals[c:c + chunk])[-keep:]
+                bucket.extend((float(vals[i]), corners[i].copy()) for i in top)
 
     best = Fraction(0)
     for val, corner in sorted(closed_cand, key=lambda e: -e[0])[:keep]:

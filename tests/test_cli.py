@@ -190,6 +190,20 @@ def test_chain_pass(capsys, weights_file):
     assert vals == sorted(vals)
 
 
+def test_chain_refuses_before_exact_scan(capsys, monkeypatch, weights_file):
+    # 17^6 frequency vectors exceed the default 10^7 cap
+    def never(*args, **kwargs):
+        raise AssertionError("exact scan ran before the frequency cap refused")
+
+    monkeypatch.setattr(cli, "weighted_star_discrepancy_exact", never)
+    rc = main(["chain", "--kind", "Q", "--p", "17", "--s", "3",
+               "--weights", weights_file, "--delta", "0.25"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cap exceeded:")
+
+
 def test_out_file(capsys, tmp_path, weights_file):
     target = tmp_path / "points.csv"
     rc, out = run_cli(capsys, "gen", "--kind", "P", "--p", "3", "--s", "1",

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psetdisc import discrepancy
 from psetdisc.config import BudgetError, Caps
 from psetdisc.discrepancy import (_closed_local_value, box_counts,
                                   local_discrepancy, star_discrepancy_exact,
@@ -146,6 +148,34 @@ def test_exact_matches_witness_oracle_big_modulus(case):
     ps, big = case
     assert (ps.n * ps.modulus**ps.dim >= INT64_SAFE) == big
     assert _result_triple(ps) == naive_dstar_witness(ps.rows(), ps.modulus)
+
+
+# Table budgets that split even these small grids: leading-axis recursion,
+# one-row slabs, multi-row slabs and a partial last slab.
+SPLIT_BUDGETS = (1, 3, 16, 64)
+
+
+def _assert_split_scans_match_oracles(ps):
+    rows = ps.rows()
+    want = naive_dstar_witness(rows, ps.modulus)
+    want_weighted = naive_weighted_dstar(rows, ps.modulus, lambda j: 2.0**-j)
+    for budget in SPLIT_BUDGETS:
+        with mock.patch.object(discrepancy, "_TABLE_CORNERS", budget):
+            assert _result_triple(ps) == want
+            got = weighted_star_discrepancy_exact(ps, HALVING).value
+        assert got == pytest.approx(want_weighted, abs=1e-12)
+
+
+@given(small_point_sets())
+@settings(max_examples=60, deadline=None)
+def test_split_scan_matches_oracles(ps):
+    _assert_split_scans_match_oracles(ps)
+
+
+@given(big_modulus_point_sets())
+@settings(max_examples=40, deadline=None)
+def test_split_scan_matches_oracles_big_modulus(case):
+    _assert_split_scans_match_oracles(case[0])
 
 
 @given(small_point_sets())

@@ -25,6 +25,9 @@ CASES = {
     "disc_Q_5_2": ("disc --kind Q --p 5 --s 2", None),
     "disc_R_7_3": ("disc --kind R --p 7 --s 3", None),
     "disc_P_11_1": ("disc --kind P --p 11 --s 1", None),
+    "disc_P_47_3": ("disc --kind P --p 47 --s 3", None),
+    "disc_Q_11_3": ("disc --kind Q --p 11 --s 3", None),
+    "wdisc_product_R_13_4": ("wdisc --kind R --p 13 --s 4 --weights geo.txt", None),
     "wdisc_product_P_11_3": ("wdisc --kind P --p 11 --s 3 --weights geo.txt", None),
     "wdisc_general_R_7_3": ("wdisc --kind R --p 7 --s 3 --weights general.txt", None),
     "chain_P_7_2": ("chain --kind P --p 7 --s 2 --weights geo.txt --delta 0.25", None),
