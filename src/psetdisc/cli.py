@@ -127,8 +127,7 @@ def _cmd_sum(args, caps, out: _Output, argv):
 
 
 def _cmd_check_weil(args, caps, out: _Output, argv):
-    rep = weil_bound_check(args.lemma, args.p, args.s,
-                           cap=caps.max_freq_vectors, seed=args.seed)
+    rep = weil_bound_check(args.lemma, args.p, args.s, caps=caps, seed=args.seed)
     out.emit(f"lemma={rep.lemma}")
     out.emit(f"p={rep.p}")
     out.emit(f"s={rep.s}")

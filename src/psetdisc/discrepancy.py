@@ -40,7 +40,7 @@ import numpy as np
 
 from .config import DEFAULT_CAPS, BudgetError, Caps
 from .pointset import RationalPointSet, project
-from .weights import ProductWeights, Weights, gamma_of
+from .weights import Weights, _enumerate_subsets, gamma_of
 
 # upper corner of an anchored box; entries in [0, 1] as float/int/Fraction
 Box = Sequence
@@ -254,18 +254,18 @@ def _leaves(sub, keys, strict, lead, vol_prefix=1, prefix=()):
                            vol_prefix * gv, prefix + (gv,))
 
 
-def _corner_value_closed(pts: np.ndarray, n_pts: int, ms: int, corner) -> Fraction:
-    y = np.array(corner, dtype=np.int64)
-    a = int(np.all(pts <= y, axis=1).sum())
-    vol = math.prod(int(c) for c in corner)
-    return Fraction(a * ms - n_pts * vol, n_pts * ms)
-
-
-def _corner_value_open(pts: np.ndarray, n_pts: int, ms: int, corner) -> Fraction:
-    y = np.array(corner, dtype=np.int64)
-    a = int(np.all(pts < y, axis=1).sum())
-    vol = math.prod(int(c) for c in corner)
-    return Fraction(n_pts * vol - a * ms, n_pts * ms)
+def _count_below(at, ranks, levels, block):
+    """For each column i of at, the points whose rank on every axis j is below
+    at[j, i]: one AND of per-axis rank-prefix bitsets and a byte popcount."""
+    count = np.zeros(at.shape[1], dtype=np.int64)
+    for lo in range(0, len(ranks[0]), block):
+        bits = [np.packbits(lv > r[lo:lo + block], axis=1)
+                for lv, r in zip(levels, ranks)]
+        hit = bits[0][at[0]]
+        for j in range(1, len(bits)):
+            hit &= bits[j][at[j]]
+        count += _POPCOUNT[hit].sum(axis=1, dtype=np.int64)
+    return count
 
 
 def star_discrepancy_sampled_lb(ps: RationalPointSet, trials: int,
@@ -319,14 +319,7 @@ def star_discrepancy_sampled_lb(ps: RationalPointSet, trials: int,
                                 uniq[j][np.minimum(at[j], len(uniq[j]) - 1)], m)
         valid_down = at.min(axis=0) > 0
 
-        count = np.zeros(b, dtype=np.int64)
-        for lo in range(0, n_pts, block):
-            bits = [np.packbits(lv > r[lo:lo + block], axis=1)
-                    for lv, r in zip(levels, ranks)]
-            hit = bits[0][at[0]]
-            for j in range(1, s):
-                hit &= bits[j][at[j]]
-            count += _POPCOUNT[hit].sum(axis=1, dtype=np.int64)
+        count = _count_below(at, ranks, levels, block)
 
         vol_down = (down / m).prod(axis=1)
         val_closed = np.where(valid_down, count / n_pts - vol_down, -np.inf)
@@ -339,43 +332,22 @@ def star_discrepancy_sampled_lb(ps: RationalPointSet, trials: int,
                 top = c + np.argsort(vals[c:c + chunk])[-keep:]
                 bucket.extend((float(vals[i]), corners[i].copy()) for i in top)
 
-    best = Fraction(0)
-    for val, corner in sorted(closed_cand, key=lambda e: -e[0])[:keep]:
-        if math.isfinite(val):
-            best = max(best, _corner_value_closed(pts, n_pts, ms, [int(v) for v in corner]))
-    for _, corner in sorted(open_cand, key=lambda e: -e[0])[:keep]:
-        best = max(best, _corner_value_open(pts, n_pts, ms, [int(v) for v in corner]))
-
-    for row in np.unique(pts, axis=0):
-        corner = [int(v) for v in row]
-        best = max(best, _corner_value_closed(pts, n_pts, ms, corner))
-        best = max(best, _corner_value_open(pts, n_pts, ms, corner))
-
-    return float(max(best, Fraction(0)))
-
-
-def _enumerate_subsets(ps: RationalPointSet, w: Weights,
-                       caps: Caps) -> list[tuple[int, ...]]:
-    """Positive-weight subsets of [dim] in deterministic order."""
-    s = ps.dim
-    if isinstance(w, ProductWeights):
-        if s > caps.max_subset_dim:
-            raise BudgetError(
-                f"subset enumeration over 2^{s} subsets exceeds the "
-                f"dimension cap {caps.max_subset_dim}")
-        out = []
-        for mask in range(1, 1 << s):
-            u = tuple(j + 1 for j in range(s) if mask >> j & 1)
-            if gamma_of(w, u) > 0:
-                out.append(u)
-        return out
-    out = []
-    for u in sorted(w.entries):
-        if u[-1] > s:
-            raise ValueError(f"weight subset {u} out of range for dimension {s}")
-        if w.entries[u] > 0:
-            out.append(u)
-    return out
+    # Exact re-check: a closed count at y is the points of rank below
+    # searchsorted(uniq, y, "right") on every axis, an open count below "left".
+    rows = np.unique(pts, axis=0)
+    closed = [c for v, c in sorted(closed_cand, key=lambda e: -e[0])[:keep]
+              if math.isfinite(v)]
+    opened = [c for _, c in sorted(open_cand, key=lambda e: -e[0])[:keep]]
+    best = 0  # numerator over n_pts * ms
+    for corners, side, sign in ((closed, "right", 1), (opened, "left", -1)):
+        corners = np.concatenate([np.array(corners, dtype=np.int64).reshape(-1, s), rows])
+        at = np.stack([np.searchsorted(u, corners[:, j], side=side)
+                       for j, u in enumerate(uniq)])
+        for lo in range(0, len(corners), batch):
+            count = _count_below(at[:, lo:lo + batch], ranks, levels, block)
+            for corner, a in zip(corners[lo:lo + batch].tolist(), count.tolist()):
+                best = max(best, sign * (a * ms - n_pts * math.prod(corner)))
+    return float(Fraction(best, n_pts * ms))
 
 
 def weighted_local_discrepancy(ps: RationalPointSet, w: Weights, z: Box,
@@ -383,7 +355,7 @@ def weighted_local_discrepancy(ps: RationalPointSet, w: Weights, z: Box,
     """max over nonempty u of gamma_u * |Delta(z_u, 1)| at a single box."""
     fz = _box_fractions(ps, z)
     best = 0.0
-    for u in _enumerate_subsets(ps, w, caps):
+    for u in _enumerate_subsets(ps.dim, w, caps):
         zu = [fz[j - 1] if j in u else Fraction(1) for j in range(1, ps.dim + 1)]
         best = max(best, gamma_of(w, u) * abs(local_discrepancy(ps, zu)))
     return best
@@ -401,7 +373,7 @@ def weighted_star_discrepancy_exact(
     best_val = 0.0
     best_u: tuple[int, ...] = ()
     best_res: DiscrepancyResult | None = None
-    for u in _enumerate_subsets(ps, w, caps):
+    for u in _enumerate_subsets(ps.dim, w, caps):
         res = star_discrepancy_exact(project(ps, u), caps=caps)
         val = gamma_of(w, u) * res.value
         per_subset[u] = val

@@ -24,21 +24,29 @@ Note the weighted form carries no 1/2 on the sum term while the unweighted
 one does; both are implemented verbatim and the discrepancy between them is
 deliberate (the weighted form is the one the closed-form bounds are derived
 from, and dropping the 1/2 only weakens it).
+
+Every exhaustive sweep walks C_d*(M) in one order: ascending mixed radix, the
+last entry fastest (the order of itertools.product(C(M), repeat=d)), with the
+zero vector left out.  _freq_blocks builds it arithmetically in blocks of 4096
+vectors, and the Weil sweeps report the first worst h in this order.  The rhs
+adds one float per block, so the block size fixes its last printed digit.  The
+spectrum is not one FFT of the point histogram for the same reason: an FFT sums
+in another order and changes the last digit of the printed rhs.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULT_CAPS, BudgetError, Caps
-from .numtheory import is_prime, poly_eval_mod
+from .numtheory import is_prime, poly_eval_mod, power_table
 from .pointset import RationalPointSet, project
-from .weights import Weights, gamma_of
+from .weights import Weights, _enumerate_subsets, gamma_of
 
 _MAG_TOL = 1e-9  # float phase accumulation stays far below this at desk scale
+_BLOCK = 4096  # frequency vectors per block
 
 
 def c_values(modulus: int) -> range:
@@ -147,26 +155,27 @@ class WeilCheckReport:
     violations: int  # magnitudes above bound + tolerance
 
 
-def _power_matrix(m: int, s: int, first_power: int) -> np.ndarray:
-    """(m, s) matrix with column j = n^(first_power+j) mod m."""
-    n = np.arange(m, dtype=np.int64)
-    out = np.empty((m, s), dtype=np.int64)
-    power = np.ones(m, dtype=np.int64)
-    for _ in range(first_power):
-        power = power * n % m
-    for j in range(s):
-        out[:, j] = power
-        power = power * n % m
-    return out
-
-
 def _magnitudes(h_block: np.ndarray, basis: np.ndarray, m: int,
                 roots: np.ndarray) -> np.ndarray:
     phase = h_block @ basis.T % m
     return np.abs(roots[phase].sum(axis=1))
 
 
-def weil_bound_check(lemma: int, p: int, s: int, cap: int = 10**7,
+def _freq_blocks(m: int, d: int):
+    """C_d*(M) in ascending mixed-radix order (last entry fastest), as int64
+    blocks of _BLOCK vectors; only the last block may be shorter."""
+    total = m ** d
+    zero = (m - 1) // 2 * ((total - 1) // (m - 1))  # flat position of h = 0
+    for lo in range(0, total - 1, _BLOCK):
+        pos = np.arange(lo, min(lo + _BLOCK, total - 1), dtype=np.int64)
+        pos += pos >= zero
+        block = np.empty((len(pos), d), dtype=np.int64)
+        for j in range(d - 1, -1, -1):
+            pos, block[:, j] = np.divmod(pos, m)
+        yield block - (m - 1) // 2
+
+
+def weil_bound_check(lemma: int, p: int, s: int, caps: Caps = DEFAULT_CAPS,
                      seed: int = 0) -> WeilCheckReport:
     """Sweep the admissible frequency vectors of one exponential-sum bound.
 
@@ -174,9 +183,10 @@ def weil_bound_check(lemma: int, p: int, s: int, cap: int = 10**7,
     lemma 5: |korobov_sum(h, p, 2)| <= (s-1)*p for h in C_s*(p^2), p not| some h_j;
     lemma 6: |hua_wang_double_sum(h, p)| <= (s-1)*p for h in C_s*(p).
 
-    Exhaustive when the admissible count is within cap, otherwise a seeded
-    uniform sample of cap vectors.  Reports the worst magnitude/bound ratio
-    and the first h attaining it in enumeration order.
+    Exhaustive when the admissible count is within caps.max_freq_vectors,
+    otherwise a seeded uniform sample of that many vectors.  Reports the worst
+    magnitude/bound ratio and the first h attaining it in enumeration order.
+    The (M, s) power table must fit caps.max_point_entries.
     """
     if lemma not in (3, 5, 6):
         raise ValueError(f"lemma must be 3, 5 or 6, got {lemma}")
@@ -185,44 +195,42 @@ def weil_bound_check(lemma: int, p: int, s: int, cap: int = 10**7,
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
     m = p * p if lemma == 5 else p
+    if m * s > caps.max_point_entries:
+        raise BudgetError(f"{m} powers x {s} dims exceeds cap of "
+                          f"{caps.max_point_entries} entries")
     if lemma == 3:
         bound = (s - 1) * math.sqrt(p)
     else:
         bound = float((s - 1) * p)
-    n_admissible = m ** s - (p ** s if lemma == 5 else 1)
-    exhaustive = n_admissible <= cap
-
-    if lemma == 6:
-        basis = _power_matrix(p, s, first_power=0)  # columns 1, a, ..., a^(s-1)
-        roots = None
+    cap = caps.max_freq_vectors
+    exhaustive = m ** s - (p ** s if lemma == 5 else 1) <= cap
+    if exhaustive:
+        blocks = _freq_blocks(m, s)
     else:
-        basis = _power_matrix(m, s, first_power=1)  # columns n, n^2, ..., n^s
+        rng = np.random.default_rng(seed)
+        blocks = (rng.integers(-((m - 1) // 2), m // 2 + 1,
+                               size=(min(_BLOCK, cap - lo), s), dtype=np.int64)
+                  for lo in range(0, cap, _BLOCK))
+    if lemma == 6:
+        basis = power_table(p, s, first_power=0)  # columns 1, a, ..., a^(s-1)
+    else:
+        basis = power_table(m, s, first_power=1)  # columns n, n^2, ..., n^s
         roots = _roots_of_unity(m)
-
-    def block_mags(block: np.ndarray) -> np.ndarray:
-        if lemma == 6:
-            phase = block @ basis.T % p
-            return p * (phase == 0).sum(axis=1).astype(np.float64)
-        return _magnitudes(block, basis, m, roots)
 
     max_ratio = -1.0
     worst: tuple[int, ...] = ()
     max_mag = 0.0
     n_checked = 0
     violations = 0
-
-    def admissible(block: np.ndarray) -> np.ndarray:
-        if lemma == 5:
-            return ~np.all(block % p == 0, axis=1)
-        return np.any(block != 0, axis=1)
-
-    def consume(block: np.ndarray):
-        nonlocal max_ratio, worst, max_mag, n_checked, violations
-        keep = admissible(block)
-        block = block[keep]
+    for block in blocks:
+        # admissible: p divides not every entry (for M = p, h != 0)
+        block = block[~np.all(block % p == 0, axis=1)]
         if not len(block):
-            return
-        mags = block_mags(block)
+            continue
+        if lemma == 6:
+            mags = p * (block @ basis.T % p == 0).sum(axis=1).astype(np.float64)
+        else:
+            mags = _magnitudes(block, basis, m, roots)
         n_checked += len(block)
         violations += int((mags > bound + _MAG_TOL).sum())
         max_mag = max(max_mag, float(mags.max()))
@@ -235,25 +243,6 @@ def weil_bound_check(lemma: int, p: int, s: int, cap: int = 10**7,
             max_ratio = float(ratios[i])
             worst = tuple(int(v) for v in block[i])
 
-    block_size = 4096
-    if exhaustive:
-        buf = []
-        for h in itertools.product(c_values(m), repeat=s):
-            buf.append(h)
-            if len(buf) == block_size:
-                consume(np.array(buf, dtype=np.int64))
-                buf = []
-        if buf:
-            consume(np.array(buf, dtype=np.int64))
-    else:
-        rng = np.random.default_rng(seed)
-        lo = -((m - 1) // 2)
-        remaining = cap
-        while remaining > 0:
-            b = min(block_size, remaining)
-            consume(rng.integers(lo, m // 2 + 1, size=(b, s), dtype=np.int64))
-            remaining -= b
-
     return WeilCheckReport(lemma=lemma, p=p, s=s, bound=bound,
                            max_ratio=max_ratio, worst_h=worst,
                            max_magnitude=max_mag, n_checked=n_checked,
@@ -261,30 +250,15 @@ def weil_bound_check(lemma: int, p: int, s: int, cap: int = 10**7,
                            violations=violations)
 
 
-def _freq_iter_blocks(m: int, d: int, block_size: int = 4096):
-    """C_d*(M) in ascending mixed-radix order, as int64 blocks."""
-    buf = []
-    for h in itertools.product(c_values(m), repeat=d):
-        if not any(h):
-            continue
-        buf.append(h)
-        if len(buf) == block_size:
-            yield np.array(buf, dtype=np.int64)
-            buf = []
-    if buf:
-        yield np.array(buf, dtype=np.int64)
-
-
 def _rhs_sum_term(numerators: np.ndarray, m: int) -> float:
     """sum over h in C_d*(M) of |N^-1 sum_n e(2 pi i h.y_n / M)| / r(h)."""
     n_pts = len(numerators)
     roots = _roots_of_unity(m)
     total = 0.0
-    for block in _freq_iter_blocks(m, numerators.shape[1]):
-        phase = block @ numerators.T % m
-        inner = np.abs(roots[phase].sum(axis=1)) / n_pts
+    for block in _freq_blocks(m, numerators.shape[1]):
+        inner = _magnitudes(block, numerators, m, roots) / n_pts
         r = np.prod(np.maximum(1, np.abs(block)), axis=1).astype(np.float64)
-        total += float((inner / r).sum())
+        total += float((inner / r).sum())  # one float per block: keep _BLOCK
     return total
 
 
@@ -317,12 +291,10 @@ def weighted_niederreiter_rhs(ps: RationalPointSet, w: Weights,
     the two maxima may be attained at different subsets, both are reported.
     Zero-weight subsets are skipped.
     """
-    from .discrepancy import _enumerate_subsets  # shared deterministic order
-
     m = ps.modulus
     if m < 2:
         raise ValueError("modulus must be >= 2 for the frequency spectrum")
-    subsets = _enumerate_subsets(ps, w, caps)
+    subsets = _enumerate_subsets(ps.dim, w, caps)
     total_freq = sum(m ** len(u) - 1 for u in subsets)
     if total_freq > caps.max_freq_vectors:
         raise BudgetError(f"{total_freq} frequency vectors exceed cap "

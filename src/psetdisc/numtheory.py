@@ -1,7 +1,10 @@
-"""Deterministic primality, prime search, and modular polynomial evaluation."""
+"""Deterministic primality, prime search, modular polynomial evaluation, and
+tables of modular powers."""
 from __future__ import annotations
 
 from typing import Sequence
+
+import numpy as np
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -75,3 +78,16 @@ def poly_eval_mod(coeffs: Sequence[int], x: int, modulus: int) -> int:
     for c in reversed(coeffs):
         acc = (acc * x + c) % modulus
     return acc
+
+
+def power_table(m: int, s: int, first_power: int) -> np.ndarray:
+    """(m, s) int64 table whose row n holds n^(first_power+j) mod m, j < s."""
+    n = np.arange(m, dtype=np.int64)
+    out = np.empty((m, s), dtype=np.int64)
+    power = np.ones(m, dtype=np.int64)
+    for _ in range(first_power):
+        power = power * n % m
+    for j in range(s):
+        out[:, j] = power
+        power = power * n % m
+    return out

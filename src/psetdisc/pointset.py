@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CAPS, BudgetError, Caps
-from .numtheory import is_prime
+from .numtheory import is_prime, power_table
 
 
 class PSetKind(enum.Enum):
@@ -89,20 +89,11 @@ def generate(kind: PSetKind, p: int, s: int,
             f"{n_points} points x {s} dims exceeds cap of "
             f"{caps.max_point_entries} entries")
     m = kind.modulus(p)
-    out = np.empty((n_points, s), dtype=np.int64)
-    if kind in (PSetKind.KOROBOV_P, PSetKind.KOROBOV_Q):
-        n = np.arange(n_points, dtype=np.int64)
-        power = np.ones(n_points, dtype=np.int64)
-        for j in range(s):
-            power = power * n % m
-            out[:, j] = power
+    if kind in (PSetKind.KOROBOV_P, PSetKind.KOROBOV_Q):  # n = 0..M-1
+        out = power_table(m, s, first_power=1)
     else:  # Hua-Wang R: rows ordered (a=0,k=0..p-1), (a=1,k=0..p-1), ...
-        a = np.repeat(np.arange(p, dtype=np.int64), p)
-        k = np.tile(np.arange(p, dtype=np.int64), p)
-        a_power = np.ones(n_points, dtype=np.int64)
-        for j in range(s):
-            out[:, j] = a_power * k % m
-            a_power = a_power * a % m
+        k = np.arange(p, dtype=np.int64)[:, None]
+        out = (power_table(p, s, first_power=0)[:, None, :] * k % p).reshape(n_points, s)
     return RationalPointSet(modulus=m, dim=s, numerators=out, kind=kind)
 
 

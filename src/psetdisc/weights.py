@@ -30,7 +30,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .config import DivergenceError
+from .config import BudgetError, Caps, DivergenceError
 
 
 class WeightFormatError(ValueError):
@@ -143,6 +143,28 @@ def gamma_of(w: Weights, u: Iterable[int]) -> float:
             out *= w.gamma(j)
         return out
     return w.entries.get(key, 0.0)
+
+
+def _enumerate_subsets(dim: int, w: Weights, caps: Caps) -> list[tuple[int, ...]]:
+    """Positive-weight subsets of [dim] in deterministic order."""
+    if isinstance(w, ProductWeights):
+        if dim > caps.max_subset_dim:
+            raise BudgetError(
+                f"subset enumeration over 2^{dim} subsets exceeds the "
+                f"dimension cap {caps.max_subset_dim}")
+        out = []
+        for mask in range(1, 1 << dim):
+            u = tuple(j + 1 for j in range(dim) if mask >> j & 1)
+            if gamma_of(w, u) > 0:
+                out.append(u)
+        return out
+    out = []
+    for u in sorted(w.entries):
+        if u[-1] > dim:
+            raise ValueError(f"weight subset {u} out of range for dimension {dim}")
+        if w.entries[u] > 0:
+            out.append(u)
+    return out
 
 
 def _power_series_tail(q: float, start: int, rel_tol: float = 1e-13) -> float:

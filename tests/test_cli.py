@@ -266,6 +266,16 @@ def test_sum_honours_env_cap(capsys, monkeypatch):
     assert captured.err.startswith("cap exceeded: 101 terms x 3 dims")
 
 
+def test_check_weil_honours_env_cap(capsys, monkeypatch):
+    # a 101 x 3 power table against 100 point entries, refused before any sweep
+    monkeypatch.setenv("PSET_DISC_MAX_OPS", "100")
+    rc = main(["check-weil", "--p", "101", "--s", "3", "--lemma", "3"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cap exceeded: 101 powers x 3 dims")
+
+
 def test_memory_error_exits_two(capsys, monkeypatch):
     def exhausted(*args):
         raise MemoryError("table too large")

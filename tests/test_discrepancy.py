@@ -233,6 +233,17 @@ def test_sampled_lb_never_exceeds_exact(ps, seed):
     assert lb <= exact.value + 1e-15
 
 
+@given(st.integers(2, 60), st.lists(st.integers(0, 59), min_size=1, max_size=30),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_sampled_lb_exact_in_one_dimension(m, values, seed):
+    # in one dimension every corner is a point value or M, and the lower bound
+    # re-checks both branches at every distinct point exactly
+    ps = _point_set(m, [(v % m,) for v in values])
+    lb = star_discrepancy_sampled_lb(ps, trials=8, seed=seed)
+    assert lb == star_discrepancy_exact(ps).value
+
+
 def test_sampled_lb_close_on_p72():
     ps = generate(PSetKind.KOROBOV_P, 7, 2)
     exact = star_discrepancy_exact(ps).value

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from psetdisc.config import BudgetError, Caps
 from psetdisc.discrepancy import star_discrepancy_exact, weighted_star_discrepancy_exact
-from psetdisc.expsum import (FrequencyVector, c_values, hua_wang_double_sum,
-                             hua_wang_root_count, korobov_sum, niederreiter_rhs,
+from psetdisc.expsum import (FrequencyVector, _freq_blocks, c_values,
+                             hua_wang_double_sum, hua_wang_root_count,
+                             korobov_sum, niederreiter_rhs,
                              weighted_niederreiter_rhs, weil_bound_check)
 from psetdisc.pointset import PSetKind, RationalPointSet, generate
 from psetdisc.weights import GeneralWeights, GeometricTail, ProductWeights
@@ -188,11 +189,31 @@ def test_weil_lemma6_structure():
 
 
 def test_weil_sampled_fallback():
-    rep = weil_bound_check(3, 13, 3, cap=500, seed=3)
+    rep = weil_bound_check(3, 13, 3, caps=Caps(max_freq_vectors=500), seed=3)
     assert not rep.exhaustive
     assert rep.n_checked <= 500
-    rep2 = weil_bound_check(3, 13, 3, cap=500, seed=3)
+    rep2 = weil_bound_check(3, 13, 3, caps=Caps(max_freq_vectors=500), seed=3)
     assert rep == rep2  # deterministic given the seed
+
+
+def test_weil_point_entry_cap():
+    # lemma 5 at p = 7, s = 2: a 49 x 2 power table, allowed at exactly 98
+    assert weil_bound_check(5, 7, 2, caps=Caps(max_point_entries=98)).exhaustive
+    with pytest.raises(BudgetError):
+        weil_bound_check(5, 7, 2, caps=Caps(max_point_entries=97))
+    with pytest.raises(BudgetError):  # lemma 6's table is p x s
+        weil_bound_check(6, 7, 3, caps=Caps(max_point_entries=20))
+
+
+# even moduli too; 17^3 - 1 and 3^8 - 1 vectors span more than one block
+@pytest.mark.parametrize("m,d", [*itertools.product((2, 3, 4, 5, 7, 8), (1, 2, 3, 4)),
+                                 (17, 3), (3, 8)])
+def test_freq_blocks_enumerate_c_star(m, d):
+    blocks = list(_freq_blocks(m, d))
+    want = [list(h) for h in itertools.product(c_values(m), repeat=d) if any(h)]
+    assert all(b.dtype == np.int64 and b.shape[1] == d for b in blocks)
+    assert [len(b) for b in blocks[:-1]] == [4096] * (len(blocks) - 1)
+    assert np.concatenate(blocks).tolist() == want
 
 
 def test_weil_validation():

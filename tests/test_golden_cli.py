@@ -34,6 +34,11 @@ CASES = {
     "integrate_R_2": ("integrate --kind R --s 2 --primes 5,11,23 --coeffs 1,0.5", None),
     "disc_corner_cap": ("disc --kind P --p 13 --s 3", "100"),
     "check_weil_p2_lemma5": ("check-weil --p 2 --s 2 --lemma 5", None),
+    "bound_lemma1_P_13_3": ("bound --thm lemma1 --kind P --p 13 --s 3", None),
+    "bound_lemma2_R_7_3": ("bound --thm lemma2 --kind R --p 7 --s 3 --weights geo.txt", None),
+    "check_weil_p7_s3_lemma3": ("check-weil --p 7 --s 3 --lemma 3", None),
+    "check_weil_p7_s3_lemma6": ("check-weil --p 7 --s 3 --lemma 6", None),
+    "check_weil_sampled_p13_s3": ("check-weil --p 13 --s 3 --lemma 3", "500"),
 }
 
 
