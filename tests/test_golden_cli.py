@@ -39,6 +39,8 @@ CASES = {
     "check_weil_p7_s3_lemma3": ("check-weil --p 7 --s 3 --lemma 3", None),
     "check_weil_p7_s3_lemma6": ("check-weil --p 7 --s 3 --lemma 6", None),
     "check_weil_sampled_p13_s3": ("check-weil --p 13 --s 3 --lemma 3", "500"),
+    "bound_lemma1_R_101_1": ("bound --thm lemma1 --kind R --p 101 --s 1", None),
+    "bound_lemma2_Q_7_3": ("bound --thm lemma2 --kind Q --p 7 --s 3 --weights geo.txt", None),
 }
 
 
