@@ -32,6 +32,18 @@ vectors, and the Weil sweeps report the first worst h in this order.  The rhs
 adds one float per block, so the block size fixes its last printed digit.  The
 spectrum is not one FFT of the point histogram for the same reason: an FFT sums
 in another order and changes the last digit of the printed rhs.
+
+One kernel, _phase_sums, serves the rhs and the Weil sweeps (y_n = (n, ...,
+n^s), or (1, a, ..., a^(s-1)) for lemma 6).  Axis j has a table T_j[c] =
+c*y_j mod M, c in [0, M), so h's phase row T_0[h_0 mod M] + ... +
+T_{d-1}[h_{d-1} mod M] needs no matmul and no modulo: it stays below d*M and
+indexes the roots of unity tiled d times (lemma 6: p times the indicator of
+phase 0, an exact root count).  The values are those of roots[h.y mod M] and
+each row gets the same numpy pairwise row sum, so every magnitude is
+bit-identical to the direct h @ y.T % M formula.  Memory is bounded by
+_GATHER_BYTES: rows run in sub-blocks whose complex gather fits it (a row is
+never split), and an axis whose M*N table entries exceed it forms
+(h_j mod M)*y_j mod M per sub-block instead, the same integers.
 """
 from __future__ import annotations
 
@@ -47,6 +59,7 @@ from .weights import Weights, _enumerate_subsets, gamma_of
 
 _MAG_TOL = 1e-9  # float phase accumulation stays far below this at desk scale
 _BLOCK = 4096  # frequency vectors per block
+_GATHER_BYTES = 1 << 19  # one sub-block's complex gather; entries of one axis table
 
 
 def c_values(modulus: int) -> range:
@@ -96,7 +109,9 @@ def _entries(h) -> tuple[int, ...]:
 
 
 def _roots_of_unity(m: int) -> np.ndarray:
-    return np.exp(2j * np.pi * np.arange(m) / m)
+    z = 2j * np.pi * np.arange(m)  # in place: the same bits as exp(2j pi k / m)
+    z /= m
+    return np.exp(z, out=z)
 
 
 def korobov_sum(h, p: int, modulus_power: int = 1,
@@ -118,6 +133,7 @@ def korobov_sum(h, p: int, modulus_power: int = 1,
     for hj in hs:
         power = power * n % m
         phase = (phase + hj % m * power) % m
+    del n, power  # before the complex roots and gather
     value = complex(_roots_of_unity(m)[phase].sum())
     return ExpSumValue(value=value, terms=m)
 
@@ -155,10 +171,24 @@ class WeilCheckReport:
     violations: int  # magnitudes above bound + tolerance
 
 
-def _magnitudes(h_block: np.ndarray, basis: np.ndarray, m: int,
-                roots: np.ndarray) -> np.ndarray:
-    phase = h_block @ basis.T % m
-    return np.abs(roots[phase].sum(axis=1))
+def _phase_sums(points: np.ndarray, m: int, values: np.ndarray):
+    """Return h_rows -> sum_n values[h.y_n mod M] per row; see the module doc."""
+    n, d = points.shape
+    values = np.tile(values, d)
+    tables = [np.outer(np.arange(m), y) % m if m * n <= _GATHER_BYTES else y
+              for y in points.T]
+    step = max(1, _GATHER_BYTES // (16 * n))
+
+    def sums(h_rows: np.ndarray) -> np.ndarray:
+        parts = []
+        for lo in range(0, len(h_rows), step):
+            h = h_rows[lo:lo + step].T % m
+            phase = np.zeros((h.shape[1], n), dtype=np.int64)
+            for t, c in zip(tables, h):
+                phase += t[c] if t.ndim == 2 else c[:, None] * t % m
+            parts.append(values[phase].sum(axis=1))
+        return np.concatenate(parts)
+    return sums
 
 
 def _freq_blocks(m: int, d: int):
@@ -211,11 +241,12 @@ def weil_bound_check(lemma: int, p: int, s: int, caps: Caps = DEFAULT_CAPS,
         blocks = (rng.integers(-((m - 1) // 2), m // 2 + 1,
                                size=(min(_BLOCK, cap - lo), s), dtype=np.int64)
                   for lo in range(0, cap, _BLOCK))
-    if lemma == 6:
-        basis = power_table(p, s, first_power=0)  # columns 1, a, ..., a^(s-1)
-    else:
-        basis = power_table(m, s, first_power=1)  # columns n, n^2, ..., n^s
-        roots = _roots_of_unity(m)
+    if lemma == 6:  # p per root a of h_1 + h_2 a + ... + h_s a^(s-1) mod p
+        sums = _phase_sums(power_table(p, s, first_power=0), p,
+                           p * (np.arange(p) == 0))
+    else:  # columns n, n^2, ..., n^s
+        sums = _phase_sums(power_table(m, s, first_power=1), m,
+                           _roots_of_unity(m))
 
     max_ratio = -1.0
     worst: tuple[int, ...] = ()
@@ -227,10 +258,7 @@ def weil_bound_check(lemma: int, p: int, s: int, caps: Caps = DEFAULT_CAPS,
         block = block[~np.all(block % p == 0, axis=1)]
         if not len(block):
             continue
-        if lemma == 6:
-            mags = p * (block @ basis.T % p == 0).sum(axis=1).astype(np.float64)
-        else:
-            mags = _magnitudes(block, basis, m, roots)
+        mags = np.abs(sums(block))
         n_checked += len(block)
         violations += int((mags > bound + _MAG_TOL).sum())
         max_mag = max(max_mag, float(mags.max()))
@@ -253,10 +281,10 @@ def weil_bound_check(lemma: int, p: int, s: int, caps: Caps = DEFAULT_CAPS,
 def _rhs_sum_term(numerators: np.ndarray, m: int) -> float:
     """sum over h in C_d*(M) of |N^-1 sum_n e(2 pi i h.y_n / M)| / r(h)."""
     n_pts = len(numerators)
-    roots = _roots_of_unity(m)
+    sums = _phase_sums(numerators, m, _roots_of_unity(m))
     total = 0.0
     for block in _freq_blocks(m, numerators.shape[1]):
-        inner = _magnitudes(block, numerators, m, roots) / n_pts
+        inner = np.abs(sums(block)) / n_pts
         r = np.prod(np.maximum(1, np.abs(block)), axis=1).astype(np.float64)
         total += float((inner / r).sum())  # one float per block: keep _BLOCK
     return total

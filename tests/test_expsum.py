@@ -1,17 +1,21 @@
 import itertools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psetdisc import expsum
 from psetdisc.config import BudgetError, Caps
 from psetdisc.discrepancy import star_discrepancy_exact, weighted_star_discrepancy_exact
-from psetdisc.expsum import (FrequencyVector, _freq_blocks, c_values,
-                             hua_wang_double_sum, hua_wang_root_count,
-                             korobov_sum, niederreiter_rhs,
+from psetdisc.expsum import (FrequencyVector, _freq_blocks, _phase_sums,
+                             _roots_of_unity, c_values, hua_wang_double_sum,
+                             hua_wang_root_count, korobov_sum, niederreiter_rhs,
                              weighted_niederreiter_rhs, weil_bound_check)
+from psetdisc.numtheory import power_table
 from psetdisc.pointset import PSetKind, RationalPointSet, generate
 from psetdisc.weights import GeneralWeights, GeometricTail, ProductWeights
 
@@ -221,6 +225,79 @@ def test_weil_validation():
         weil_bound_check(4, 5, 2)
     with pytest.raises(ValueError):
         weil_bound_check(3, 9, 2)
+
+
+# ---------------------------------------------------------------- phase kernel
+
+# sub-block budgets: one row and no axis table, three rows with tables, default
+_BUDGETS = ("one byte", "three rows", "default")
+
+
+def _budget(name, n_points):
+    return {"one byte": 1, "three rows": 16 * n_points * 3,
+            "default": expsum._GATHER_BYTES}[name]
+
+
+def _reference_magnitudes(y, m, h):
+    """The one-line formula the per-axis tables replace: a phase matmul mod M."""
+    roots = np.exp(2j * np.pi * np.arange(m) / m)
+    return np.abs(roots[h @ y.T % m].sum(axis=1))
+
+
+@st.composite
+def _rational_sets(draw):
+    m = draw(st.integers(2, 12))
+    d = draw(st.integers(1, 4))
+    row = st.lists(st.integers(0, m - 1), min_size=d, max_size=d)
+    pool = draw(st.lists(row, min_size=1, max_size=6))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=24))
+    return _point_set(m, rows)  # few distinct rows: duplicates are common
+
+
+@given(_rational_sets(), st.integers(0, 2**32 - 1), st.sampled_from(_BUDGETS))
+@settings(max_examples=60, deadline=None)
+def test_phase_sums_bit_identical_to_direct_formula(ps, seed, budget):
+    m, y = ps.modulus, ps.numerators
+    with mock.patch.object(expsum, "_GATHER_BYTES", _budget(budget, len(y))):
+        sums = _phase_sums(y, m, _roots_of_unity(m))
+    blocks = list(_freq_blocks(m, ps.dim))
+    sampled = np.random.default_rng(seed).integers(-2 * m, 2 * m + 1,
+                                                   size=(50, ps.dim))
+    for h in (blocks[0], blocks[-1], sampled):
+        assert np.array_equal(np.abs(sums(h)), _reference_magnitudes(y, m, h))
+
+
+@pytest.mark.parametrize("budget", _BUDGETS)
+def test_phase_sums_count_hua_wang_roots(budget):
+    # lemma 6's lookup: p for each a whose coefficient polynomial vanishes
+    for p, s in ((2, 3), (3, 3), (5, 2), (7, 3)):
+        h = np.array(list(c_star(p, s)), dtype=np.int64)
+        basis = power_table(p, s, first_power=0)
+        with mock.patch.object(expsum, "_GATHER_BYTES", _budget(budget, p)):
+            got = _phase_sums(basis, p, p * (np.arange(p) == 0))(h)
+            rep = weil_bound_check(6, p, s)
+        want = [direct_double_sum(tuple(v), p) for v in h.tolist()]
+        assert got.tolist() == [round(w.real) for w in want], (p, s)
+        assert max(abs(w - g) for w, g in zip(want, got)) < 1e-9 * p * p
+        assert rep.max_magnitude == max(got)
+        assert rep.worst_h == tuple(h[int(np.argmax(got))])
+
+
+def test_phase_sums_memory_follows_budget():
+    ps = generate(PSetKind.HUA_WANG_R, 101, 1)  # M = 101, N = 10,201
+    n = len(ps.numerators)
+    want = niederreiter_rhs(ps)
+    budget = 16 * n * 2  # two rows per sub-block; M*N is past it, so no table
+    with mock.patch.object(expsum, "_GATHER_BYTES", budget):
+        tracemalloc.start()
+        try:
+            got = niederreiter_rhs(ps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert got == want
+    # one sub-block's int64 phases and complex gather, plus small arrays
+    assert peak < 2 * budget + 64 * 1024, peak
 
 
 # ---------------------------------------------------------------- lemma 1 rhs
