@@ -117,7 +117,7 @@ def _cmd_sum(args, caps, out: _Output, argv):
     if args.double:
         if args.mod_power != 1:
             raise ValueError("--double uses modulus p; --mod-power must be 1")
-        val = hua_wang_double_sum(h, args.p)
+        val = hua_wang_double_sum(h, args.p, caps=caps)
     else:
         val = korobov_sum(h, args.p, modulus_power=args.mod_power, caps=caps)
     out.emit(f"re={_fmt(val.value.real)}")

@@ -50,8 +50,9 @@ _INT64_SAFE = 2**62
 # many rows as fit in the same bytes, so a dtype=object slab, whose corners
 # hold Python integers, takes fewer.
 _TABLE_CORNERS = 2**15
-# Elements the sampled lower bound works on at once: boxes x points x axes per
-# chunk of boxes, and thresholds x points in one block's bitset masks.
+# Elements the sampled lower bound works on at once: thresholds x points in
+# one block's bitset masks, corners x bytes in one block's AND buffer, and
+# corners x thresholds in one batch, unless its tables need more corners.
 _SAMPLE_ELEMENTS = 2_000_000
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
@@ -107,16 +108,6 @@ def local_discrepancy(ps: RationalPointSet, z: Box) -> float:
     for f in fz:
         vol *= f
     return float(Fraction(n_strict, ps.n) - vol)
-
-
-def _closed_local_value(ps: RationalPointSet, z: Box) -> float:
-    """One-sided limit A_closed/N - vol: the closed-branch corner value."""
-    fz = _box_fractions(ps, z)
-    _, n_closed = box_counts(ps, z)
-    vol = Fraction(1)
-    for f in fz:
-        vol *= f
-    return float(Fraction(n_closed, ps.n) - vol)
 
 
 def _grids(ps: RationalPointSet) -> list[np.ndarray]:
@@ -272,81 +263,53 @@ def star_discrepancy_sampled_lb(ps: RationalPointSet, trials: int,
                                 seed: int = 0) -> float:
     """Certified lower bound for D* from seeded random boxes.
 
-    Each sampled box is snapped to critical-grid corners (down for the
-    closed branch, up for the open branch), the snapped corners are scored
-    in floating point, and the best candidates plus all boxes anchored at
-    the points themselves are re-evaluated exactly.  The returned value is
-    therefore a true corner value <= D*.
+    Each sampled box z is snapped to two critical-grid corners: down to the
+    largest grid values below z for the closed branch, and up to the smallest
+    grid values at or above z (or 1) for the open branch.  Both, and the
+    closed and the open branch at every distinct point, are scored exactly in
+    integers.  The returned value is the largest of these corner values, or 0,
+    so it is at most D*.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     n_pts, s = ps.n, ps.dim
     m = ps.modulus
     ms = m ** s
-    uniq = [np.unique(ps.numerators[:, j]) for j in range(s)]
-    rng = np.random.default_rng(seed)
-    keep = 32
-    pts = ps.numerators
-
-    # A point is <= down_j = uniq[i-1] exactly when its rank on axis j is below
-    # i, which is exactly when it is < up_j = uniq[i] (or M).  So one AND of
-    # per-axis rank-prefix bitsets and a popcount give both branch counts.
-    ranks = [np.searchsorted(u, pts[:, j]) for j, u in enumerate(uniq)]
-    levels = [np.arange(len(u) + 1)[:, None] for u in uniq]
-    width = sum(len(u) + 1 for u in uniq)
+    dtype = np.int64 if n_pts * ms < _INT64_SAFE else object
+    grids = _grids(ps)
+    vals = [g.astype(dtype) for g in grids]
+    # A corner is a vector `at` of per-axis ranks.  The points of rank below at
+    # on every axis are both the closed count at grid[at - 1] (when every
+    # at > 0) and the open count at grid[at], where the last grid value is M.
+    rank = np.stack([np.searchsorted(g, ps.numerators[:, j]) for j, g in enumerate(grids)])
+    levels = [np.arange(len(g))[:, None] for g in grids]
+    width = sum(len(g) for g in grids)
     block = max(8, _SAMPLE_ELEMENTS // width // 8 * 8)  # points per bitset table
-    # Candidates are kept per chunk of boxes, so the chunk fixes the result.
-    # Boxes are counted in batches of whole chunks, long enough that building
-    # the tables costs less than using them.
-    chunk = max(1, _SAMPLE_ELEMENTS // max(1, n_pts * s))
-    batch = chunk * math.ceil(8 * width / (s * chunk))
+    # Corners per batch.  A block's tables compare width levels per point and
+    # each corner ANDs s/8 bytes per point, so 8*width/s corners pay for them.
+    batch = min(max(_SAMPLE_ELEMENTS // width, 8 * width // s),
+                _SAMPLE_ELEMENTS // -(-min(n_pts, block) // 8))
 
-    closed_cand: list[tuple[float, np.ndarray]] = []
-    open_cand: list[tuple[float, np.ndarray]] = []
-    remaining = trials
-    while remaining > 0:
-        b = min(batch, remaining)
-        remaining -= b
-        boxes = rng.random((b, s)) * m  # box corners scaled by the modulus
+    def corners():
+        """Batches of rank vectors with the branches to score: 1 closed, 0 open."""
+        rng = np.random.default_rng(seed)
+        for lo in range(0, trials, batch):
+            boxes = rng.random((min(batch, trials - lo), s)) * m
+            yield np.stack([np.searchsorted(g, boxes[:, j])
+                            for j, g in enumerate(grids)]), (1, 0)
+        points = np.unique(rank, axis=1)
+        for lo in range(0, points.shape[1], batch):
+            yield points[:, lo:lo + batch] + 1, (1,)  # closed at the point
+            yield points[:, lo:lo + batch], (0,)  # open at the point
 
-        down = np.empty((b, s), dtype=np.int64)
-        up = np.empty((b, s), dtype=np.int64)
-        at = np.empty((s, b), dtype=np.intp)
-        for j in range(s):
-            at[j] = np.searchsorted(uniq[j], boxes[:, j], side="left")
-            down[:, j] = uniq[j][np.maximum(at[j] - 1, 0)]
-            up[:, j] = np.where(at[j] < len(uniq[j]),
-                                uniq[j][np.minimum(at[j], len(uniq[j]) - 1)], m)
-        valid_down = at.min(axis=0) > 0
-
-        count = _count_below(at, ranks, levels, block)
-
-        vol_down = (down / m).prod(axis=1)
-        val_closed = np.where(valid_down, count / n_pts - vol_down, -np.inf)
-        vol_up = (up / m).prod(axis=1)
-        val_open = vol_up - count / n_pts
-
-        for c in range(0, b, chunk):
-            for vals, corners, bucket in ((val_closed, down, closed_cand),
-                                          (val_open, up, open_cand)):
-                top = c + np.argsort(vals[c:c + chunk])[-keep:]
-                bucket.extend((float(vals[i]), corners[i].copy()) for i in top)
-
-    # Exact re-check: a closed count at y is the points of rank below
-    # searchsorted(uniq, y, "right") on every axis, an open count below "left".
-    rows = np.unique(pts, axis=0)
-    closed = [c for v, c in sorted(closed_cand, key=lambda e: -e[0])[:keep]
-              if math.isfinite(v)]
-    opened = [c for _, c in sorted(open_cand, key=lambda e: -e[0])[:keep]]
     best = 0  # numerator over n_pts * ms
-    for corners, side, sign in ((closed, "right", 1), (opened, "left", -1)):
-        corners = np.concatenate([np.array(corners, dtype=np.int64).reshape(-1, s), rows])
-        at = np.stack([np.searchsorted(u, corners[:, j], side=side)
-                       for j, u in enumerate(uniq)])
-        for lo in range(0, len(corners), batch):
-            count = _count_below(at[:, lo:lo + batch], ranks, levels, block)
-            for corner, a in zip(corners[lo:lo + batch].tolist(), count.tolist()):
-                best = max(best, sign * (a * ms - n_pts * math.prod(corner)))
+    for at, branches in corners():
+        count = _count_below(at, rank, levels, block).astype(dtype) * ms
+        for closed in branches:
+            # a closed corner with some at = 0 holds no point and wraps to M on
+            # that axis, so its numerator is at most 0 and never raises best
+            vol = n_pts * math.prod(v[a - closed] for v, a in zip(vals, at))
+            best = max(best, int((count - vol if closed else vol - count).max()))
     return float(Fraction(best, n_pts * ms))
 
 

@@ -144,15 +144,20 @@ def hua_wang_root_count(h, p: int) -> int:
     return sum(1 for a in range(p) if poly_eval_mod(hs, a, p) == 0)
 
 
-def hua_wang_double_sum(h, p: int) -> ExpSumValue:
+def hua_wang_double_sum(h, p: int, caps: Caps = DEFAULT_CAPS) -> ExpSumValue:
     """sum_{a,k=0}^{p-1} e(2*pi*i k (h_1 + h_2 a + ... + h_s a^(s-1))/p).
 
     The inner k-sum is p when the coefficient polynomial vanishes at a and 0
     otherwise, so the value is exactly p * (number of roots mod p).
     """
+    hs = _entries(h)
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    count = hua_wang_root_count(h, p)
+    if p * len(hs) > caps.max_point_entries:
+        raise BudgetError(
+            f"{p} terms x {len(hs)} dims exceeds cap of "
+            f"{caps.max_point_entries} entries")
+    count = hua_wang_root_count(hs, p)
     return ExpSumValue(value=complex(p * count), terms=p * p)
 
 

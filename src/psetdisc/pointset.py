@@ -51,7 +51,9 @@ class RationalPointSet:
             raise ValueError(f"numerators must be (n, {self.dim}), got {arr.shape}")
         if self.modulus < 1 or self.dim < 1:
             raise ValueError("modulus and dim must be positive")
-        if arr.size and (arr.min() < 0 or arr.max() >= self.modulus):
+        if len(arr) == 0:
+            raise ValueError("point set is empty")
+        if arr.min() < 0 or arr.max() >= self.modulus:
             raise ValueError("numerators must lie in [0, modulus)")
         if self.kind is not None:
             if len(arr) != self.kind.point_count(self._p_of_kind(arr)):

@@ -259,11 +259,12 @@ def test_env_cap_invalid(capsys, monkeypatch):
 
 def test_sum_honours_env_cap(capsys, monkeypatch):
     monkeypatch.setenv("PSET_DISC_MAX_OPS", "100")
-    rc = main(["sum", "--p", "101", "--s", "3", "--h", "1,2,3"])
-    assert rc == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("cap exceeded: 101 terms x 3 dims")
+    for extra in ([], ["--double"]):
+        rc = main(["sum", "--p", "101", "--s", "3", "--h", "1,2,3"] + extra)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cap exceeded: 101 terms x 3 dims")
 
 
 def test_check_weil_honours_env_cap(capsys, monkeypatch):

@@ -1,15 +1,17 @@
+import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psetdisc import discrepancy
 from psetdisc.config import BudgetError, Caps
-from psetdisc.discrepancy import (_closed_local_value, box_counts,
-                                  local_discrepancy, star_discrepancy_exact,
+from psetdisc.discrepancy import (box_counts, local_discrepancy,
+                                  star_discrepancy_exact,
                                   star_discrepancy_sampled_lb,
                                   weighted_local_discrepancy,
                                   weighted_star_discrepancy_exact)
@@ -182,11 +184,11 @@ def test_split_scan_matches_oracles_big_modulus(case):
 @settings(max_examples=80, deadline=None)
 def test_witness_reproduces_value(ps):
     res = star_discrepancy_exact(ps)
-    if res.side == "closed":
-        recomputed = _closed_local_value(ps, res.witness)
-    else:
-        recomputed = -local_discrepancy(ps, res.witness)
-    assert recomputed == pytest.approx(res.value, abs=1e-12)
+    n_strict, n_closed = box_counts(ps, res.witness)
+    vol = math.prod(res.witness)
+    recomputed = (Fraction(n_closed, ps.n) - vol if res.side == "closed"
+                  else vol - Fraction(n_strict, ps.n))
+    assert recomputed == res.exact
 
 
 @given(small_point_sets())
@@ -257,6 +259,60 @@ def test_sampled_lb_deterministic():
     a = star_discrepancy_sampled_lb(ps, trials=500, seed=11)
     b = star_discrepancy_sampled_lb(ps, trials=500, seed=11)
     assert a == b
+
+
+def _snapped_corners_value(ps, trials, seed):
+    """The largest exact corner value, or 0, over the seeded boxes snapped down
+    to grid values below them (closed) and up to grid values at or above them,
+    or M (open), and over both branches at every distinct point.  Values are
+    compared as floats, the way a float box is compared with the grid."""
+    m, rows = ps.modulus, ps.rows()
+    grid = [sorted({row[j] for row in rows}) for j in range(ps.dim)]
+
+    def value(corner, closed):
+        count = sum(all(x <= c if closed else x < c for x, c in zip(row, corner))
+                    for row in rows)
+        local = Fraction(count, ps.n) - math.prod(Fraction(c, m) for c in corner)
+        return local if closed else -local
+
+    best = Fraction(0)
+    for box in (np.random.default_rng(seed).random((trials, ps.dim)) * m).tolist():
+        below = [[v for v in g if float(v) < b] for g, b in zip(grid, box)]
+        if all(below):
+            best = max(best, value([v[-1] for v in below], True))
+        up = [min((v for v in g if float(v) >= b), default=m) for g, b in zip(grid, box)]
+        best = max(best, value(up, False))
+    for row in set(rows):
+        best = max(best, value(row, True), value(row, False))
+    return float(best)
+
+
+@given(st.one_of(small_point_sets(), big_modulus_point_sets().map(lambda case: case[0])),
+       st.integers(1, 8), st.integers(0, 2**32 - 1))
+@example(_point_set(5, [(3,)]), 1, 0)  # the open corner at the point wins
+# an open corner one rank above a point is not scored, and would win here
+@example(_point_set(4, [(2, 3), (0, 3), (3, 2)]), 1, 0)
+@settings(max_examples=120, deadline=None)
+def test_sampled_lb_scores_every_snapped_corner(ps, trials, seed):
+    # the big-modulus sets reach the Python-integer path past N*M^s = 2^62
+    lb = star_discrepancy_sampled_lb(ps, trials=trials, seed=seed)
+    assert lb == _snapped_corners_value(ps, trials, seed)
+    assert lb <= star_discrepancy_exact(ps).value
+
+
+def test_sampled_lb_memory_with_many_points_and_few_values():
+    # 20,000 points on two values per axis: a batch bounded only by corners x
+    # thresholds would take all 20,000 corners at 2,500 bytes of AND buffer
+    # each, about 100 MB at peak with the buffer's temporaries
+    rng = np.random.default_rng(0)
+    ps = _point_set(5, rng.integers(0, 2, size=(20_000, 2)))
+    tracemalloc.start()
+    try:
+        star_discrepancy_sampled_lb(ps, trials=20_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 # ---------------------------------------------------------------- weighted

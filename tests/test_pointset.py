@@ -131,6 +131,8 @@ def test_point_set_validation():
         RationalPointSet(modulus=4, dim=2, numerators=np.array([[0, -1]]))
     with pytest.raises(ValueError):
         RationalPointSet(modulus=4, dim=2, numerators=np.array([[0, 1, 2]]))
+    with pytest.raises(ValueError, match="point set is empty"):
+        RationalPointSet(modulus=4, dim=2, numerators=np.zeros((0, 2)))
 
 
 def test_kind_contract_enforced():
