@@ -36,7 +36,8 @@ import numpy as np
 from .config import InvariantError
 from .numtheory import next_prime
 from .pointset import PSetKind
-from .weights import GeneralWeights, ProductWeights, Weights, gamma_tail_sum
+from .weights import (GeneralWeights, ProductWeights, Weights, _enumerate_subsets,
+                      gamma_tail_sum)
 
 _LOG2 = math.log(2.0)
 
@@ -111,11 +112,7 @@ def thm1_bound(kind: PSetKind, p: int, s: int, w: Weights) -> BoundReport:
                 included.append(m_idx)
                 running *= fac
     elif isinstance(w, GeneralWeights):
-        for u, g in sorted(w.entries.items()):
-            if u[-1] > s:
-                raise ValueError(f"weight subset {u} out of range for dimension {s}")
-            if g <= 0:
-                continue
+        for u, g in _enumerate_subsets(s, w):
             term = _subset_term(u, g, c)
             if term > best_term:
                 best_term, best_u = term, u

@@ -2,9 +2,11 @@
 
 Every potentially explosive enumeration (corner grids, frequency-vector
 sweeps, point-set materialization, the terms of one Korobov sum) is guarded
-by a cap from the `Caps` record.  The environment variable PSET_DISC_MAX_OPS
-replaces all three operation-count caps with a single value; the
-subset-dimension guard is a structural limit and stays fixed.
+by a cap from the `Caps` record, and every guard goes through `Caps.check`,
+so each refusal names the cap, the requested amount and the limit.  The
+environment variable PSET_DISC_MAX_OPS replaces all three operation-count
+caps with a single value; the subset-dimension guard is a structural limit
+and stays fixed.
 """
 from __future__ import annotations
 
@@ -32,6 +34,12 @@ class Caps:
     max_corners: int = 10**9        # corner-count operations in the exact scan
     max_freq_vectors: int = 10**7   # frequency vectors per enumeration
     max_subset_dim: int = 20        # 2^s guard for subset enumeration
+
+    def check(self, name: str, amount: int) -> None:
+        """Raise BudgetError if amount exceeds the cap in field `name`."""
+        limit = getattr(self, name)
+        if amount > limit:
+            raise BudgetError(f"{name}: requested {amount}, limit {limit}")
 
     @classmethod
     def from_env(cls) -> "Caps":

@@ -38,9 +38,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULT_CAPS, BudgetError, Caps
+from .config import DEFAULT_CAPS, Caps
 from .pointset import RationalPointSet, project
-from .weights import Weights, _enumerate_subsets, gamma_of
+from .weights import Weights, _enumerate_subsets
 
 # upper corner of an anchored box; entries in [0, 1] as float/int/Fraction
 Box = Sequence
@@ -51,8 +51,9 @@ _INT64_SAFE = 2**62
 # hold Python integers, takes fewer.
 _TABLE_CORNERS = 2**15
 # Elements the sampled lower bound works on at once: thresholds x points in
-# one block's bitset masks, corners x bytes in one block's AND buffer, and
-# corners x thresholds in one batch, unless its tables need more corners.
+# one block's bitset masks, corners x bytes in the three buffers of one
+# block's AND (the result, one axis's gather and its popcounts), and corners x
+# thresholds in one batch, unless its tables need more corners.
 _SAMPLE_ELEMENTS = 2_000_000
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
@@ -127,10 +128,7 @@ def star_discrepancy_exact(ps: RationalPointSet,
         raise ValueError("point set is empty")
     grids = _grids(ps)
     n_corners = math.prod(len(g) for g in grids)
-    if n_corners > caps.max_corners:
-        raise BudgetError(
-            f"{n_corners} corners exceeds cap of {caps.max_corners}; "
-            "reduce p or s, or raise the cap")
+    caps.check("max_corners", n_corners)
     ms = ps.modulus ** ps.dim
     num, corner, side = _scan(ps, grids, ms)
     exact = Fraction(num, ps.n * ms)
@@ -288,7 +286,7 @@ def star_discrepancy_sampled_lb(ps: RationalPointSet, trials: int,
     # Corners per batch.  A block's tables compare width levels per point and
     # each corner ANDs s/8 bytes per point, so 8*width/s corners pay for them.
     batch = min(max(_SAMPLE_ELEMENTS // width, 8 * width // s),
-                _SAMPLE_ELEMENTS // -(-min(n_pts, block) // 8))
+                _SAMPLE_ELEMENTS // (3 * -(-min(n_pts, block) // 8)))
 
     def corners():
         """Batches of rank vectors with the branches to score: 1 closed, 0 open."""
@@ -318,9 +316,9 @@ def weighted_local_discrepancy(ps: RationalPointSet, w: Weights, z: Box,
     """max over nonempty u of gamma_u * |Delta(z_u, 1)| at a single box."""
     fz = _box_fractions(ps, z)
     best = 0.0
-    for u in _enumerate_subsets(ps.dim, w, caps):
+    for u, g in _enumerate_subsets(ps.dim, w, caps):
         zu = [fz[j - 1] if j in u else Fraction(1) for j in range(1, ps.dim + 1)]
-        best = max(best, gamma_of(w, u) * abs(local_discrepancy(ps, zu)))
+        best = max(best, g * abs(local_discrepancy(ps, zu)))
     return best
 
 
@@ -336,9 +334,9 @@ def weighted_star_discrepancy_exact(
     best_val = 0.0
     best_u: tuple[int, ...] = ()
     best_res: DiscrepancyResult | None = None
-    for u in _enumerate_subsets(ps.dim, w, caps):
+    for u, g in _enumerate_subsets(ps.dim, w, caps):
         res = star_discrepancy_exact(project(ps, u), caps=caps)
-        val = gamma_of(w, u) * res.value
+        val = g * res.value
         per_subset[u] = val
         if val > best_val:
             best_val, best_u, best_res = val, u, res

@@ -52,10 +52,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_CAPS, BudgetError, Caps
+from .config import DEFAULT_CAPS, Caps
 from .numtheory import is_prime, poly_eval_mod, power_table
 from .pointset import RationalPointSet, project
-from .weights import Weights, _enumerate_subsets, gamma_of
+from .weights import Weights, _enumerate_subsets
 
 _MAG_TOL = 1e-9  # float phase accumulation stays far below this at desk scale
 _BLOCK = 4096  # frequency vectors per block
@@ -123,10 +123,7 @@ def korobov_sum(h, p: int, modulus_power: int = 1,
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     m = p ** modulus_power
-    if m * len(hs) > caps.max_point_entries:
-        raise BudgetError(
-            f"{m} terms x {len(hs)} dims exceeds cap of "
-            f"{caps.max_point_entries} entries")
+    caps.check("max_point_entries", m * len(hs))
     n = np.arange(m, dtype=np.int64)
     phase = np.zeros(m, dtype=np.int64)
     power = np.ones(m, dtype=np.int64)
@@ -153,10 +150,7 @@ def hua_wang_double_sum(h, p: int, caps: Caps = DEFAULT_CAPS) -> ExpSumValue:
     hs = _entries(h)
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    if p * len(hs) > caps.max_point_entries:
-        raise BudgetError(
-            f"{p} terms x {len(hs)} dims exceeds cap of "
-            f"{caps.max_point_entries} entries")
+    caps.check("max_point_entries", p * len(hs))
     count = hua_wang_root_count(hs, p)
     return ExpSumValue(value=complex(p * count), terms=p * p)
 
@@ -230,9 +224,7 @@ def weil_bound_check(lemma: int, p: int, s: int, caps: Caps = DEFAULT_CAPS,
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
     m = p * p if lemma == 5 else p
-    if m * s > caps.max_point_entries:
-        raise BudgetError(f"{m} powers x {s} dims exceeds cap of "
-                          f"{caps.max_point_entries} entries")
+    caps.check("max_point_entries", m * s)
     if lemma == 3:
         bound = (s - 1) * math.sqrt(p)
     else:
@@ -300,10 +292,7 @@ def niederreiter_rhs(ps: RationalPointSet, caps: Caps = DEFAULT_CAPS) -> float:
     m, s = ps.modulus, ps.dim
     if m < 2:
         raise ValueError("modulus must be >= 2 for the frequency spectrum")
-    n_freq = m ** s - 1
-    if n_freq > caps.max_freq_vectors:
-        raise BudgetError(f"{n_freq} frequency vectors exceed cap "
-                          f"{caps.max_freq_vectors}")
+    caps.check("max_freq_vectors", m ** s - 1)
     return s / m + 0.5 * _rhs_sum_term(ps.numerators, m)
 
 
@@ -328,14 +317,10 @@ def weighted_niederreiter_rhs(ps: RationalPointSet, w: Weights,
     if m < 2:
         raise ValueError("modulus must be >= 2 for the frequency spectrum")
     subsets = _enumerate_subsets(ps.dim, w, caps)
-    total_freq = sum(m ** len(u) - 1 for u in subsets)
-    if total_freq > caps.max_freq_vectors:
-        raise BudgetError(f"{total_freq} frequency vectors exceed cap "
-                          f"{caps.max_freq_vectors}")
+    caps.check("max_freq_vectors", sum(m ** len(u) - 1 for u, _ in subsets))
     point_term, point_subset = 0.0, ()
     sum_term, sum_subset = 0.0, ()
-    for u in subsets:
-        g = gamma_of(w, u)
+    for u, g in subsets:
         v1 = g * len(u) / m
         if v1 > point_term:
             point_term, point_subset = v1, u

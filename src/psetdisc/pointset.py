@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_CAPS, BudgetError, Caps
+from .config import DEFAULT_CAPS, Caps
 from .numtheory import is_prime, power_table
 
 
@@ -86,10 +86,7 @@ def generate(kind: PSetKind, p: int, s: int,
     if s < 1:
         raise ValueError(f"dimension must be >= 1, got {s}")
     n_points = kind.point_count(p)
-    if n_points * s > caps.max_point_entries:
-        raise BudgetError(
-            f"{n_points} points x {s} dims exceeds cap of "
-            f"{caps.max_point_entries} entries")
+    caps.check("max_point_entries", n_points * s)
     m = kind.modulus(p)
     if kind in (PSetKind.KOROBOV_P, PSetKind.KOROBOV_Q):  # n = 0..M-1
         out = power_table(m, s, first_power=1)

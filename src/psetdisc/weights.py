@@ -30,7 +30,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .config import BudgetError, Caps, DivergenceError
+from .config import DEFAULT_CAPS, Caps, DivergenceError
 
 
 class WeightFormatError(ValueError):
@@ -145,25 +145,24 @@ def gamma_of(w: Weights, u: Iterable[int]) -> float:
     return w.entries.get(key, 0.0)
 
 
-def _enumerate_subsets(dim: int, w: Weights, caps: Caps) -> list[tuple[int, ...]]:
-    """Positive-weight subsets of [dim] in deterministic order."""
+def _enumerate_subsets(dim: int, w: Weights,
+                       caps: Caps = DEFAULT_CAPS) -> list[tuple[tuple[int, ...], float]]:
+    """(u, gamma_u) for the positive-weight subsets u of [dim], in
+    deterministic order."""
+    out = []
     if isinstance(w, ProductWeights):
-        if dim > caps.max_subset_dim:
-            raise BudgetError(
-                f"subset enumeration over 2^{dim} subsets exceeds the "
-                f"dimension cap {caps.max_subset_dim}")
-        out = []
+        caps.check("max_subset_dim", dim)
         for mask in range(1, 1 << dim):
             u = tuple(j + 1 for j in range(dim) if mask >> j & 1)
-            if gamma_of(w, u) > 0:
-                out.append(u)
+            g = gamma_of(w, u)
+            if g > 0:
+                out.append((u, g))
         return out
-    out = []
-    for u in sorted(w.entries):
+    for u, g in sorted(w.entries.items()):
         if u[-1] > dim:
             raise ValueError(f"weight subset {u} out of range for dimension {dim}")
-        if w.entries[u] > 0:
-            out.append(u)
+        if g > 0:
+            out.append((u, g))
     return out
 
 

@@ -264,7 +264,7 @@ def test_sum_honours_env_cap(capsys, monkeypatch):
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("cap exceeded: 101 terms x 3 dims")
+        assert captured.err == "cap exceeded: max_point_entries: requested 303, limit 100\n"
 
 
 def test_check_weil_honours_env_cap(capsys, monkeypatch):
@@ -274,7 +274,7 @@ def test_check_weil_honours_env_cap(capsys, monkeypatch):
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("cap exceeded: 101 powers x 3 dims")
+    assert captured.err == "cap exceeded: max_point_entries: requested 303, limit 100\n"
 
 
 def test_memory_error_exits_two(capsys, monkeypatch):

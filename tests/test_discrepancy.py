@@ -315,6 +315,18 @@ def test_sampled_lb_memory_with_many_points_and_few_values():
     assert peak < 8e6
 
 
+def test_sampled_lb_memory_holds_the_and_buffers_to_budget():
+    # a batch's AND result, gather and popcounts are each sized to the budget
+    ps = generate(PSetKind.HUA_WANG_R, 31, 2)
+    tracemalloc.start()
+    try:
+        star_discrepancy_sampled_lb(ps, trials=10**5, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
+
+
 # ---------------------------------------------------------------- weighted
 
 
