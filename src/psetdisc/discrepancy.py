@@ -167,8 +167,7 @@ def _scan(ps, grids, ms):
     # keys on it count whole tables.
     a = s - d - 1
     n_rows = len(grids[a])
-    item = np.dtype(dtype).itemsize + (sys.getsizeof(n_pts * ms) if dtype is object else 0)
-    k = max(1, _TABLE_CORNERS * 8 // (size * item))
+    k = max(1, _TABLE_CORNERS * 8 // (size * _item_bytes(dtype, n_pts * ms)))
     edges = list(range(0, n_rows, k)) + [n_rows]
     key_edges = np.array(edges) * size
     row_vals = grids[a].astype(dtype)
@@ -201,6 +200,12 @@ def _scan(ps, grids, ms):
                 r, i = divmod(i, size)
                 best = (num, prefix + (int(grids[a][r0 + r]),) + _corner(tail, i), side)
     return best
+
+
+def _item_bytes(dtype, top):
+    """Bytes of one array entry; a dtype=object entry also holds a Python
+    integer of up to top's size."""
+    return np.dtype(dtype).itemsize + (sys.getsizeof(top) if dtype is object else 0)
 
 
 def _best(counts, n_vol, ms, dtype):
@@ -285,16 +290,21 @@ def star_discrepancy_sampled_lb(ps: RationalPointSet, trials: int,
     block = max(8, _SAMPLE_ELEMENTS // width // 8 * 8)  # points per bitset table
     # Corners per batch.  A block's tables compare width levels per point and
     # each corner ANDs s/8 bytes per point, so 8*width/s corners pay for them.
+    # The scores take the bytes of an int64 per corner, or more on dtype=object.
     batch = min(max(_SAMPLE_ELEMENTS // width, 8 * width // s),
                 _SAMPLE_ELEMENTS // (3 * -(-min(n_pts, block) // 8)))
+    batch = max(1, batch * 8 // _item_bytes(dtype, n_pts * ms))
 
     def corners():
         """Batches of rank vectors with the branches to score: 1 closed, 0 open."""
         rng = np.random.default_rng(seed)
         for lo in range(0, trials, batch):
             boxes = rng.random((min(batch, trials - lo), s)) * m
-            yield np.stack([np.searchsorted(g, boxes[:, j])
-                            for j, g in enumerate(grids)]), (1, 0)
+            at = np.stack([np.searchsorted(g, boxes[:, j]) for j, g in enumerate(grids)])
+            if dtype is object:  # Python-integer scores cost more than a sort
+                at = at[:, np.lexsort(at)]
+                at = at[:, np.r_[True, np.any(at[:, 1:] != at[:, :-1], axis=0)]]
+            yield at, (1, 0)
         points = np.unique(rank, axis=1)
         for lo in range(0, points.shape[1], batch):
             yield points[:, lo:lo + batch] + 1, (1,)  # closed at the point

@@ -29,21 +29,35 @@ Every exhaustive sweep walks C_d*(M) in one order: ascending mixed radix, the
 last entry fastest (the order of itertools.product(C(M), repeat=d)), with the
 zero vector left out.  _freq_blocks builds it arithmetically in blocks of 4096
 vectors, and the Weil sweeps report the first worst h in this order.  The rhs
-adds one float per block, so the block size fixes its last printed digit.  The
-spectrum is not one FFT of the point histogram for the same reason: an FFT sums
-in another order and changes the last digit of the printed rhs.
+adds one float per block, so the block size fixes its last printed digit.
 
 One kernel, _phase_sums, serves the rhs and the Weil sweeps (y_n = (n, ...,
-n^s), or (1, a, ..., a^(s-1)) for lemma 6).  Axis j has a table T_j[c] =
-c*y_j mod M, c in [0, M), so h's phase row T_0[h_0 mod M] + ... +
-T_{d-1}[h_{d-1} mod M] needs no matmul and no modulo: it stays below d*M and
-indexes the roots of unity tiled d times (lemma 6: p times the indicator of
-phase 0, an exact root count).  The values are those of roots[h.y mod M] and
-each row gets the same numpy pairwise row sum, so every magnitude is
-bit-identical to the direct h @ y.T % M formula.  Memory is bounded by
-_GATHER_BYTES: rows run in sub-blocks whose complex gather fits it (a row is
-never split), and an axis whose M*N table entries exceed it forms
-(h_j mod M)*y_j mod M per sub-block instead, the same integers.
+n^s), or (1, a, ..., a^(s-1)) for lemma 6).  Axis j has a table T_j whose
+rows c*y_j mod M run over c in C(M) order.  In the sweep order the vectors
+come in slabs: runs of M that share their first d-1 entries, the head, while
+the last entry runs over C(M).  _sweep hands the kernel each slab of a block,
+or the part of one that the block holds.  The kernel builds the head's phase
+row, T_0[h_0] + ... + T_{d-1}[h_{d-1}] with h_{d-1} = 0, once and adds the
+slab's rows of T_{d-1}, a view, in one broadcast add.  The phases need no matmul and no
+modulo: they stay below (d+1)*M and index the values tiled d+1 times, the
+roots of unity or, for lemma 6, p times the indicator of phase 0 (an exact
+root count).  A sampled Weil row is a slab of one vector: the whole row is the
+head and the tail is zero.  The values are those of roots[h.y mod M] and each
+row gets the same numpy pairwise row sum, so every magnitude is bit-identical
+to the direct h @ y.T % M formula.
+
+Memory follows _GATHER_BYTES.  The kernel runs in chunks of k heads by t tail
+rows whose complex gather, 16*k*t*N bytes, fits it.  A row is never split, and
+a slab longer than that is split along its last axis.  A chunk's int64 phases
+take half its gather again, and its k head rows no more than that.  An axis
+whose M*N table entries exceed _GATHER_BYTES forms c*y_j mod M per chunk
+instead, the same integers.
+
+A slab is a length-M DFT along the last axis, and one FFT of the point
+histogram would do the whole sweep in O(M^d log M^d).  It is not used because
+an FFT adds the N terms of each S(h) in another order than the pairwise row
+sum: the magnitudes move in their last bits, and with them the last printed
+digit of the rhs and of max_magnitude.
 """
 from __future__ import annotations
 
@@ -59,7 +73,8 @@ from .weights import Weights, _enumerate_subsets
 
 _MAG_TOL = 1e-9  # float phase accumulation stays far below this at desk scale
 _BLOCK = 4096  # frequency vectors per block
-_GATHER_BYTES = 1 << 19  # one sub-block's complex gather; entries of one axis table
+_GATHER_BYTES = 1 << 19  # one chunk's complex gather; entries of one axis table
+_HORNER_CHUNK = 1 << 15  # values of n per Horner pass in korobov_sum
 
 
 def c_values(modulus: int) -> range:
@@ -116,7 +131,14 @@ def _roots_of_unity(m: int) -> np.ndarray:
 
 def korobov_sum(h, p: int, modulus_power: int = 1,
                 caps: Caps = DEFAULT_CAPS) -> ExpSumValue:
-    """sum_{n=0}^{M-1} e(2*pi*i (h_1 n + h_2 n^2 + ... + h_s n^s)/M), M = p^power."""
+    """sum_{n=0}^{M-1} e(2*pi*i (h_1 n + h_2 n^2 + ... + h_s n^s)/M), M = p^power.
+
+    The phase polynomial mod M is evaluated by Horner's rule, in chunks of n,
+    straight into one complex array of M entries, which is then divided by M,
+    exponentiated in place and summed.  These are _roots_of_unity's
+    element-wise operations on the same integers, so every term, and the
+    pairwise sum, has the bits of _roots_of_unity(M)[phase].sum().
+    """
     hs = _entries(h)
     if modulus_power not in (1, 2):
         raise ValueError(f"modulus_power must be 1 or 2, got {modulus_power}")
@@ -124,15 +146,18 @@ def korobov_sum(h, p: int, modulus_power: int = 1,
         raise ValueError(f"p must be prime, got {p}")
     m = p ** modulus_power
     caps.check("max_point_entries", m * len(hs))
-    n = np.arange(m, dtype=np.int64)
-    phase = np.zeros(m, dtype=np.int64)
-    power = np.ones(m, dtype=np.int64)
-    for hj in hs:
-        power = power * n % m
-        phase = (phase + hj % m * power) % m
-    del n, power  # before the complex roots and gather
-    value = complex(_roots_of_unity(m)[phase].sum())
-    return ExpSumValue(value=value, terms=m)
+    z = np.empty(m, dtype=np.complex128)
+    for lo in range(0, m, _HORNER_CHUNK):
+        n = np.arange(lo, min(lo + _HORNER_CHUNK, m), dtype=np.int64)
+        phase = np.zeros(len(n), dtype=np.int64)
+        for hj in reversed(hs):  # below 2*M^2 before each reduction
+            phase += hj % m
+            phase *= n
+            phase %= m
+        np.multiply(2j * np.pi, phase, out=z[lo:lo + len(n)])
+    z /= m
+    np.exp(z, out=z)
+    return ExpSumValue(value=complex(z.sum()), terms=m)
 
 
 def hua_wang_root_count(h, p: int) -> int:
@@ -171,23 +196,59 @@ class WeilCheckReport:
 
 
 def _phase_sums(points: np.ndarray, m: int, values: np.ndarray):
-    """Return h_rows -> sum_n values[h.y_n mod M] per row; see the module doc."""
+    """Return sums(h_rows, tail=range(1)) -> sum_n values[(h + c*e_d).y_n mod M]
+    for each row h and each c in the range tail of C(M), row-major.  The
+    default zero tail sums at the rows themselves; see the module doc."""
     n, d = points.shape
-    values = np.tile(values, d)
-    tables = [np.outer(np.arange(m), y) % m if m * n <= _GATHER_BYTES else y
-              for y in points.T]
-    step = max(1, _GATHER_BYTES // (16 * n))
+    off = (m - 1) // 2  # C(M) position of c = 0
+    values = np.tile(values, d + 1)
+    # axis tables in C(M) order: row i holds (i - off)*y mod M
+    tables = [np.outer(np.arange(-off, m - off), y) % m if m * n <= _GATHER_BYTES
+              else y for y in points.T]
+    step = max(1, _GATHER_BYTES // (16 * n))  # rows per complex gather
 
-    def sums(h_rows: np.ndarray) -> np.ndarray:
+    def rows(t, c):
+        """(len(c), n) phases c*y mod M of one axis at C(M) positions c."""
+        if t.ndim == 2:
+            return t[c]
+        out = (c - off)[:, None] * t
+        out %= m
+        return out
+
+    def with_tail(head, c0, c1):
+        """(k, c1 - c0, n) phases: each head row plus the last axis's rows."""
+        last = tables[-1]
+        if last.ndim == 2:  # one broadcast add of a view
+            return head[:, None] + last[c0:c1]
+        tail = rows(last, np.arange(c0, c1))
+        if len(head) > 1:
+            return head[:, None] + tail
+        tail += head  # in place: a chunk holds no second array of phases
+        return tail[None]
+
+    def sums(h_rows: np.ndarray, tail: range = range(1)) -> np.ndarray:
+        pos = (h_rows + off) % m
+        lo_c, hi_c = tail.start + off, tail.stop + off
+        per = max(1, step // len(tail))  # heads per chunk
         parts = []
-        for lo in range(0, len(h_rows), step):
-            h = h_rows[lo:lo + step].T % m
-            phase = np.zeros((h.shape[1], n), dtype=np.int64)
-            for t, c in zip(tables, h):
-                phase += t[c] if t.ndim == 2 else c[:, None] * t % m
-            parts.append(values[phase].sum(axis=1))
+        for lo in range(0, len(pos), per):
+            at = pos[lo:lo + per]
+            head = np.zeros((len(at), n), dtype=np.int64)
+            for t, c in zip(tables, at.T):
+                head += rows(t, c)
+            for c0 in range(lo_c, hi_c, step):
+                phase = with_tail(head, c0, min(c0 + step, hi_c))
+                parts.append(np.take(values, phase).sum(axis=-1).ravel())
         return np.concatenate(parts)
     return sums
+
+
+def _vectors(pos: np.ndarray, m: int, d: int) -> np.ndarray:
+    """The vectors of C_d(M) at flat positions pos of the sweep order."""
+    out = np.empty((len(pos), d), dtype=np.int64)
+    for j in range(d - 1, -1, -1):
+        pos, out[:, j] = np.divmod(pos, m)
+    return out - (m - 1) // 2
 
 
 def _freq_blocks(m: int, d: int):
@@ -197,11 +258,31 @@ def _freq_blocks(m: int, d: int):
     zero = (m - 1) // 2 * ((total - 1) // (m - 1))  # flat position of h = 0
     for lo in range(0, total - 1, _BLOCK):
         pos = np.arange(lo, min(lo + _BLOCK, total - 1), dtype=np.int64)
-        pos += pos >= zero
-        block = np.empty((len(pos), d), dtype=np.int64)
-        for j in range(d - 1, -1, -1):
-            pos, block[:, j] = np.divmod(pos, m)
-        yield block - (m - 1) // 2
+        yield _vectors(pos + (pos >= zero), m, d)
+
+
+def _sweep(sums, m: int, d: int):
+    """Yield (block, sums(block)) for each block of _freq_blocks(M, d).  The
+    part slabs at the block's ends and the whole slabs between them are one
+    kernel call each, on heads with last entry 0 and a range of C(M)."""
+    total = m ** d
+    zero = (m - 1) // 2 * ((total - 1) // (m - 1))  # flat position of h = 0
+    c = c_values(m)
+    for i, block in enumerate(_freq_blocks(m, d)):
+        first, end = i * _BLOCK, i * _BLOCK + len(block)
+        # flat positions [lo, hi) hold the block, and h = 0 if it falls inside
+        lo, hi = first + (first >= zero), end + (end - 1 >= zero)
+        parts = []
+        pos = lo
+        while pos < hi:  # a part slab, whole slabs, a part slab
+            slab, j = divmod(pos, m)  # and the C(M) position of pos
+            k = max(1, (hi - pos) // m if j == 0 else 0)
+            tail = c[j:min(m, j + hi - pos)]
+            heads = (np.arange(k) + slab) * m + (m - 1) // 2  # last entry 0
+            parts.append(sums(_vectors(heads, m, d), tail))
+            pos += k * len(tail)
+        out = np.concatenate(parts)
+        yield block, np.delete(out, zero - lo) if lo <= zero < hi else out
 
 
 def weil_bound_check(lemma: int, p: int, s: int, caps: Caps = DEFAULT_CAPS,
@@ -231,31 +312,32 @@ def weil_bound_check(lemma: int, p: int, s: int, caps: Caps = DEFAULT_CAPS,
         bound = float((s - 1) * p)
     cap = caps.max_freq_vectors
     exhaustive = m ** s - (p ** s if lemma == 5 else 1) <= cap
-    if exhaustive:
-        blocks = _freq_blocks(m, s)
-    else:
-        rng = np.random.default_rng(seed)
-        blocks = (rng.integers(-((m - 1) // 2), m // 2 + 1,
-                               size=(min(_BLOCK, cap - lo), s), dtype=np.int64)
-                  for lo in range(0, cap, _BLOCK))
     if lemma == 6:  # p per root a of h_1 + h_2 a + ... + h_s a^(s-1) mod p
         sums = _phase_sums(power_table(p, s, first_power=0), p,
                            p * (np.arange(p) == 0))
     else:  # columns n, n^2, ..., n^s
         sums = _phase_sums(power_table(m, s, first_power=1), m,
                            _roots_of_unity(m))
+    if exhaustive:
+        swept = _sweep(sums, m, s)
+    else:  # the same kernel on seeded rows, each with a zero tail
+        rng = np.random.default_rng(seed)
+        blocks = (rng.integers(-((m - 1) // 2), m // 2 + 1,
+                               size=(min(_BLOCK, cap - lo), s), dtype=np.int64)
+                  for lo in range(0, cap, _BLOCK))
+        swept = ((block, sums(block)) for block in blocks)
 
     max_ratio = -1.0
     worst: tuple[int, ...] = ()
     max_mag = 0.0
     n_checked = 0
     violations = 0
-    for block in blocks:
+    for block, block_sums in swept:
         # admissible: p divides not every entry (for M = p, h != 0)
-        block = block[~np.all(block % p == 0, axis=1)]
-        if not len(block):
+        keep = ~np.all(block % p == 0, axis=1)
+        if not keep.any():
             continue
-        mags = np.abs(sums(block))
+        block, mags = block[keep], np.abs(block_sums[keep])
         n_checked += len(block)
         violations += int((mags > bound + _MAG_TOL).sum())
         max_mag = max(max_mag, float(mags.max()))
@@ -280,8 +362,8 @@ def _rhs_sum_term(numerators: np.ndarray, m: int) -> float:
     n_pts = len(numerators)
     sums = _phase_sums(numerators, m, _roots_of_unity(m))
     total = 0.0
-    for block in _freq_blocks(m, numerators.shape[1]):
-        inner = np.abs(sums(block)) / n_pts
+    for block, block_sums in _sweep(sums, m, numerators.shape[1]):
+        inner = np.abs(block_sums) / n_pts
         r = np.prod(np.maximum(1, np.abs(block)), axis=1).astype(np.float64)
         total += float((inner / r).sum())  # one float per block: keep _BLOCK
     return total

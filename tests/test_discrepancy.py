@@ -327,6 +327,22 @@ def test_sampled_lb_memory_holds_the_and_buffers_to_budget():
     assert peak <= 4e6
 
 
+def test_sampled_lb_python_integer_batch_follows_item_bytes():
+    # N*M^s = 7*2^160 is past 2^62, so every score is a Python integer: a batch
+    # holds as many corners as fit the bytes of int64 ones, and each distinct
+    # rank vector is scored once (8^4 of them at most, against 10^5 boxes)
+    m = 2**40
+    ps = _point_set(m, np.random.default_rng(1).integers(0, m, size=(7, 4)))
+    tracemalloc.start()
+    try:
+        lb = star_discrepancy_sampled_lb(ps, trials=10**5, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lb == 0.41745001694193257
+    assert peak < 4e6  # about 17 MB with a batch sized as for int64
+
+
 # ---------------------------------------------------------------- weighted
 
 

@@ -5,17 +5,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psetdisc import expsum
 from psetdisc.config import BudgetError, Caps
 from psetdisc.discrepancy import star_discrepancy_exact, weighted_star_discrepancy_exact
 from psetdisc.expsum import (FrequencyVector, _freq_blocks, _phase_sums,
-                             _roots_of_unity, c_values, hua_wang_double_sum,
+                             _roots_of_unity, _sweep, c_values, hua_wang_double_sum,
                              hua_wang_root_count, korobov_sum, niederreiter_rhs,
                              weighted_niederreiter_rhs, weil_bound_check)
-from psetdisc.numtheory import power_table
+from psetdisc.numtheory import is_prime, power_table
 from psetdisc.pointset import PSetKind, RationalPointSet, generate
 from psetdisc.weights import GeneralWeights, GeometricTail, ProductWeights
 
@@ -111,6 +111,35 @@ def test_mod_p2_subsum_periodicity():
             big = korobov_sum(h, p, modulus_power=2).value
             small = korobov_sum(base, p, modulus_power=1).value
             assert big == pytest.approx(p * small, abs=1e-9)
+
+
+@pytest.mark.parametrize("p", [q for q in range(2, 50) if is_prime(q)])
+def test_korobov_sum_bit_identical_to_root_gather(p):
+    # Horner phases written straight into the exponentiated array: the same
+    # element-wise operations as _roots_of_unity, so the same bits
+    rng = np.random.default_rng(p)
+    for power in (1, 2):
+        m = p ** power
+        table = power_table(m, 3, first_power=1)
+        # entries all negative, all >= M, and mixed
+        for lo, hi in ((-3 * m, 0), (m, 3 * m), (-3 * m, 3 * m)):
+            for h in rng.integers(lo, hi, size=(3, 3)).tolist():
+                for s in (1, 2, 3):
+                    phase = table[:, :s] @ np.array(h[:s], dtype=np.int64) % m
+                    want = complex(_roots_of_unity(m)[phase].sum())
+                    got = korobov_sum(h[:s], p, modulus_power=power).value
+                    assert got == want, (p, power, h[:s])
+
+
+def test_korobov_sum_memory_is_one_complex_array():
+    m = 1009 ** 2
+    tracemalloc.start()
+    try:
+        korobov_sum((1, 2, 3), 1009, modulus_power=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * m + 2**20, peak
 
 
 def test_korobov_sum_validation():
@@ -265,6 +294,26 @@ def test_phase_sums_bit_identical_to_direct_formula(ps, seed, budget):
                                                    size=(50, ps.dim))
     for h in (blocks[0], blocks[-1], sampled):
         assert np.array_equal(np.abs(sums(h)), _reference_magnitudes(y, m, h))
+
+
+@given(_rational_sets(), st.sampled_from(_BUDGETS), st.booleans())
+@example(_point_set(12, [[0, 3, 7, 11], [5, 5, 1, 0]]), "default", False)  # zero in block 2
+@example(_point_set(4099, [[1], [5], [4098], [5]]), "three rows", True)  # slab > block
+@settings(max_examples=80, deadline=None)
+def test_sweep_every_block_bit_identical(ps, budget, counting):
+    # slabs split across blocks and chunks: every block, not only the ends
+    m, y = ps.modulus, ps.numerators
+    values = m * (np.arange(m) == 0) if counting else _roots_of_unity(m)
+    with mock.patch.object(expsum, "_GATHER_BYTES", _budget(budget, len(y))):
+        swept = list(_sweep(_phase_sums(y, m, values), m, ps.dim))
+    blocks = list(_freq_blocks(m, ps.dim))
+    assert len(swept) == len(blocks)
+    for (block, got), h in zip(swept, blocks):
+        assert np.array_equal(block, h)
+        if counting:  # lemma 6's values: M per n with h.y_n = 0 mod M
+            assert np.array_equal(got, m * (h @ y.T % m == 0).sum(axis=1))
+        else:
+            assert np.array_equal(np.abs(got), _reference_magnitudes(y, m, h))
 
 
 @pytest.mark.parametrize("budget", _BUDGETS)

@@ -41,6 +41,11 @@ CASES = {
     "check_weil_sampled_p13_s3": ("check-weil --p 13 --s 3 --lemma 3", "500"),
     "bound_lemma1_R_101_1": ("bound --thm lemma1 --kind R --p 101 --s 1", None),
     "bound_lemma2_Q_7_3": ("bound --thm lemma2 --kind Q --p 7 --s 3 --weights geo.txt", None),
+    "sum_1009_3_mod_p2": ("sum --p 1009 --s 3 --h=5,0,7 --mod-power 2", None),
+    "sum_101_3_negative_h": ("sum --p 101 --s 3 --h=-8,5,-1", None),
+    "check_weil_p5_s3_lemma5": ("check-weil --p 5 --s 3 --lemma 5", None),
+    # 289 x 289 points x 16 B is past the gather budget: a slab splits
+    "bound_lemma1_Q_17_2": ("bound --thm lemma1 --kind Q --p 17 --s 2", None),
 }
 
 
