@@ -31,7 +31,7 @@ zero vector left out.  _freq_blocks builds it arithmetically in blocks of 4096
 vectors, and the Weil sweeps report the first worst h in this order.  The rhs
 adds one float per block, so the block size fixes its last printed digit.
 
-One kernel, _phase_sums, serves the rhs and the Weil sweeps (y_n = (n, ...,
+One kernel, _PhaseSums, serves the rhs and the Weil sweeps (y_n = (n, ...,
 n^s), or (1, a, ..., a^(s-1)) for lemma 6).  Axis j has a table T_j whose
 rows c*y_j mod M run over c in C(M) order.  In the sweep order the vectors
 come in slabs: runs of M that share their first d-1 entries, the head, while
@@ -51,13 +51,21 @@ rows whose complex gather, 16*k*t*N bytes, fits it.  A row is never split, and
 a slab longer than that is split along its last axis.  A chunk's int64 phases
 take half its gather again, and its k head rows no more than that.  An axis
 whose M*N table entries exceed _GATHER_BYTES forms c*y_j mod M per chunk
-instead, the same integers.
+instead, the same integers.  The screen's chunks hold k heads whose gather,
+16*k*N bytes, fits it; their bins and transforms take 16*k*M bytes each.
 
-A slab is a length-M DFT along the last axis, and one FFT of the point
-histogram would do the whole sweep in O(M^d log M^d).  It is not used because
-an FFT adds the N terms of each S(h) in another order than the pairwise row
-sum: the magnitudes move in their last bits, and with them the last printed
-digit of the rhs and of max_magnitude.
+With root values a slab is a length-M DFT along the last axis, and the
+exhaustive lemma 3 and 5 sweeps use it as a screen.  _slab_dft bins each
+head's roots by the points' last column and takes one FFT per head.  An FFT
+adds the N terms of each S(h) in another order than the pairwise row sum, so
+its magnitudes move in their last bits; _screen_eps bounds how far.  The
+Weil report needs only counts, a maximum and the first h attaining it, so
+_screen keeps the h whose screened magnitude could decide one of them (near
+the running maximum, or near the violation threshold), and the kernel
+recomputes just those: the report is the direct sweep's, bit for bit.  The
+rhs sums every magnitude, so it stays direct: an FFT would move the last
+printed digit of the rhs.  Lemma 6's values are no character, so its slabs
+are no DFT and it stays direct too.
 """
 from __future__ import annotations
 
@@ -195,52 +203,58 @@ class WeilCheckReport:
     violations: int  # magnitudes above bound + tolerance
 
 
-def _phase_sums(points: np.ndarray, m: int, values: np.ndarray):
-    """Return sums(h_rows, tail=range(1)) -> sum_n values[(h + c*e_d).y_n mod M]
-    for each row h and each c in the range tail of C(M), row-major.  The
-    default zero tail sums at the rows themselves; see the module doc."""
-    n, d = points.shape
-    off = (m - 1) // 2  # C(M) position of c = 0
-    values = np.tile(values, d + 1)
-    # axis tables in C(M) order: row i holds (i - off)*y mod M
-    tables = [np.outer(np.arange(-off, m - off), y) % m if m * n <= _GATHER_BYTES
-              else y for y in points.T]
-    step = max(1, _GATHER_BYTES // (16 * n))  # rows per complex gather
+class _PhaseSums:
+    """sums(h_rows, tail=range(1)) -> sum_n values[(h + c*e_d).y_n mod M] for
+    each row h and each c in the range tail of C(M), row-major.  The default
+    zero tail sums at the rows themselves; see the module doc."""
 
-    def rows(t, c):
+    def __init__(self, points: np.ndarray, m: int, values: np.ndarray):
+        n, d = points.shape
+        self.m, self.n = m, n
+        self.off = (m - 1) // 2  # C(M) position of c = 0
+        self.values = np.tile(values, d + 1)
+        # axis tables in C(M) order: row i holds (i - off)*y mod M
+        self.tables = [np.outer(np.arange(-self.off, m - self.off), y) % m
+                       if m * n <= _GATHER_BYTES else y for y in points.T]
+        self.step = max(1, _GATHER_BYTES // (16 * n))  # rows per complex gather
+
+    def _rows(self, t, c):
         """(len(c), n) phases c*y mod M of one axis at C(M) positions c."""
         if t.ndim == 2:
             return t[c]
-        out = (c - off)[:, None] * t
-        out %= m
+        out = (c - self.off)[:, None] * t
+        out %= self.m
         return out
 
-    def with_tail(head, c0, c1):
+    def head(self, pos: np.ndarray) -> np.ndarray:
+        """(k, n) phases, below d*M, of the rows at C(M) positions pos."""
+        out = np.zeros((len(pos), self.n), dtype=np.int64)
+        for t, c in zip(self.tables, pos.T):
+            out += self._rows(t, c)
+        return out
+
+    def _with_tail(self, head, c0, c1):
         """(k, c1 - c0, n) phases: each head row plus the last axis's rows."""
-        last = tables[-1]
+        last = self.tables[-1]
         if last.ndim == 2:  # one broadcast add of a view
             return head[:, None] + last[c0:c1]
-        tail = rows(last, np.arange(c0, c1))
+        tail = self._rows(last, np.arange(c0, c1))
         if len(head) > 1:
             return head[:, None] + tail
         tail += head  # in place: a chunk holds no second array of phases
         return tail[None]
 
-    def sums(h_rows: np.ndarray, tail: range = range(1)) -> np.ndarray:
-        pos = (h_rows + off) % m
-        lo_c, hi_c = tail.start + off, tail.stop + off
-        per = max(1, step // len(tail))  # heads per chunk
+    def __call__(self, h_rows: np.ndarray, tail: range = range(1)) -> np.ndarray:
+        pos = (h_rows + self.off) % self.m
+        lo_c, hi_c = tail.start + self.off, tail.stop + self.off
+        per = max(1, self.step // len(tail))  # heads per chunk
         parts = []
         for lo in range(0, len(pos), per):
-            at = pos[lo:lo + per]
-            head = np.zeros((len(at), n), dtype=np.int64)
-            for t, c in zip(tables, at.T):
-                head += rows(t, c)
-            for c0 in range(lo_c, hi_c, step):
-                phase = with_tail(head, c0, min(c0 + step, hi_c))
-                parts.append(np.take(values, phase).sum(axis=-1).ravel())
+            head = self.head(pos[lo:lo + per])
+            for c0 in range(lo_c, hi_c, self.step):
+                phase = self._with_tail(head, c0, min(c0 + self.step, hi_c))
+                parts.append(np.take(self.values, phase).sum(axis=-1).ravel())
         return np.concatenate(parts)
-    return sums
 
 
 def _vectors(pos: np.ndarray, m: int, d: int) -> np.ndarray:
@@ -285,6 +299,105 @@ def _sweep(sums, m: int, d: int):
         yield block, np.delete(out, zero - lo) if lo <= zero < hi else out
 
 
+def _screen_eps(n: int, m: int) -> float:
+    """A bound on | |screen S(h)| - |direct S(h)| | for one h: n points, M = m.
+
+    With u = 2^-53 and gamma_k = k*u/(1 - k*u) (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed.):
+
+    * rho = 24u bounds one stored root's error |fl(e(k/M)) - e(k/M)|: the
+      angle 2*pi*k/M is formed in three roundings (pi, the product, the
+      quotient), at most 6*pi*u off, and exp adds under 2u.  The direct sum
+      takes root(a + b), the screen root(a) times an exact e(b/M): 2*n*rho.
+    * sigma = sqrt(2)*gamma_{n-1}*n*(1 + rho) bounds a sum of n such roots in
+      any order (Higham 4.2, per component).  The direct pairwise row sum
+      errs by sigma, and so do the screen's bins together.
+    * The length-M transform of the bins G errs in 2-norm by kappa*||y||_2,
+      ||y||_2 = sqrt(M)*||G||_2 <= sqrt(M)*(n*(1 + rho) + sigma).  Higham
+      24.1 gives kappa = t*eta/(1 - t*eta), eta = u + gamma_4*(sqrt(2) + u),
+      for t radix-2 levels.  numpy's pocketfft runs M through passes of
+      prime radix q, each a q-term sum, or through Bluestein's three smooth
+      transforms for a large prime factor.  We take t = 3 * (the sum of the
+      prime factors of M with multiplicity): it counts a radix-q pass as q
+      levels, and it exceeds three smooth transforms of length below 4M.
+    * Each magnitude np.abs rounds once more: u per side.
+    """
+    u = 2.0 ** -53
+
+    def gamma(k):
+        return k * u / (1 - k * u)
+
+    rho = 24 * u
+    sigma = math.sqrt(2) * gamma(n - 1) * n * (1 + rho)
+    t, q, r = 0, 2, m  # t: the sum of the prime factors of M
+    while q * q <= r:
+        while r % q == 0:
+            t, r = t + q, r // q
+        q += 1
+    t = 3 * (t + (r if r > 1 else 0))
+    eta = u + gamma(4) * (math.sqrt(2) + u)
+    kappa = t * eta / (1 - t * eta)
+    size = n * (1 + rho) + sigma  # bounds ||G||_1 and either |S(h)|
+    fft = kappa * math.sqrt(m) * size
+    return 2 * n * rho + 2 * sigma + fft + u * (2 * size + fft)
+
+
+def _slab_dft(sums: _PhaseSums, last: np.ndarray, d: int):
+    """Yield (lo, heads, mags): the heads lo, lo+1, ... of C_d(M) (first d-1
+    entries in sweep order, last entry 0), in chunks whose gather fits
+    _GATHER_BYTES, and their (k, M) magnitudes |S(head + c*e_d)|, c in C(M)
+    order.  last is the points' last column.
+
+    With root values, each slab is one length-M transform:
+    S(head + c*e_d) = sum_b G[b] e(c*b/M), where G[b] sums the head's roots
+    over the points whose last column is b.  _screen_eps bounds the
+    difference to the magnitudes of sums(heads, C(M)).
+    """
+    m, n, off = sums.m, len(last), sums.off
+    order = np.argsort(last, kind="stable")
+    bins, starts = np.unique(last[order], return_index=True)
+    read = np.arange(-off, m - off) % m  # transform entries in C(M) order
+    per = max(1, _GATHER_BYTES // (16 * max(n, m)))  # heads per chunk
+    n_heads = m ** (d - 1)
+    for lo in range(0, n_heads, per):
+        heads = _vectors(np.arange(lo, min(lo + per, n_heads)) * m + off, m, d)
+        g = np.zeros((len(heads), m), dtype=np.complex128)
+        roots = np.take(sums.values, sums.head(heads + off)[:, order])
+        g[:, bins] = np.add.reduceat(roots, starts, axis=1)
+        yield lo, heads, np.abs(np.fft.ifft(g, axis=1, norm="forward")[:, read])
+
+
+def _screen(sums: _PhaseSums, last: np.ndarray, p: int, d: int,
+            threshold: float):
+    """The exhaustive lemma 3/5 sweep of C_d*(M), screened by _slab_dft.
+
+    For each chunk of heads yield (candidates, sums(candidates), v): the
+    admissible h, in sweep order, whose screened magnitude is within 2*eps of
+    the running maximum or within eps of threshold, their direct sums, and v,
+    the number of the other admissible h above threshold.  No other h can
+    attain the maximum magnitude, be the first h attaining the maximum ratio,
+    or lie on the other side of threshold than the screen says.  h is
+    inadmissible when p divides every entry.
+    """
+    m = sums.m
+    eps = _screen_eps(len(last), m)
+    c_zero = np.array(c_values(m)) % p == 0
+    top = -np.inf  # running maximum of the screened magnitudes
+    for lo, heads, mags in _slab_dft(sums, last, d):
+        mags[np.all(heads % p == 0, axis=1)[:, None] & c_zero] = -np.inf
+        mags = mags.ravel()
+        run = np.maximum(np.maximum.accumulate(mags), top)
+        top = run[-1]
+        keep = (mags >= run - 2 * eps) | (np.abs(mags - threshold) <= eps)
+        keep &= mags > -np.inf
+        rest = int((mags[~keep] > threshold).sum())
+        cand = _vectors(lo * m + np.flatnonzero(keep), m, d)
+        if 2 * len(cand) > len(keep):  # a row costs about two slab entries
+            yield cand, sums(heads, c_values(m))[keep], rest
+        else:
+            yield cand, sums(cand) if len(cand) else np.empty(0), rest
+
+
 def weil_bound_check(lemma: int, p: int, s: int, caps: Caps = DEFAULT_CAPS,
                      seed: int = 0) -> WeilCheckReport:
     """Sweep the admissible frequency vectors of one exponential-sum bound.
@@ -294,8 +407,10 @@ def weil_bound_check(lemma: int, p: int, s: int, caps: Caps = DEFAULT_CAPS,
     lemma 6: |hua_wang_double_sum(h, p)| <= (s-1)*p for h in C_s*(p).
 
     Exhaustive when the admissible count is within caps.max_freq_vectors,
-    otherwise a seeded uniform sample of that many vectors.  Reports the worst
-    magnitude/bound ratio and the first h attaining it in enumeration order.
+    otherwise a seeded uniform sample of that many vectors.  Exhaustive lemma
+    3 and 5 sweeps are screened by the slab DFT (see the module doc).  Reports
+    the worst magnitude/bound ratio and the first h attaining it in
+    enumeration order.
     The (M, s) power table must fit caps.max_point_entries.
     """
     if lemma not in (3, 5, 6):
@@ -311,28 +426,32 @@ def weil_bound_check(lemma: int, p: int, s: int, caps: Caps = DEFAULT_CAPS,
     else:
         bound = float((s - 1) * p)
     cap = caps.max_freq_vectors
-    exhaustive = m ** s - (p ** s if lemma == 5 else 1) <= cap
+    admissible = m ** s - (p ** s if lemma == 5 else 1)
+    exhaustive = admissible <= cap
     if lemma == 6:  # p per root a of h_1 + h_2 a + ... + h_s a^(s-1) mod p
-        sums = _phase_sums(power_table(p, s, first_power=0), p,
-                           p * (np.arange(p) == 0))
+        sums = _PhaseSums(power_table(p, s, first_power=0), p,
+                          p * (np.arange(p) == 0))
     else:  # columns n, n^2, ..., n^s
-        sums = _phase_sums(power_table(m, s, first_power=1), m,
-                           _roots_of_unity(m))
-    if exhaustive:
-        swept = _sweep(sums, m, s)
+        points = power_table(m, s, first_power=1)
+        sums = _PhaseSums(points, m, _roots_of_unity(m))
+    if exhaustive and lemma != 6:
+        swept = _screen(sums, points[:, -1], p, s, bound + _MAG_TOL)
+    elif exhaustive:  # lemma 6's values are no character: no slab DFT
+        swept = ((block, out, 0) for block, out in _sweep(sums, m, s))
     else:  # the same kernel on seeded rows, each with a zero tail
         rng = np.random.default_rng(seed)
         blocks = (rng.integers(-((m - 1) // 2), m // 2 + 1,
                                size=(min(_BLOCK, cap - lo), s), dtype=np.int64)
                   for lo in range(0, cap, _BLOCK))
-        swept = ((block, sums(block)) for block in blocks)
+        swept = ((block, sums(block), 0) for block in blocks)
 
     max_ratio = -1.0
     worst: tuple[int, ...] = ()
     max_mag = 0.0
     n_checked = 0
     violations = 0
-    for block, block_sums in swept:
+    for block, block_sums, screened in swept:
+        violations += screened  # the h the screen decided alone
         # admissible: p divides not every entry (for M = p, h != 0)
         keep = ~np.all(block % p == 0, axis=1)
         if not keep.any():
@@ -349,6 +468,8 @@ def weil_bound_check(lemma: int, p: int, s: int, caps: Caps = DEFAULT_CAPS,
         if float(ratios[i]) > max_ratio:
             max_ratio = float(ratios[i])
             worst = tuple(int(v) for v in block[i])
+    if exhaustive:
+        n_checked = admissible
 
     return WeilCheckReport(lemma=lemma, p=p, s=s, bound=bound,
                            max_ratio=max_ratio, worst_h=worst,
@@ -360,7 +481,7 @@ def weil_bound_check(lemma: int, p: int, s: int, caps: Caps = DEFAULT_CAPS,
 def _rhs_sum_term(numerators: np.ndarray, m: int) -> float:
     """sum over h in C_d*(M) of |N^-1 sum_n e(2 pi i h.y_n / M)| / r(h)."""
     n_pts = len(numerators)
-    sums = _phase_sums(numerators, m, _roots_of_unity(m))
+    sums = _PhaseSums(numerators, m, _roots_of_unity(m))
     total = 0.0
     for block, block_sums in _sweep(sums, m, numerators.shape[1]):
         inner = np.abs(block_sums) / n_pts

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from psetdisc import expsum
 from psetdisc.config import BudgetError, Caps
 from psetdisc.discrepancy import star_discrepancy_exact, weighted_star_discrepancy_exact
-from psetdisc.expsum import (FrequencyVector, _freq_blocks, _phase_sums,
-                             _roots_of_unity, _sweep, c_values, hua_wang_double_sum,
+from psetdisc.expsum import (FrequencyVector, _freq_blocks, _PhaseSums,
+                             _roots_of_unity, _screen, _screen_eps, _slab_dft,
+                             _sweep, c_values, hua_wang_double_sum,
                              hua_wang_root_count, korobov_sum, niederreiter_rhs,
                              weighted_niederreiter_rhs, weil_bound_check)
 from psetdisc.numtheory import is_prime, power_table
@@ -206,11 +207,25 @@ def test_weil_lemma5_exhaustive_odd_primes():
 
 
 def test_weil_lemma5_mod_four_exception():
-    # at p=2 the quadratic sums mod 4 reach 2*sqrt(2) > (s-1)*p = 2: the
-    # mod-p^2 bound needs p odd, and the report must expose that honestly
+    # at p=2 the quadratic sums mod 4 reach 2*sqrt(2) > (s-1)*p = 2, and the
+    # report must expose that honestly
     rep = weil_bound_check(5, 2, 2)
     assert rep.violations == 4
     assert rep.max_ratio == pytest.approx(math.sqrt(2), abs=1e-9)
+
+
+@pytest.mark.parametrize("p,s,violations,ratio,worst", [
+    (3, 3, 18, 1.266044, (-3, -3, -1)),
+    (5, 5, 400, 1.172445, (-10, -5, -10, -5, 7)),
+])
+def test_weil_lemma5_known_false_at_odd_prime(p, s, violations, ratio, worst):
+    # the mod-p^2 bound |S| <= (s-1)*p, checked verbatim as criterion 04
+    # checks it, is observed false at odd primes too
+    rep = weil_bound_check(5, p, s)
+    assert rep.exhaustive and rep.bound == (s - 1) * p
+    assert rep.violations == violations
+    assert rep.max_ratio == pytest.approx(ratio, abs=1e-6)
+    assert rep.worst_h == worst
 
 
 def test_weil_lemma6_structure():
@@ -256,6 +271,87 @@ def test_weil_validation():
         weil_bound_check(3, 9, 2)
 
 
+# ---------------------------------------------------------------- weil screen
+
+# every exhaustive lemma 3/5 sweep with p <= 13, s <= 4 and M^s <= 2*10^6
+_SCREENED = [(lemma, p, s) for lemma in (3, 5) for p in (2, 3, 5, 7, 11, 13)
+             for s in (1, 2, 3, 4) if (p * p if lemma == 5 else p) ** s <= 2 * 10**6]
+
+
+def _reference_report(lemma, p, s):
+    """weil_bound_check's direct block loop: every h through _sweep."""
+    m = p * p if lemma == 5 else p
+    bound = (s - 1) * math.sqrt(p) if lemma == 3 else float((s - 1) * p)
+    sums = _PhaseSums(power_table(m, s, first_power=1), m, _roots_of_unity(m))
+    max_ratio, worst, max_mag, n_checked, violations = -1.0, (), 0.0, 0, 0
+    for block, block_sums in _sweep(sums, m, s):
+        keep = ~np.all(block % p == 0, axis=1)
+        if not keep.any():
+            continue
+        block, mags = block[keep], np.abs(block_sums[keep])
+        n_checked += len(block)
+        violations += int((mags > bound + expsum._MAG_TOL).sum())
+        max_mag = max(max_mag, float(mags.max()))
+        if bound > 0:
+            ratios = mags / bound
+        else:
+            ratios = np.where(mags <= expsum._MAG_TOL, 0.0, np.inf)
+        i = int(np.argmax(ratios))
+        if float(ratios[i]) > max_ratio:
+            max_ratio, worst = float(ratios[i]), tuple(int(v) for v in block[i])
+    return dict(max_ratio=max_ratio, worst_h=worst, max_magnitude=max_mag,
+                n_checked=n_checked, violations=violations)
+
+
+@pytest.mark.parametrize("lemma,p,s", _SCREENED)
+def test_weil_screen_matches_direct_sweep(lemma, p, s):
+    rep = weil_bound_check(lemma, p, s)
+    want = _reference_report(lemma, p, s)
+    assert rep.exhaustive
+    assert {k: getattr(rep, k) for k in want} == want
+    # and the stated bound holds for every screened magnitude
+    m = p * p if lemma == 5 else p
+    points = power_table(m, s, first_power=1)
+    sums = _PhaseSums(points, m, _roots_of_unity(m))
+    err = max(np.abs(mags.ravel() - np.abs(sums(heads, c_values(m)))).max()
+              for _, heads, mags in _slab_dft(sums, points[:, -1], s))
+    assert err <= _screen_eps(m, m), (err, _screen_eps(m, m))
+
+
+@pytest.mark.parametrize("lemma,p,s", [(3, 7, 3), (5, 3, 3), (5, 2, 3)])
+def test_weil_screen_running_max_across_chunks(lemma, p, s):
+    # one head per chunk: the running maximum carries every candidate over
+    with mock.patch.object(expsum, "_GATHER_BYTES", 1):
+        rep = weil_bound_check(lemma, p, s)
+    want = _reference_report(lemma, p, s)
+    assert {k: getattr(rep, k) for k in want} == want
+
+
+def test_weil_screen_memory_follows_budget():
+    # lemma 5, p = 11, s = 3: 14,641 heads of 121 points, a 28 MB gather in
+    # one piece; a chunk's phases, roots, bins and transform stay near 6x
+    tracemalloc.start()
+    try:
+        weil_bound_check(5, 11, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * expsum._GATHER_BYTES, peak
+
+
+def test_weil_screen_band_decides_ties_at_threshold():
+    # lemma 5, p = 5, s = 3: 5,000 magnitudes equal 5 up to rounding, on both
+    # sides of it; with the threshold at 5 only the band sorts them out
+    m, threshold = 25, 5.0
+    points = power_table(m, 3, first_power=1)
+    sums = _PhaseSums(points, m, _roots_of_unity(m))
+    got = sum(rest + int((np.abs(out) > threshold).sum())
+              for _, out, rest in _screen(sums, points[:, -1], 5, 3, threshold))
+    want = sum(int((np.abs(out[~np.all(block % 5 == 0, axis=1)]) > threshold).sum())
+               for block, out in _sweep(sums, m, 3))
+    assert got == want
+
+
 # ---------------------------------------------------------------- phase kernel
 
 # sub-block budgets: one row and no axis table, three rows with tables, default
@@ -288,7 +384,7 @@ def _rational_sets(draw):
 def test_phase_sums_bit_identical_to_direct_formula(ps, seed, budget):
     m, y = ps.modulus, ps.numerators
     with mock.patch.object(expsum, "_GATHER_BYTES", _budget(budget, len(y))):
-        sums = _phase_sums(y, m, _roots_of_unity(m))
+        sums = _PhaseSums(y, m, _roots_of_unity(m))
     blocks = list(_freq_blocks(m, ps.dim))
     sampled = np.random.default_rng(seed).integers(-2 * m, 2 * m + 1,
                                                    size=(50, ps.dim))
@@ -305,7 +401,7 @@ def test_sweep_every_block_bit_identical(ps, budget, counting):
     m, y = ps.modulus, ps.numerators
     values = m * (np.arange(m) == 0) if counting else _roots_of_unity(m)
     with mock.patch.object(expsum, "_GATHER_BYTES", _budget(budget, len(y))):
-        swept = list(_sweep(_phase_sums(y, m, values), m, ps.dim))
+        swept = list(_sweep(_PhaseSums(y, m, values), m, ps.dim))
     blocks = list(_freq_blocks(m, ps.dim))
     assert len(swept) == len(blocks)
     for (block, got), h in zip(swept, blocks):
@@ -323,7 +419,7 @@ def test_phase_sums_count_hua_wang_roots(budget):
         h = np.array(list(c_star(p, s)), dtype=np.int64)
         basis = power_table(p, s, first_power=0)
         with mock.patch.object(expsum, "_GATHER_BYTES", _budget(budget, p)):
-            got = _phase_sums(basis, p, p * (np.arange(p) == 0))(h)
+            got = _PhaseSums(basis, p, p * (np.arange(p) == 0))(h)
             rep = weil_bound_check(6, p, s)
         want = [direct_double_sum(tuple(v), p) for v in h.tolist()]
         assert got.tolist() == [round(w.real) for w in want], (p, s)

@@ -46,6 +46,12 @@ CASES = {
     "check_weil_p5_s3_lemma5": ("check-weil --p 5 --s 3 --lemma 5", None),
     # 289 x 289 points x 16 B is past the gather budget: a slab splits
     "bound_lemma1_Q_17_2": ("bound --thm lemma1 --kind Q --p 17 --s 2", None),
+    # the mod-p^2 bound fails at an odd prime: 18 violations
+    "check_weil_p3_s3_lemma5": ("check-weil --p 3 --s 3 --lemma 5", None),
+    # 25^4 vectors: the FFT screen runs in many chunks
+    "check_weil_p5_s4_lemma5": ("check-weil --p 5 --s 4 --lemma 5", None),
+    # bound 0 at s = 1: ratios are 0 or inf, so every h stays a candidate
+    "check_weil_p13_s1_lemma3": ("check-weil --p 13 --s 1 --lemma 3", None),
 }
 
 
