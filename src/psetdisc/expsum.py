@@ -392,10 +392,7 @@ def _screen(sums: _PhaseSums, last: np.ndarray, p: int, d: int,
         keep &= mags > -np.inf
         rest = int((mags[~keep] > threshold).sum())
         cand = _vectors(lo * m + np.flatnonzero(keep), m, d)
-        if 2 * len(cand) > len(keep):  # a row costs about two slab entries
-            yield cand, sums(heads, c_values(m))[keep], rest
-        else:
-            yield cand, sums(cand) if len(cand) else np.empty(0), rest
+        yield cand, sums(cand) if len(cand) else np.empty(0), rest
 
 
 def weil_bound_check(lemma: int, p: int, s: int, caps: Caps = DEFAULT_CAPS,
@@ -448,7 +445,7 @@ def weil_bound_check(lemma: int, p: int, s: int, caps: Caps = DEFAULT_CAPS,
     max_ratio = -1.0
     worst: tuple[int, ...] = ()
     max_mag = 0.0
-    n_checked = 0
+    n_checked = admissible if exhaustive else 0
     violations = 0
     for block, block_sums, screened in swept:
         violations += screened  # the h the screen decided alone
@@ -457,7 +454,8 @@ def weil_bound_check(lemma: int, p: int, s: int, caps: Caps = DEFAULT_CAPS,
         if not keep.any():
             continue
         block, mags = block[keep], np.abs(block_sums[keep])
-        n_checked += len(block)
+        if not exhaustive:
+            n_checked += len(block)
         violations += int((mags > bound + _MAG_TOL).sum())
         max_mag = max(max_mag, float(mags.max()))
         if bound > 0:
@@ -468,8 +466,6 @@ def weil_bound_check(lemma: int, p: int, s: int, caps: Caps = DEFAULT_CAPS,
         if float(ratios[i]) > max_ratio:
             max_ratio = float(ratios[i])
             worst = tuple(int(v) for v in block[i])
-    if exhaustive:
-        n_checked = admissible
 
     return WeilCheckReport(lemma=lemma, p=p, s=s, bound=bound,
                            max_ratio=max_ratio, worst_h=worst,

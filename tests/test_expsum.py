@@ -273,9 +273,12 @@ def test_weil_validation():
 
 # ---------------------------------------------------------------- weil screen
 
-# every exhaustive lemma 3/5 sweep with p <= 13, s <= 4 and M^s <= 2*10^6
+# every exhaustive lemma 3/5 sweep with p <= 13, s <= 4 and M^s <= 2*10^6,
+# and lemma 3 at large primes: pocketfft runs lengths 101 and 211 through
+# Bluestein's three transforms, 53 through one radix-53 pass
 _SCREENED = [(lemma, p, s) for lemma in (3, 5) for p in (2, 3, 5, 7, 11, 13)
              for s in (1, 2, 3, 4) if (p * p if lemma == 5 else p) ** s <= 2 * 10**6]
+_SCREENED += [(3, 53, 3), (3, 101, 2), (3, 101, 3), (3, 211, 2)]
 
 
 def _reference_report(lemma, p, s):
