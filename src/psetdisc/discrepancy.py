@@ -20,8 +20,11 @@ same table over the strict points shifted one index along every axis, and the
 volumes are an outer product of the grid values.  A table covers the trailing
 axes, as many as fit in the corner budget; its closed and open counts are two
 contiguous halves.  When the whole grid fits, one table is the whole scan.
-Otherwise the scan goes depth-first over the leading axes, filtering points as
-it descends, and sweeps the axis in front of the table in slabs of consecutive
+Otherwise one flat loop runs over the corners of the leading axes, the grid
+indices in lexicographic order (itertools.product), so the first best corner
+found is the lexicographically first.  At each it holds the points whose
+indices are <= the corner's on every leading axis (closed) and those < it
+(strict), and sweeps the axis in front of the table in slabs of consecutive
 grid values.  Each slab's table starts from the last row of the slab before
 (a carried running sum), so no table outgrows the budget.  The arithmetic runs
 in int64 when N*M^s < 2^62 and on dtype=object arrays of Python integers
@@ -30,6 +33,7 @@ otherwise, on the same lines.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -172,11 +176,15 @@ def _scan(ps, grids, ms):
     key_edges = np.array(edges) * size
     row_vals = grids[a].astype(dtype)
     keys = keys + idx[:, a] * size
+    lead = idx[:, :a]
     best = (-1, None, "closed")  # numerator over n_pts*ms, corner, side
-    leaves = _leaves(idx[:, :a], keys, np.ones(n_pts, dtype=bool), grids[:a])
-    for held, strict, vol_prefix, prefix in leaves:
-        closed = np.sort(held)
-        opened = np.sort(held[strict]) + (size + shift)
+    # leading corners in lexicographic order: the first best corner wins
+    for at in itertools.product(*(range(len(g)) for g in grids[:a])):
+        held = np.all(lead <= at, axis=1)
+        closed = np.sort(keys[held])
+        opened = np.sort(keys[held & np.all(lead < at, axis=1)]) + (size + shift)
+        prefix = tuple(int(g[i]) for g, i in zip(grids, at))
+        vol_prefix = math.prod(prefix)
         c_ends = np.searchsorted(closed, key_edges).tolist()
         o_ends = np.searchsorted(opened, key_edges).tolist()
         carry = 0  # the counts of the previous slab's last row
@@ -227,25 +235,6 @@ def _best(counts, n_vol, ms, dtype):
 def _corner(tail, i):
     at = np.unravel_index(i, tuple(len(g) for g in tail))
     return tuple(int(g[k]) for g, k in zip(tail, at))
-
-
-def _leaves(sub, keys, strict, lead, vol_prefix=1, prefix=()):
-    """Depth-first over the leading axes in grid order, so that the first
-    best corner found is the lexicographically first one.  Yields the keys of
-    the points with x_j <= y_j on every leading axis, the mask of those with
-    x_j < y_j, the leading volume numerator and the leading corner values."""
-    j = len(prefix)
-    if j == len(lead):
-        yield keys, strict, vol_prefix, prefix
-        return
-    order = np.argsort(sub[:, j])
-    sub, keys, strict = sub[order], keys[order], strict[order]
-    col = sub[:, j]
-    ends = np.searchsorted(col, np.arange(len(lead[j])), side="right")
-    for gi, gv in enumerate(lead[j].tolist()):
-        k = ends[gi]
-        yield from _leaves(sub[:k], keys[:k], strict[:k] & (col[:k] < gi), lead,
-                           vol_prefix * gv, prefix + (gv,))
 
 
 def _count_below(at, ranks, levels, block):

@@ -25,34 +25,38 @@ one does; both are implemented verbatim and the discrepancy between them is
 deliberate (the weighted form is the one the closed-form bounds are derived
 from, and dropping the 1/2 only weakens it).
 
-Every exhaustive sweep walks C_d*(M) in one order: ascending mixed radix, the
-last entry fastest (the order of itertools.product(C(M), repeat=d)), with the
-zero vector left out.  _freq_blocks builds it arithmetically in blocks of 4096
-vectors, and the Weil sweeps report the first worst h in this order.  The rhs
-adds one float per block, so the block size fixes its last printed digit.
+Every exhaustive sweep walks C_d(M) in one order, that of
+itertools.product(C(M), repeat=d).  It comes in slabs: runs of M vectors that
+share their first d-1 entries, the head, while the last entry runs over C(M).
+_heads yields the heads in chunks, and every sweep reads it: the Weil sweeps
+report the first worst h in this order, and the rhs leaves h = 0 out.
 
 One kernel, _PhaseSums, serves the rhs and the Weil sweeps (y_n = (n, ...,
 n^s), or (1, a, ..., a^(s-1)) for lemma 6).  Axis j has a table T_j whose
-rows c*y_j mod M run over c in C(M) order.  In the sweep order the vectors
-come in slabs: runs of M that share their first d-1 entries, the head, while
-the last entry runs over C(M).  _sweep hands the kernel each slab of a block,
-or the part of one that the block holds.  The kernel builds the head's phase
-row, T_0[h_0] + ... + T_{d-1}[h_{d-1}] with h_{d-1} = 0, once and adds the
-slab's rows of T_{d-1}, a view, in one broadcast add.  The phases need no matmul and no
-modulo: they stay below (d+1)*M and index the values tiled d+1 times, the
-roots of unity or, for lemma 6, p times the indicator of phase 0 (an exact
-root count).  A sampled Weil row is a slab of one vector: the whole row is the
-head and the tail is zero.  The values are those of roots[h.y mod M] and each
-row gets the same numpy pairwise row sum, so every magnitude is bit-identical
-to the direct h @ y.T % M formula.
+rows c*y_j mod M run over c in C(M) order.  sums.slabs(d) yields each chunk's
+(k, M) sums: it builds a head's phase row, T_0[h_0] + ... + T_{d-1}[h_{d-1}]
+with h_{d-1} = 0, once and adds the rows of T_{d-1}, a view, in one broadcast
+add.  sums(h_rows) sums at the rows themselves (a zero tail), for the sampled
+mode and the screen's candidates.  The phases need no matmul and no modulo:
+they stay below (d+1)*M and index the values tiled d+1 times, the roots of
+unity or, for lemma 6, p times the indicator of phase 0 (an exact root
+count).  Each row gets the same numpy pairwise row sum of the values of
+roots[h.y mod M], so every magnitude is bit-identical to the direct
+h @ y.T % M formula.
 
-Memory follows _GATHER_BYTES.  The kernel runs in chunks of k heads by t tail
-rows whose complex gather, 16*k*t*N bytes, fits it.  A row is never split, and
-a slab longer than that is split along its last axis.  A chunk's int64 phases
-take half its gather again, and its k head rows no more than that.  An axis
-whose M*N table entries exceed _GATHER_BYTES forms c*y_j mod M per chunk
-instead, the same integers.  The screen's chunks hold k heads whose gather,
-16*k*N bytes, fits it; their bins and transforms take 16*k*M bytes each.
+_BLOCK has two readers.  The rhs adds one float per 4096 consecutive h of
+C_d*(M), re-cutting the chunks' terms into those blocks, so _BLOCK fixes the
+rhs's last printed digit.  The sampled mode draws and sums its seeded rows
+4096 at a time.
+
+Memory follows _GATHER_BYTES.  A chunk holds k heads, so that 16*k*max(N, M)
+bytes fit it: a complex gather of its head rows, its (k, M) sums, or the
+screen's bins and transforms.  The kernel gathers k' heads by t tail rows at a
+time, 16*k'*t*N bytes within it; a row is never split, and a longer slab is
+split along its last axis.  Those int64 phases
+take half the gather again, and the k' head rows no more than that.  An axis
+whose M*N table entries exceed _GATHER_BYTES forms c*y_j mod M per gather
+instead, the same integers; such a gather holds one head (k' = 1).
 
 With root values a slab is a length-M DFT along the last axis, and the
 exhaustive lemma 3 and 5 sweeps use it as a screen.  _slab_dft bins each
@@ -80,7 +84,7 @@ from .pointset import RationalPointSet, project
 from .weights import Weights, _enumerate_subsets
 
 _MAG_TOL = 1e-9  # float phase accumulation stays far below this at desk scale
-_BLOCK = 4096  # frequency vectors per block
+_BLOCK = 4096  # rhs terms per float sum; sampled Weil rows per draw
 _GATHER_BYTES = 1 << 19  # one chunk's complex gather; entries of one axis table
 _HORNER_CHUNK = 1 << 15  # values of n per Horner pass in korobov_sum
 
@@ -204,9 +208,9 @@ class WeilCheckReport:
 
 
 class _PhaseSums:
-    """sums(h_rows, tail=range(1)) -> sum_n values[(h + c*e_d).y_n mod M] for
-    each row h and each c in the range tail of C(M), row-major.  The default
-    zero tail sums at the rows themselves; see the module doc."""
+    """sums(h_rows) -> sum_n values[h.y_n mod M] for each row h, and
+    sums.slabs(d) -> the same sums over the slabs of C_d(M); see the module
+    doc."""
 
     def __init__(self, points: np.ndarray, m: int, values: np.ndarray):
         n, d = points.shape
@@ -217,6 +221,7 @@ class _PhaseSums:
         self.tables = [np.outer(np.arange(-self.off, m - self.off), y) % m
                        if m * n <= _GATHER_BYTES else y for y in points.T]
         self.step = max(1, _GATHER_BYTES // (16 * n))  # rows per complex gather
+        self.per = max(1, _GATHER_BYTES // (16 * max(n, m)))  # heads per chunk
 
     def _rows(self, t, c):
         """(len(c), n) phases c*y mod M of one axis at C(M) positions c."""
@@ -233,28 +238,30 @@ class _PhaseSums:
             out += self._rows(t, c)
         return out
 
-    def _with_tail(self, head, c0, c1):
-        """(k, c1 - c0, n) phases: each head row plus the last axis's rows."""
-        last = self.tables[-1]
-        if last.ndim == 2:  # one broadcast add of a view
-            return head[:, None] + last[c0:c1]
-        tail = self._rows(last, np.arange(c0, c1))
-        if len(head) > 1:
-            return head[:, None] + tail
-        tail += head  # in place: a chunk holds no second array of phases
-        return tail[None]
-
-    def __call__(self, h_rows: np.ndarray, tail: range = range(1)) -> np.ndarray:
+    def __call__(self, h_rows: np.ndarray) -> np.ndarray:
         pos = (h_rows + self.off) % self.m
-        lo_c, hi_c = tail.start + self.off, tail.stop + self.off
-        per = max(1, self.step // len(tail))  # heads per chunk
-        parts = []
-        for lo in range(0, len(pos), per):
-            head = self.head(pos[lo:lo + per])
-            for c0 in range(lo_c, hi_c, self.step):
-                phase = self._with_tail(head, c0, min(c0 + self.step, hi_c))
-                parts.append(np.take(self.values, phase).sum(axis=-1).ravel())
-        return np.concatenate(parts)
+        return np.concatenate([np.take(self.values, self.head(pos[lo:lo + self.step]))
+                               .sum(axis=-1) for lo in range(0, len(pos), self.step)])
+
+    def slabs(self, d: int):
+        """Yield (lo, heads, sums) for each chunk of _heads: sums[i, j] is the
+        sum at heads[i] + c*e_d for the j-th c of C(M)."""
+        m, step, last = self.m, self.step, self.tables[-1]
+        k = max(1, step // m)  # heads per gather
+        for lo, heads in _heads(m, d, self.per):
+            pos = heads + self.off
+            out = np.empty((len(pos), m), dtype=self.values.dtype)
+            for i in range(0, len(pos), k):
+                head = self.head(pos[i:i + k])
+                for c0 in range(0, m, step):
+                    c1 = min(c0 + step, m)
+                    if last.ndim == 2:  # one broadcast add of a view
+                        phase = head[:, None] + last[c0:c1]
+                    else:  # no table fits, so k = 1: add the head in place
+                        phase = self._rows(last, np.arange(c0, c1))
+                        phase += head
+                    out[i:i + k, c0:c1] = np.take(self.values, phase).sum(axis=-1)
+            yield lo, heads, out
 
 
 def _vectors(pos: np.ndarray, m: int, d: int) -> np.ndarray:
@@ -265,38 +272,13 @@ def _vectors(pos: np.ndarray, m: int, d: int) -> np.ndarray:
     return out - (m - 1) // 2
 
 
-def _freq_blocks(m: int, d: int):
-    """C_d*(M) in ascending mixed-radix order (last entry fastest), as int64
-    blocks of _BLOCK vectors; only the last block may be shorter."""
-    total = m ** d
-    zero = (m - 1) // 2 * ((total - 1) // (m - 1))  # flat position of h = 0
-    for lo in range(0, total - 1, _BLOCK):
-        pos = np.arange(lo, min(lo + _BLOCK, total - 1), dtype=np.int64)
-        yield _vectors(pos + (pos >= zero), m, d)
-
-
-def _sweep(sums, m: int, d: int):
-    """Yield (block, sums(block)) for each block of _freq_blocks(M, d).  The
-    part slabs at the block's ends and the whole slabs between them are one
-    kernel call each, on heads with last entry 0 and a range of C(M)."""
-    total = m ** d
-    zero = (m - 1) // 2 * ((total - 1) // (m - 1))  # flat position of h = 0
-    c = c_values(m)
-    for i, block in enumerate(_freq_blocks(m, d)):
-        first, end = i * _BLOCK, i * _BLOCK + len(block)
-        # flat positions [lo, hi) hold the block, and h = 0 if it falls inside
-        lo, hi = first + (first >= zero), end + (end - 1 >= zero)
-        parts = []
-        pos = lo
-        while pos < hi:  # a part slab, whole slabs, a part slab
-            slab, j = divmod(pos, m)  # and the C(M) position of pos
-            k = max(1, (hi - pos) // m if j == 0 else 0)
-            tail = c[j:min(m, j + hi - pos)]
-            heads = (np.arange(k) + slab) * m + (m - 1) // 2  # last entry 0
-            parts.append(sums(_vectors(heads, m, d), tail))
-            pos += k * len(tail)
-        out = np.concatenate(parts)
-        yield block, np.delete(out, zero - lo) if lo <= zero < hi else out
+def _heads(m: int, d: int, per: int):
+    """Yield (lo, heads): the heads lo, lo+1, ... of C_d(M), per at a time, in
+    sweep order, as (k, d) int64 vectors with last entry 0."""
+    n_heads = m ** (d - 1)
+    for lo in range(0, n_heads, per):
+        pos = np.arange(lo, min(lo + per, n_heads)) * m + (m - 1) // 2
+        yield lo, _vectors(pos, m, d)
 
 
 def _screen_eps(n: int, m: int) -> float:
@@ -343,24 +325,19 @@ def _screen_eps(n: int, m: int) -> float:
 
 
 def _slab_dft(sums: _PhaseSums, last: np.ndarray, d: int):
-    """Yield (lo, heads, mags): the heads lo, lo+1, ... of C_d(M) (first d-1
-    entries in sweep order, last entry 0), in chunks whose gather fits
-    _GATHER_BYTES, and their (k, M) magnitudes |S(head + c*e_d)|, c in C(M)
-    order.  last is the points' last column.
+    """Yield (lo, heads, mags) for each chunk of _heads, as sums.slabs(d)
+    does, with the magnitudes of the sums.  last is the points' last column.
 
     With root values, each slab is one length-M transform:
     S(head + c*e_d) = sum_b G[b] e(c*b/M), where G[b] sums the head's roots
     over the points whose last column is b.  _screen_eps bounds the
-    difference to the magnitudes of sums(heads, C(M)).
+    difference to the magnitudes of sums.slabs(d).
     """
-    m, n, off = sums.m, len(last), sums.off
+    m, off = sums.m, sums.off
     order = np.argsort(last, kind="stable")
     bins, starts = np.unique(last[order], return_index=True)
     read = np.arange(-off, m - off) % m  # transform entries in C(M) order
-    per = max(1, _GATHER_BYTES // (16 * max(n, m)))  # heads per chunk
-    n_heads = m ** (d - 1)
-    for lo in range(0, n_heads, per):
-        heads = _vectors(np.arange(lo, min(lo + per, n_heads)) * m + off, m, d)
+    for lo, heads in _heads(m, d, sums.per):
         g = np.zeros((len(heads), m), dtype=np.complex128)
         roots = np.take(sums.values, sums.head(heads + off)[:, order])
         g[:, bins] = np.add.reduceat(roots, starts, axis=1)
@@ -407,7 +384,9 @@ def weil_bound_check(lemma: int, p: int, s: int, caps: Caps = DEFAULT_CAPS,
     otherwise a seeded uniform sample of that many vectors.  Exhaustive lemma
     3 and 5 sweeps are screened by the slab DFT (see the module doc).  Reports
     the worst magnitude/bound ratio and the first h attaining it in
-    enumeration order.
+    enumeration order.  A maximum magnitude within _screen_eps(N, M) of 0 is
+    reported as 0.0: that bound covers one direct sum's rounding too, so such
+    a maximum is no nonzero sum (at s = 1 every admissible S(h) is exactly 0).
     The (M, s) power table must fit caps.max_point_entries.
     """
     if lemma not in (3, 5, 6):
@@ -434,7 +413,8 @@ def weil_bound_check(lemma: int, p: int, s: int, caps: Caps = DEFAULT_CAPS,
     if exhaustive and lemma != 6:
         swept = _screen(sums, points[:, -1], p, s, bound + _MAG_TOL)
     elif exhaustive:  # lemma 6's values are no character: no slab DFT
-        swept = ((block, out, 0) for block, out in _sweep(sums, m, s))
+        swept = ((_vectors(lo * m + np.arange(out.size), m, s), out.ravel(), 0)
+                 for lo, _, out in sums.slabs(s))
     else:  # the same kernel on seeded rows, each with a zero tail
         rng = np.random.default_rng(seed)
         blocks = (rng.integers(-((m - 1) // 2), m // 2 + 1,
@@ -467,6 +447,8 @@ def weil_bound_check(lemma: int, p: int, s: int, caps: Caps = DEFAULT_CAPS,
             max_ratio = float(ratios[i])
             worst = tuple(int(v) for v in block[i])
 
+    if max_mag <= _screen_eps(sums.n, m):
+        max_mag = 0.0
     return WeilCheckReport(lemma=lemma, p=p, s=s, bound=bound,
                            max_ratio=max_ratio, worst_h=worst,
                            max_magnitude=max_mag, n_checked=n_checked,
@@ -475,15 +457,24 @@ def weil_bound_check(lemma: int, p: int, s: int, caps: Caps = DEFAULT_CAPS,
 
 
 def _rhs_sum_term(numerators: np.ndarray, m: int) -> float:
-    """sum over h in C_d*(M) of |N^-1 sum_n e(2 pi i h.y_n / M)| / r(h)."""
-    n_pts = len(numerators)
+    """sum over h in C_d*(M) of |N^-1 sum_n e(2 pi i h.y_n / M)| / r(h), one
+    float per _BLOCK consecutive terms in sweep order."""
+    n_pts, d = numerators.shape
     sums = _PhaseSums(numerators, m, _roots_of_unity(m))
-    total = 0.0
-    for block, block_sums in _sweep(sums, m, numerators.shape[1]):
-        inner = np.abs(block_sums) / n_pts
-        r = np.prod(np.maximum(1, np.abs(block)), axis=1).astype(np.float64)
-        total += float((inner / r).sum())  # one float per block: keep _BLOCK
-    return total
+    r_last = np.maximum(1, np.abs(np.array(c_values(m))))
+    zero = (m - 1) // 2 * ((m ** d - 1) // (m - 1))  # flat position of h = 0
+    total, rest = 0.0, np.empty(0)
+    for lo, heads, out in sums.slabs(d):
+        r = np.multiply.outer(np.prod(np.maximum(1, np.abs(heads)), axis=1), r_last)
+        terms = (np.abs(out) / n_pts / r).ravel()
+        if 0 <= zero - lo * m < terms.size:
+            terms = np.delete(terms, zero - lo * m)
+        terms = np.concatenate((rest, terms))
+        cut = len(terms) - len(terms) % _BLOCK
+        for i in range(0, cut, _BLOCK):
+            total += float(terms[i:i + _BLOCK].sum())
+        rest = terms[cut:]
+    return total + float(rest.sum())
 
 
 def niederreiter_rhs(ps: RationalPointSet, caps: Caps = DEFAULT_CAPS) -> float:

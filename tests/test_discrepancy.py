@@ -31,9 +31,9 @@ def _point_set(modulus, rows):
 
 
 @st.composite
-def small_point_sets(draw):
+def small_point_sets(draw, max_dim=3):
     m = draw(st.integers(2, 9))
-    s = draw(st.integers(1, 3))
+    s = draw(st.integers(1, max_dim))
     n = draw(st.integers(1, 7))
     rows = draw(st.lists(st.tuples(*[st.integers(0, m - 1)] * s),
                          min_size=n, max_size=n))
@@ -152,8 +152,8 @@ def test_exact_matches_witness_oracle_big_modulus(case):
     assert _result_triple(ps) == naive_dstar_witness(ps.rows(), ps.modulus)
 
 
-# Table budgets that split even these small grids: leading-axis recursion,
-# one-row slabs, multi-row slabs and a partial last slab.
+# Table budgets that split even these small grids: a leading-axis loop (over
+# two axes at s = 4), one-row slabs, multi-row slabs and a partial last slab.
 SPLIT_BUDGETS = (1, 3, 16, 64)
 
 
@@ -168,7 +168,8 @@ def _assert_split_scans_match_oracles(ps):
         assert got == pytest.approx(want_weighted, abs=1e-12)
 
 
-@given(small_point_sets())
+@given(small_point_sets(max_dim=4))
+@example(_point_set(8, [(7, 7, 5, 2), (0, 4, 6, 0), (6, 7, 1, 5)]))  # two leading axes
 @settings(max_examples=60, deadline=None)
 def test_split_scan_matches_oracles(ps):
     _assert_split_scans_match_oracles(ps)

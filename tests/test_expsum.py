@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from psetdisc import expsum
 from psetdisc.config import BudgetError, Caps
 from psetdisc.discrepancy import star_discrepancy_exact, weighted_star_discrepancy_exact
-from psetdisc.expsum import (FrequencyVector, _freq_blocks, _PhaseSums,
-                             _roots_of_unity, _screen, _screen_eps, _slab_dft,
-                             _sweep, c_values, hua_wang_double_sum,
-                             hua_wang_root_count, korobov_sum, niederreiter_rhs,
+from psetdisc.expsum import (FrequencyVector, _heads, _PhaseSums,
+                             _rhs_sum_term, _roots_of_unity, _screen,
+                             _screen_eps, _slab_dft, _vectors, c_values,
+                             hua_wang_double_sum, hua_wang_root_count,
+                             korobov_sum, niederreiter_rhs,
                              weighted_niederreiter_rhs, weil_bound_check)
 from psetdisc.numtheory import is_prime, power_table
 from psetdisc.pointset import PSetKind, RationalPointSet, generate
@@ -29,6 +30,13 @@ HALVING = ProductWeights(gammas=(0.5, 0.25), tail=GeometricTail(0.5))
 def _point_set(modulus, rows):
     return RationalPointSet(modulus=modulus, dim=len(rows[0]),
                             numerators=np.array(rows, dtype=np.int64))
+
+
+def _slab_vectors(heads, m):
+    """The vectors head + c*e_d of each head's slab, c over C(M), in order."""
+    out = np.repeat(heads, m, axis=0)
+    out[:, -1] = np.tile(c_values(m), len(heads))
+    return out
 
 
 # ---------------------------------------------------------------- C(M), r(h)
@@ -244,6 +252,16 @@ def test_weil_sampled_fallback():
     assert rep == rep2  # deterministic given the seed
 
 
+@pytest.mark.parametrize("lemma", [3, 5])
+def test_weil_s1_reports_zero_magnitude(lemma):
+    # at s = 1 every admissible S(h) = sum_n e(h*n/M) is exactly 0: the
+    # rounding residue of the sums is no magnitude
+    for p in (2, 3, 13):
+        rep = weil_bound_check(lemma, p, 1)
+        assert rep.max_magnitude == 0.0, (p, rep)
+        assert rep.max_ratio == 0.0 and rep.violations == 0
+
+
 def test_weil_point_entry_cap():
     # lemma 5 at p = 7, s = 2: a 49 x 2 power table, allowed at exactly 98
     assert weil_bound_check(5, 7, 2, caps=Caps(max_point_entries=98)).exhaustive
@@ -253,15 +271,20 @@ def test_weil_point_entry_cap():
         weil_bound_check(6, 7, 3, caps=Caps(max_point_entries=20))
 
 
-# even moduli too; 17^3 - 1 and 3^8 - 1 vectors span more than one block
+# even moduli too; 17^3 and 3^8 vectors span many chunks of 100 heads
 @pytest.mark.parametrize("m,d", [*itertools.product((2, 3, 4, 5, 7, 8), (1, 2, 3, 4)),
                                  (17, 3), (3, 8)])
 def test_freq_blocks_enumerate_c_star(m, d):
-    blocks = list(_freq_blocks(m, d))
-    want = [list(h) for h in itertools.product(c_values(m), repeat=d) if any(h)]
-    assert all(b.dtype == np.int64 and b.shape[1] == d for b in blocks)
-    assert [len(b) for b in blocks[:-1]] == [4096] * (len(blocks) - 1)
-    assert np.concatenate(blocks).tolist() == want
+    # the one walk, _heads chunk by chunk and each head's slab in C(M)
+    # order, is itertools.product order, the zero vector included
+    want = [list(h) for h in itertools.product(c_values(m), repeat=d)]
+    for per in (1, 3, 100):
+        walk = []
+        for lo, heads in _heads(m, d, per):
+            assert lo * m == len(walk) and 0 < len(heads) <= per
+            assert heads.dtype == np.int64 and not heads[:, -1].any()
+            walk += _slab_vectors(heads, m).tolist()
+        assert walk == want, per
 
 
 def test_weil_validation():
@@ -282,16 +305,17 @@ _SCREENED += [(3, 53, 3), (3, 101, 2), (3, 101, 3), (3, 211, 2)]
 
 
 def _reference_report(lemma, p, s):
-    """weil_bound_check's direct block loop: every h through _sweep."""
+    """weil_bound_check's direct loop: every h through sums.slabs."""
     m = p * p if lemma == 5 else p
     bound = (s - 1) * math.sqrt(p) if lemma == 3 else float((s - 1) * p)
     sums = _PhaseSums(power_table(m, s, first_power=1), m, _roots_of_unity(m))
     max_ratio, worst, max_mag, n_checked, violations = -1.0, (), 0.0, 0, 0
-    for block, block_sums in _sweep(sums, m, s):
+    for _, heads, out in sums.slabs(s):
+        block = _slab_vectors(heads, m)
         keep = ~np.all(block % p == 0, axis=1)
         if not keep.any():
             continue
-        block, mags = block[keep], np.abs(block_sums[keep])
+        block, mags = block[keep], np.abs(out.ravel()[keep])
         n_checked += len(block)
         violations += int((mags > bound + expsum._MAG_TOL).sum())
         max_mag = max(max_mag, float(mags.max()))
@@ -302,6 +326,8 @@ def _reference_report(lemma, p, s):
         i = int(np.argmax(ratios))
         if float(ratios[i]) > max_ratio:
             max_ratio, worst = float(ratios[i]), tuple(int(v) for v in block[i])
+    if max_mag <= _screen_eps(m, m):  # no nonzero sum is this small
+        max_mag = 0.0
     return dict(max_ratio=max_ratio, worst_h=worst, max_magnitude=max_mag,
                 n_checked=n_checked, violations=violations)
 
@@ -316,8 +342,9 @@ def test_weil_screen_matches_direct_sweep(lemma, p, s):
     m = p * p if lemma == 5 else p
     points = power_table(m, s, first_power=1)
     sums = _PhaseSums(points, m, _roots_of_unity(m))
-    err = max(np.abs(mags.ravel() - np.abs(sums(heads, c_values(m)))).max()
-              for _, heads, mags in _slab_dft(sums, points[:, -1], s))
+    err = max(np.abs(mags - np.abs(out)).max()
+              for (_, _, mags), (_, _, out) in zip(_slab_dft(sums, points[:, -1], s),
+                                                   sums.slabs(s)))
     assert err <= _screen_eps(m, m), (err, _screen_eps(m, m))
 
 
@@ -350,8 +377,9 @@ def test_weil_screen_band_decides_ties_at_threshold():
     sums = _PhaseSums(points, m, _roots_of_unity(m))
     got = sum(rest + int((np.abs(out) > threshold).sum())
               for _, out, rest in _screen(sums, points[:, -1], 5, 3, threshold))
-    want = sum(int((np.abs(out[~np.all(block % 5 == 0, axis=1)]) > threshold).sum())
-               for block, out in _sweep(sums, m, 3))
+    want = sum(int((np.abs(out.ravel()[~np.all(_slab_vectors(heads, m) % 5 == 0, axis=1)])
+                    > threshold).sum())
+               for _, heads, out in sums.slabs(3))
     assert got == want
 
 
@@ -388,31 +416,58 @@ def test_phase_sums_bit_identical_to_direct_formula(ps, seed, budget):
     m, y = ps.modulus, ps.numerators
     with mock.patch.object(expsum, "_GATHER_BYTES", _budget(budget, len(y))):
         sums = _PhaseSums(y, m, _roots_of_unity(m))
-    blocks = list(_freq_blocks(m, ps.dim))
+    total = m ** ps.dim
+    first, last = np.arange(min(4096, total)), np.arange(max(0, total - 4096), total)
     sampled = np.random.default_rng(seed).integers(-2 * m, 2 * m + 1,
                                                    size=(50, ps.dim))
-    for h in (blocks[0], blocks[-1], sampled):
+    for h in (_vectors(first, m, ps.dim), _vectors(last, m, ps.dim), sampled):
         assert np.array_equal(np.abs(sums(h)), _reference_magnitudes(y, m, h))
 
 
 @given(_rational_sets(), st.sampled_from(_BUDGETS), st.booleans())
-@example(_point_set(12, [[0, 3, 7, 11], [5, 5, 1, 0]]), "default", False)  # zero in block 2
-@example(_point_set(4099, [[1], [5], [4098], [5]]), "three rows", True)  # slab > block
+@example(_point_set(12, [[0, 3, 7, 11], [5, 5, 1, 0]]), "default", False)  # one chunk
+@example(_point_set(4099, [[1], [5], [4098], [5]]), "three rows", True)  # slab > gather
 @settings(max_examples=80, deadline=None)
 def test_sweep_every_block_bit_identical(ps, budget, counting):
-    # slabs split across blocks and chunks: every block, not only the ends
+    # slabs split across chunks and gathers: every chunk, not only the ends
     m, y = ps.modulus, ps.numerators
     values = m * (np.arange(m) == 0) if counting else _roots_of_unity(m)
     with mock.patch.object(expsum, "_GATHER_BYTES", _budget(budget, len(y))):
-        swept = list(_sweep(_PhaseSums(y, m, values), m, ps.dim))
-    blocks = list(_freq_blocks(m, ps.dim))
-    assert len(swept) == len(blocks)
-    for (block, got), h in zip(swept, blocks):
-        assert np.array_equal(block, h)
-        if counting:  # lemma 6's values: M per n with h.y_n = 0 mod M
-            assert np.array_equal(got, m * (h @ y.T % m == 0).sum(axis=1))
-        else:
-            assert np.array_equal(np.abs(got), _reference_magnitudes(y, m, h))
+        swept = list(_PhaseSums(y, m, values).slabs(ps.dim))
+    sizes = [len(heads) for _, heads, _ in swept]
+    assert [lo for lo, _, _ in swept] == np.cumsum([0] + sizes[:-1]).tolist()
+    assert sum(sizes) == m ** (ps.dim - 1)
+    h = _slab_vectors(np.concatenate([heads for _, heads, _ in swept]), m)
+    got = np.concatenate([out.ravel() for _, _, out in swept])
+    if counting:  # lemma 6's values: M per n with h.y_n = 0 mod M
+        assert np.array_equal(got, m * (h @ y.T % m == 0).sum(axis=1))
+    else:
+        assert np.array_equal(np.abs(got), _reference_magnitudes(y, m, h))
+
+
+def _reference_rhs_sum_term(y, m):
+    """The rhs's sum term by the direct formula: one float per 4096
+    consecutive h of C_d*(M) in itertools.product order."""
+    every = [h for h in itertools.product(c_values(m), repeat=y.shape[1]) if any(h)]
+    total = 0.0
+    for lo in range(0, len(every), 4096):
+        h = np.array(every[lo:lo + 4096])
+        r = np.prod(np.maximum(1, np.abs(h)), axis=1).astype(np.float64)
+        total += float((_reference_magnitudes(y, m, h) / len(y) / r).sum())
+    return total
+
+
+@given(_rational_sets())
+@example(_point_set(7, [[0, 1, 2, 3, 4], [6, 6, 0, 1, 5], [3, 3, 3, 3, 3]]))  # 7 not| 4096
+@settings(max_examples=15, deadline=None)
+def test_rhs_sum_term_adds_blocks_of_the_direct_formula(ps):
+    # chunks of slabs re-cut into the blocks of C_d*(M): the same floats,
+    # added in the same order, whatever the chunk edges
+    m, y = ps.modulus, ps.numerators
+    want = _reference_rhs_sum_term(y, m)
+    for budget in _BUDGETS:
+        with mock.patch.object(expsum, "_GATHER_BYTES", _budget(budget, len(y))):
+            assert _rhs_sum_term(y, m) == want, budget
 
 
 @pytest.mark.parametrize("budget", _BUDGETS)
