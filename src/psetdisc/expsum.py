@@ -83,7 +83,6 @@ from .numtheory import is_prime, poly_eval_mod, power_table
 from .pointset import RationalPointSet, project
 from .weights import Weights, _enumerate_subsets
 
-_MAG_TOL = 1e-9  # float phase accumulation stays far below this at desk scale
 _BLOCK = 4096  # rhs terms per float sum; sampled Weil rows per draw
 _GATHER_BYTES = 1 << 19  # one chunk's complex gather; entries of one axis table
 _HORNER_CHUNK = 1 << 15  # values of n per Horner pass in korobov_sum
@@ -384,9 +383,12 @@ def weil_bound_check(lemma: int, p: int, s: int, caps: Caps = DEFAULT_CAPS,
     otherwise a seeded uniform sample of that many vectors.  Exhaustive lemma
     3 and 5 sweeps are screened by the slab DFT (see the module doc).  Reports
     the worst magnitude/bound ratio and the first h attaining it in
-    enumeration order.  A maximum magnitude within _screen_eps(N, M) of 0 is
-    reported as 0.0: that bound covers one direct sum's rounding too, so such
-    a maximum is no nonzero sum (at s = 1 every admissible S(h) is exactly 0).
+    enumeration order.  eps = _screen_eps(N, M) bounds one direct sum's
+    rounding too, so it is the tolerance throughout: an h violates the bound
+    when its magnitude exceeds bound + eps, and a maximum magnitude within eps
+    of 0 is no nonzero sum and is reported as 0.0 (at s = 1 every admissible
+    S(h) is exactly 0, and the bound is 0 too).  Lemma 6's sums add integer
+    multiples of p and are exact.
     The (M, s) power table must fit caps.max_point_entries.
     """
     if lemma not in (3, 5, 6):
@@ -410,8 +412,9 @@ def weil_bound_check(lemma: int, p: int, s: int, caps: Caps = DEFAULT_CAPS,
     else:  # columns n, n^2, ..., n^s
         points = power_table(m, s, first_power=1)
         sums = _PhaseSums(points, m, _roots_of_unity(m))
+    eps = _screen_eps(sums.n, m)
     if exhaustive and lemma != 6:
-        swept = _screen(sums, points[:, -1], p, s, bound + _MAG_TOL)
+        swept = _screen(sums, points[:, -1], p, s, bound + eps)
     elif exhaustive:  # lemma 6's values are no character: no slab DFT
         swept = ((_vectors(lo * m + np.arange(out.size), m, s), out.ravel(), 0)
                  for lo, _, out in sums.slabs(s))
@@ -436,18 +439,18 @@ def weil_bound_check(lemma: int, p: int, s: int, caps: Caps = DEFAULT_CAPS,
         block, mags = block[keep], np.abs(block_sums[keep])
         if not exhaustive:
             n_checked += len(block)
-        violations += int((mags > bound + _MAG_TOL).sum())
+        violations += int((mags > bound + eps).sum())
         max_mag = max(max_mag, float(mags.max()))
         if bound > 0:
             ratios = mags / bound
         else:
-            ratios = np.where(mags <= _MAG_TOL, 0.0, np.inf)
+            ratios = np.where(mags <= eps, 0.0, np.inf)
         i = int(np.argmax(ratios))
         if float(ratios[i]) > max_ratio:
             max_ratio = float(ratios[i])
             worst = tuple(int(v) for v in block[i])
 
-    if max_mag <= _screen_eps(sums.n, m):
+    if max_mag <= eps:
         max_mag = 0.0
     return WeilCheckReport(lemma=lemma, p=p, s=s, bound=bound,
                            max_ratio=max_ratio, worst_h=worst,

@@ -1,9 +1,13 @@
 import math
+from pathlib import Path
 
 import pytest
 
 from psetdisc import cli
 from psetdisc.cli import main
+from psetdisc.config import InvariantError
+
+POW_FILE = str(Path(__file__).parent / "golden" / "pow.txt")  # gamma_j = j^-2
 
 HALVING_TEXT = "product\n1 0.5\n2 0.25\ntail geometric 0.5\n"
 
@@ -212,6 +216,20 @@ def test_out_file(capsys, tmp_path, weights_file):
     assert out == ""
     assert "0/3" not in target.read_text()  # decimal mode by default
     assert "x1" in target.read_text()
+    # the file holds the stdout run's bytes; only '# cmd:' echoes --out too
+    rc, printed = run_cli(capsys, "gen", "--kind", "P", "--p", "3", "--s", "1")
+    assert rc == 0
+    printed = printed.replace(" --s 1\n", f" --s 1 --out {target}\n", 1)
+    assert target.read_bytes() == printed.encode()
+
+
+def test_out_file_unwritable(capsys, tmp_path):
+    target = tmp_path / "missing" / "points.csv"
+    rc = main(["gen", "--kind", "P", "--p", "3", "--s", "1", "--out", str(target)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 2] No such file or directory: '{target}'\n"
 
 
 def test_usage_errors(capsys):
@@ -287,3 +305,48 @@ def test_memory_error_exits_two(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "out of memory: table too large\n"
+
+
+def _raising(exc):
+    def handler(*args):
+        raise exc
+    return handler
+
+
+# argv, PSET_DISC_MAX_OPS or None, what the disc handler raises or None,
+# exit code, the last stderr line (the only one but for a usage error)
+EXIT_PATHS = {
+    "usage": (["disc", "--kind", "P", "--p", "5"], None, None, 1,
+              "pset-disc disc: error: the following arguments are required: --s"),
+    "value": (["disc", "--kind", "P", "--p", "6", "--s", "1"], None, None, 1,
+              "error: p must be prime, got 6"),
+    "divergence": (["bound", "--thm", "2", "--kind", "P", "--p", "5", "--s", "2",
+                    "--weights", POW_FILE, "--delta", "0.25", "--t", "0.5"], None, None, 1,
+                   "error: sum of gamma_j**t diverges: exponent*t = 1.0 <= 1"),
+    "budget": (["disc", "--kind", "P", "--p", "13", "--s", "3"], "100", None, 2,
+               "cap exceeded: max_corners: requested 672, limit 100"),
+    "memory": (["disc", "--kind", "P", "--p", "5", "--s", "1"], None,
+               MemoryError("table too large"), 2, "out of memory: table too large"),
+    "invariant": (["disc", "--kind", "P", "--p", "5", "--s", "1"], None,
+                  InvariantError("count mismatch"), 3,
+                  "internal invariant violation: count mismatch"),
+}
+
+
+@pytest.mark.parametrize("path", sorted(EXIT_PATHS))
+def test_exit_paths(path, capsys, monkeypatch):
+    argv, max_ops, exc, code, line = EXIT_PATHS[path]
+    monkeypatch.delenv("PSET_DISC_MAX_OPS", raising=False)
+    if max_ops is not None:
+        monkeypatch.setenv("PSET_DISC_MAX_OPS", max_ops)
+    if exc is not None:
+        monkeypatch.setattr(cli, "_cmd_disc", _raising(exc))
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == code
+    assert captured.out == ""
+    if path == "usage":  # argparse prints the usage line first
+        assert captured.err.startswith("usage: pset-disc disc ")
+        assert captured.err.splitlines()[-1] == line
+    else:
+        assert captured.err == line + "\n"

@@ -309,6 +309,7 @@ def _reference_report(lemma, p, s):
     m = p * p if lemma == 5 else p
     bound = (s - 1) * math.sqrt(p) if lemma == 3 else float((s - 1) * p)
     sums = _PhaseSums(power_table(m, s, first_power=1), m, _roots_of_unity(m))
+    eps = _screen_eps(m, m)  # the m points n = 0..m-1
     max_ratio, worst, max_mag, n_checked, violations = -1.0, (), 0.0, 0, 0
     for _, heads, out in sums.slabs(s):
         block = _slab_vectors(heads, m)
@@ -317,16 +318,16 @@ def _reference_report(lemma, p, s):
             continue
         block, mags = block[keep], np.abs(out.ravel()[keep])
         n_checked += len(block)
-        violations += int((mags > bound + expsum._MAG_TOL).sum())
+        violations += int((mags > bound + eps).sum())
         max_mag = max(max_mag, float(mags.max()))
         if bound > 0:
             ratios = mags / bound
         else:
-            ratios = np.where(mags <= expsum._MAG_TOL, 0.0, np.inf)
+            ratios = np.where(mags <= eps, 0.0, np.inf)
         i = int(np.argmax(ratios))
         if float(ratios[i]) > max_ratio:
             max_ratio, worst = float(ratios[i]), tuple(int(v) for v in block[i])
-    if max_mag <= _screen_eps(m, m):  # no nonzero sum is this small
+    if max_mag <= eps:  # no nonzero sum is this small
         max_mag = 0.0
     return dict(max_ratio=max_ratio, worst_h=worst, max_magnitude=max_mag,
                 n_checked=n_checked, violations=violations)

@@ -52,6 +52,18 @@ CASES = {
     "check_weil_p5_s4_lemma5": ("check-weil --p 5 --s 4 --lemma 5", None),
     # bound 0 at s = 1: ratios are 0 or inf, so every h stays a candidate
     "check_weil_p13_s1_lemma3": ("check-weil --p 13 --s 1 --lemma 3", None),
+    "gen_P_7_2": ("gen --kind P --p 7 --s 2", None),
+    "gen_R_3_3_exact": ("gen --kind R --p 3 --s 3 --exact", None),
+    # Q's envelope constant is c_q, not c
+    "nmin_Q": ("nmin --kind Q --eps 0.1 --s 5 --weights geo.txt --delta 0.25", None),
+    "bound_thm1_R_11_3": ("bound --thm 1 --kind R --p 11 --s 3 --weights geo.txt", None),
+    "bound_thm2_Q_11_3": ("bound --thm 2 --kind Q --p 11 --s 3 --weights geo.txt "
+                          "--delta 0.25", None),
+    # gamma_j = j^-2, summed as gamma_j**t with t = 2; part 2 multiplies by s
+    "bound_thm2_pow_t2": ("bound --thm 2 --kind P --p 13 --s 4 --weights pow.txt "
+                          "--delta 0.25 --t 2", None),
+    # two roots of h_1 + h_2 a + h_3 a^2 mod 5: the double sum is 2p
+    "sum_double_5_3": ("sum --p 5 --s 3 --h=0,1,2 --double", None),
 }
 
 
