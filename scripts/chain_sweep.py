@@ -21,7 +21,7 @@ def parse_args():
     ap.add_argument("--pmin", type=int, default=3)
     ap.add_argument("--pmax", type=int, default=13)
     ap.add_argument("--dims", default="2,3")
-    ap.add_argument("--kind", choices=("P", "Q", "R"), default="P")
+    ap.add_argument("--kind", choices=[k.value for k in PSetKind], default="P")
     ap.add_argument("--delta", type=float, default=0.25)
     ap.add_argument("--ratio", type=float, default=0.5,
                     help="geometric weight ratio, gamma_j = ratio^j")
@@ -30,8 +30,7 @@ def parse_args():
 
 def main():
     args = parse_args()
-    kind = {"P": PSetKind.KOROBOV_P, "Q": PSetKind.KOROBOV_Q,
-            "R": PSetKind.HUA_WANG_R}[args.kind]
+    kind = PSetKind(args.kind)
     w = ProductWeights(tail=GeometricTail(args.ratio))
     params = thm2_params(w, args.delta)
     dims = [int(d) for d in args.dims.split(",")]

@@ -9,6 +9,9 @@ nonnegative weights):
     Q:  (3/p)       * max_u gamma_u (max u) (6 log p)^|u|
     R:  (2/p)       * max_u gamma_u (max u) (4 log p)^|u|
 
+These (prefactor, log coefficient, p-exponent) rows are written once, in
+_FAMILY_FORM; thm1_bound and Thm2Params.envelope both read them.
+
 For non-increasing summable product weights these collapse to dimension-free
 envelopes c / p^(1/2-delta) (P) and c / p^(1-delta) (Q, R): with
 Gamma_k = sum_{j>k} gamma_j and k0 the smallest k with Gamma_k < delta/(8e),
@@ -41,8 +44,9 @@ from .weights import (GeneralWeights, ProductWeights, Weights, _enumerate_subset
 
 _LOG2 = math.log(2.0)
 
-# kind -> (prefactor, log coefficient, 1/p exponent in the closed form)
-_THM1_FORM = {
+# kind -> (prefactor, log coefficient, 1/p exponent) of Theorem 1's closed
+# form; Theorem 2's envelope for the kind is built from the same row
+_FAMILY_FORM = {
     PSetKind.KOROBOV_P: (2.0, 4.0, 0.5),
     PSetKind.KOROBOV_Q: (3.0, 6.0, 1.0),
     PSetKind.HUA_WANG_R: (2.0, 4.0, 1.0),
@@ -92,7 +96,7 @@ def thm1_bound(kind: PSetKind, p: int, s: int, w: Weights) -> BoundReport:
         raise ValueError(f"p must be a prime >= 2, got {p}")
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    prefactor, logc, exp = _THM1_FORM[kind]
+    prefactor, logc, exp = _FAMILY_FORM[kind]
     pref = prefactor / p ** exp
     c = logc * math.log(p)
 
@@ -126,7 +130,7 @@ def thm1_bound(kind: PSetKind, p: int, s: int, w: Weights) -> BoundReport:
 
 @dataclass(frozen=True)
 class Thm2Params:
-    """Envelope ingredients: threshold, tail index, and the tight constants."""
+    """Envelope ingredients: threshold, tail index and tail norms."""
     delta: float
     t: float
     part: int  # 1: summable weights; 2: sum gamma^t < inf, bound gains factor s
@@ -134,13 +138,25 @@ class Thm2Params:
     gamma0: float        # Gamma_{0,t}
     gamma_tail_k0: float  # Gamma_{k0} (part 1) / Gamma_{k0,t} (part 2)
     threshold: float
-    c: float    # envelope constant for the P and R forms (prefactor 2, 4 log p)
-    c_q: float  # envelope constant for the Q form (prefactor 3, 6 log p)
 
     @property
     def power(self) -> int:
         """Exponent of the (base * log p) factor in the envelope."""
         return self.k0 + 1 if self.part == 1 else self.k0
+
+    def envelope(self, kind: PSetKind) -> tuple[float, float]:
+        """(constant, p-exponent) of the envelope for this family: the tight
+        constant of its closed form, and its exponent less delta."""
+        prefactor, log_coeff, exponent = _FAMILY_FORM[kind]
+        try:
+            const = envelope_constant(prefactor, log_coeff, self.gamma0, self.power,
+                                      self.delta)
+        except OverflowError:
+            const = math.inf
+        if not math.isfinite(const):
+            raise ValueError(f"the envelope constant at k0={self.k0} (power "
+                             f"{self.power}) does not fit a float")
+        return const, exponent - self.delta
 
 
 def envelope_constant(prefactor: float, log_coeff: float, base: float,
@@ -160,12 +176,14 @@ def envelope_constant(prefactor: float, log_coeff: float, base: float,
 
 
 def thm2_params(w: ProductWeights, delta: float, t: float | None = None) -> Thm2Params:
-    """Compute the dimension-free envelope constants for product weights.
+    """Compute the dimension-free envelope ingredients for product weights.
 
     Requires non-increasing gamma_j and a convergent tail sum (of gamma_j for
     part 1, of gamma_j^t for part 2 when t is given).  k0 is the smallest
     k >= 0 with Gamma_k < delta/(8e) (part 1) resp. Gamma_{k,t} <= the part-2
-    threshold delta/(8 e^t t).
+    threshold delta/(8 e^t t).  Gamma_k never increases with k (each dropped
+    term is >= 0 and every float step is monotone), so doubling then
+    bisecting finds that k in O(log k0) tail sums.
     """
     if not isinstance(w, ProductWeights):
         raise TypeError("envelope constants are defined for product weights")
@@ -182,28 +200,27 @@ def thm2_params(w: ProductWeights, delta: float, t: float | None = None) -> Thm2
     def tail(k: int) -> float:
         return gamma_tail_sum(w, k, teff)  # raises DivergenceError if divergent
 
+    def above(g: float) -> bool:
+        return g >= threshold if part == 1 else g > threshold
+
     gamma0 = tail(0)
-    k0 = 0
-    g_k = gamma0
-    while (g_k >= threshold) if part == 1 else (g_k > threshold):
-        k0 += 1
-        if k0 > 10**6:
-            raise InvariantError("tail index search did not terminate")
-        g_k = tail(k0)
-    power = k0 + 1 if part == 1 else k0
-    return Thm2Params(delta=delta, t=teff, part=part, k0=k0, gamma0=gamma0,
-                      gamma_tail_k0=g_k, threshold=threshold,
-                      c=envelope_constant(2.0, 4.0, gamma0, power, delta),
-                      c_q=envelope_constant(3.0, 6.0, gamma0, power, delta))
-
-
-def _envelope_pieces(kind: PSetKind, params: Thm2Params) -> tuple[float, float]:
-    """(constant, p-exponent) of the envelope for this family."""
-    if kind is PSetKind.KOROBOV_P:
-        return params.c, 0.5 - params.delta
-    if kind is PSetKind.KOROBOV_Q:
-        return params.c_q, 1.0 - params.delta
-    return params.c, 1.0 - params.delta
+    lo, hi, g_k = -1, 0, gamma0  # above at lo (none at -1), g_k = tail(hi)
+    try:
+        while above(g_k):
+            lo, hi = hi, 2 * hi + 1
+            g_k = tail(hi)
+    except OverflowError:
+        raise ValueError(f"the tail index k0 is at least 2**{lo.bit_length()}, "
+                         f"past the range of a float") from None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        g_mid = tail(mid)
+        if above(g_mid):
+            lo = mid
+        else:
+            hi, g_k = mid, g_mid
+    return Thm2Params(delta=delta, t=teff, part=part, k0=hi, gamma0=gamma0,
+                      gamma_tail_k0=g_k, threshold=threshold)
 
 
 def thm2_bound(kind: PSetKind, p: int, s: int, params: Thm2Params) -> float:
@@ -213,7 +230,7 @@ def thm2_bound(kind: PSetKind, p: int, s: int, params: Thm2Params) -> float:
         raise ValueError(f"p must be >= 2, got {p}")
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    const, exponent = _envelope_pieces(kind, params)
+    const, exponent = params.envelope(kind)
     factor = float(s) if params.part == 2 else 1.0
     return factor * const / float(p) ** exponent
 
@@ -237,7 +254,7 @@ def n_min_from_bound(kind: PSetKind, eps: float, s: int, w: ProductWeights,
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     params = thm2_params(w, delta, t)
-    const, exponent = _envelope_pieces(kind, params)
+    const, exponent = params.envelope(kind)
     if params.part == 2:
         const *= s
     inv_exp = 1.0 / exponent

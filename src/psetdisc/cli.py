@@ -18,8 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .bounds import (_envelope_pieces, n_min_from_bound, thm1_bound, thm2_bound,
-                     thm2_params)
+from .bounds import n_min_from_bound, thm1_bound, thm2_bound, thm2_params
 from .config import BudgetError, Caps, DivergenceError, InvariantError
 from .discrepancy import star_discrepancy_exact, weighted_star_discrepancy_exact
 from .expsum import (hua_wang_double_sum, korobov_sum, niederreiter_rhs,
@@ -28,14 +27,13 @@ from .pointset import PSetKind, generate
 from .qmc import ProductIntegrand, convergence_table
 from .weights import parse_weights
 
-_KINDS = {"P": PSetKind.KOROBOV_P, "Q": PSetKind.KOROBOV_Q, "R": PSetKind.HUA_WANG_R}
 _DOMINANCE_SLACK = 1e-9
 
 # the add_argument keywords of every flag, each defined once; a subcommand's
 # row in build_parser says which flags it takes and which are optional
 _FLAGS = {
     "--out": dict(help="output file (default stdout)"),
-    "--kind": dict(choices=_KINDS),
+    "--kind": dict(choices=[k.value for k in PSetKind]),
     "--p": dict(type=int),
     "--s": dict(type=int),
     "--weights": {},
@@ -69,7 +67,7 @@ def _parse_list(text: str, convert) -> list:
 
 
 def _points(args, caps: Caps):
-    return generate(_KINDS[args.kind], args.p, args.s, caps=caps)
+    return generate(PSetKind(args.kind), args.p, args.s, caps=caps)
 
 
 def _cmd_gen(args, caps):
@@ -131,7 +129,7 @@ def _cmd_check_weil(args, caps):
 
 
 def _cmd_bound(args, caps):
-    kind = _KINDS[args.kind]
+    kind = PSetKind(args.kind)
     if args.thm in ("1", "2", "lemma2") and args.weights is None:
         raise ValueError(f"--thm {args.thm} requires --weights")
     keys = {"thm": args.thm, "kind": args.kind, "p": str(args.p), "s": str(args.s)}
@@ -150,7 +148,7 @@ def _cmd_bound(args, caps):
         keys["threshold"] = _fmt(params.threshold)
         keys["gamma0"] = _fmt(params.gamma0)
         keys["gamma_tail_k0"] = _fmt(params.gamma_tail_k0)
-        keys["c"] = _fmt(_envelope_pieces(kind, params)[0])
+        keys["c"] = _fmt(params.envelope(kind)[0])
     elif args.thm == "lemma1":
         keys["value"] = _fmt(niederreiter_rhs(_points(args, caps), caps=caps))
     else:  # lemma2
@@ -166,13 +164,13 @@ def _cmd_bound(args, caps):
 
 
 def _cmd_nmin(args, caps):
-    kind = _KINDS[args.kind]
+    kind = PSetKind(args.kind)
     res = n_min_from_bound(kind, args.eps, args.s, args.weights, args.delta, args.t)
     return {"M": res.m_target,
             "p": res.p,
             "bound": _fmt(res.bound),
             "k0": res.params.k0,
-            "c": _fmt(_envelope_pieces(kind, res.params)[0])}
+            "c": _fmt(res.params.envelope(kind)[0])}
 
 
 def _cmd_integrate(args, caps):
@@ -181,14 +179,14 @@ def _cmd_integrate(args, caps):
         raise ValueError(f"--coeffs has {len(coeffs)} entries, --s is {args.s}")
     primes = _parse_list(args.primes, int)
     f = ProductIntegrand(coefficients=tuple(coeffs))
-    rows = convergence_table(_KINDS[args.kind], args.s, f, primes, caps=caps)
+    rows = convergence_table(PSetKind(args.kind), args.s, f, primes, caps=caps)
     return ["p,n,estimate,error,dstar,kh_bound,bound_source"] + [
         f"{r.p},{r.n},{_fmt(r.estimate)},{_fmt(r.error)},"
         f"{_fmt(r.dstar)},{_fmt(r.kh_bound)},{r.bound_source}" for r in rows]
 
 
 def _cmd_chain(args, caps):
-    kind = _KINDS[args.kind]
+    kind = PSetKind(args.kind)
     ps = _points(args, caps)
     # the rhs first: it checks its frequency cap before doing any work
     rhs = weighted_niederreiter_rhs(ps, args.weights, caps=caps).value
@@ -212,8 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "discrepancy bounds, and tractability inversion")
     sub = parser.add_subparsers(dest="command", required=True)
     # name: (handler, help, its flags after [--out] as in a usage line, with
-    # optional ones in brackets).  Built per call, so the handlers are looked
-    # up when main runs.
+    # optional ones in brackets)
     commands = {
         "gen": (_cmd_gen, "emit the points of a p-set as CSV", "--kind --p --s [--exact]"),
         "disc": (_cmd_disc, "exact star discrepancy with witness", "--kind --p --s"),
@@ -240,10 +237,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # argparse keeps no state between parse_args calls
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

@@ -154,7 +154,7 @@ def test_criterion_06_envelope_constants():
         failures.append("threshold does not isolate k0 = 7")
     primes = _primes_up_to(10**6).astype(np.float64)
     lhs = 2.0 * (4.0 * params.gamma0 * np.log(primes)) ** (params.k0 + 1)
-    rhs = params.c * primes ** (params.delta / 2.0)
+    rhs = params.envelope(PSetKind.KOROBOV_P)[0] * primes ** (params.delta / 2.0)
     bad = lhs > rhs
     if bad.any():
         failures.append(f"envelope fails at p={int(primes[bad][0])}")

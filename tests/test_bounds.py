@@ -15,7 +15,7 @@ from psetdisc.expsum import weighted_niederreiter_rhs
 from psetdisc.numtheory import is_prime
 from psetdisc.pointset import PSetKind, generate
 from psetdisc.weights import (GeneralWeights, GeometricTail, PowerLawTail,
-                              ProductWeights, ZeroTail)
+                              ProductWeights, ZeroTail, gamma_tail_sum)
 
 from oracles import sieve_primes
 
@@ -145,7 +145,7 @@ def test_thm2_params_halving_frozen():
     assert params.gamma0 == pytest.approx(1.0)
     # envelope constant: maximizer x* = 2(k0+1)/delta = 64
     want_c = 2 * (4 * 64.0) ** 8 * math.exp(-64 * 0.125)
-    assert params.c == pytest.approx(want_c, rel=1e-12)
+    assert params.envelope(PSetKind.KOROBOV_P)[0] == pytest.approx(want_c, rel=1e-12)
 
 
 def test_thm2_params_minimality():
@@ -158,7 +158,7 @@ def test_thm2_params_zero_weights_degenerate():
     params = thm2_params(ProductWeights(gammas=()), 0.25)
     assert params.k0 == 0
     assert params.gamma0 == 0.0
-    assert params.c == 0.0
+    assert params.envelope(PSetKind.KOROBOV_P)[0] == 0.0
     assert thm2_bound(PSetKind.KOROBOV_P, 5, 3, params) == 0.0
 
 
@@ -210,6 +210,85 @@ def test_thm2_params_validation():
         thm2_params(ProductWeights(tail=PowerLawTail(exponent=0.5, scale=1.0)), 0.25)
 
 
+def _scan_k0(w, delta, t=None):
+    """Reference tail index: (k0, Gamma_k0) by the plain scan k = 0, 1, 2, ..."""
+    teff = 1.0 if t is None else t
+    threshold = thm2_params(w, delta, t).threshold
+    k = 0
+    while True:
+        g = gamma_tail_sum(w, k, teff)
+        if (g < threshold) if t is None else (g <= threshold):
+            return k, g
+        k += 1
+
+
+GEO_FILE = ProductWeights(gammas=(0.5,), tail=GeometricTail(0.5))  # golden and bench
+POW_FILE = ProductWeights(tail=PowerLawTail(exponent=2.0, scale=1.0))
+
+
+@pytest.mark.parametrize("w,t", [(HALVING, None), (HALVING, 2.0), (HALVING, 0.5),
+                                 (GEO_FILE, None), (GEO_FILE, 2.0),
+                                 (POW_FILE, None), (POW_FILE, 2.0)])
+@pytest.mark.parametrize("delta", [0.05, 0.25, 0.45])
+def test_thm2_params_search_matches_scan(w, t, delta):
+    params = thm2_params(w, delta, t)
+    assert (params.k0, params.gamma_tail_k0) == _scan_k0(w, delta, t)
+
+
+@given(st.lists(st.floats(0.0, 3.0), max_size=6),
+       st.one_of(st.none(), st.floats(0.05, 0.95)),
+       st.floats(0.01, 0.49), st.sampled_from([None, 0.5, 1.0, 2.0, 3.0]))
+@settings(max_examples=80, deadline=None)
+def test_thm2_params_search_matches_scan_product(gammas, ratio, delta, t):
+    tail = ZeroTail() if ratio is None else GeometricTail(ratio)
+    w = ProductWeights(gammas=tuple(sorted(gammas, reverse=True)), tail=tail)
+    params = thm2_params(w, delta, t)
+    assert (params.k0, params.gamma_tail_k0) == _scan_k0(w, delta, t)
+
+
+def test_thm2_params_tail_at_threshold_is_not_below():
+    # part 1 needs Gamma_k < threshold: Gamma_0 == threshold gives k0 = 1
+    w = ProductWeights(gammas=(0.25 / (8.0 * math.e),))
+    params = thm2_params(w, 0.25)
+    assert params.gamma0 == params.threshold
+    assert (params.k0, params.gamma_tail_k0) == (1, 0.0) == _scan_k0(w, 0.25)
+
+
+def test_thm2_params_slow_tail_is_minimal():
+    # Gamma_k ~ 2/sqrt(k): about 30,000 tail sums for a scan
+    w = ProductWeights(tail=PowerLawTail(exponent=1.5, scale=1.0))
+    params = thm2_params(w, 0.25)
+    k0 = params.k0
+    assert params.gamma_tail_k0 == gamma_tail_sum(w, k0)
+    assert gamma_tail_sum(w, k0) < params.threshold <= gamma_tail_sum(w, k0 - 1)
+    # its envelope constant is far past the range of a float
+    with pytest.raises(ValueError, match=f"k0={k0} \\(power {k0 + 1}\\)"):
+        params.envelope(PSetKind.KOROBOV_P)
+
+
+def test_thm2_params_tail_index_past_float_range():
+    w = ProductWeights(tail=PowerLawTail(exponent=1.001, scale=1.0))
+    with pytest.raises(ValueError, match="at least 2\\*\\*1023, past the range"):
+        thm2_params(w, 0.25)
+
+
+@pytest.mark.parametrize("w", [
+    # k0 = 11370: the power overflows and raises
+    ProductWeights(gammas=(1.0, 1.0, 1.0), tail=GeometricTail(0.999)),
+    # k0 = 1: the power fits, the prefactor times it is inf without raising
+    ProductWeights(gammas=(1.71e152,)),
+])
+def test_envelope_overflow_is_a_value_error(w):
+    params = thm2_params(w, 0.25)
+    for kind in PSetKind:
+        with pytest.raises(ValueError, match="does not fit a float"):
+            params.envelope(kind)
+        with pytest.raises(ValueError, match="does not fit a float"):
+            thm2_bound(kind, 5, 2, params)
+        with pytest.raises(ValueError, match="does not fit a float"):
+            n_min_from_bound(kind, 0.1, 2, w, 0.25)
+
+
 def test_envelope_constant_closed_form_is_supremum():
     c = envelope_constant(2.0, 4.0, 1.0, 8, 0.25)
     xs = np.linspace(math.log(2), 200.0, 200_000)
@@ -220,9 +299,10 @@ def test_envelope_constant_closed_form_is_supremum():
 
 def test_envelope_validity_sweep_small():
     params = thm2_params(HALVING, 0.25)
+    c = params.envelope(PSetKind.KOROBOV_P)[0]
     for p in sieve_primes(10_000):
         lhs = 2 * (4 * params.gamma0 * math.log(p)) ** (params.k0 + 1)
-        assert lhs <= params.c * p ** (params.delta / 2) * (1 + 1e-12)
+        assert lhs <= c * p ** (params.delta / 2) * (1 + 1e-12)
 
 
 # ---------------------------------------------------------------- thm2 bound
@@ -238,12 +318,14 @@ def test_thm2_bound_power_law_scaling():
 def test_thm2_bound_exponents_by_family():
     params = thm2_params(HALVING, 0.25)
     p = 11
+    c = envelope_constant(2.0, 4.0, params.gamma0, params.power, params.delta)
+    c_q = envelope_constant(3.0, 6.0, params.gamma0, params.power, params.delta)
     assert thm2_bound(PSetKind.KOROBOV_P, p, 2, params) == pytest.approx(
-        params.c / p**0.25, rel=1e-14)
+        c / p**0.25, rel=1e-14)
     assert thm2_bound(PSetKind.KOROBOV_Q, p, 2, params) == pytest.approx(
-        params.c_q / p**0.75, rel=1e-14)
+        c_q / p**0.75, rel=1e-14)
     assert thm2_bound(PSetKind.HUA_WANG_R, p, 2, params) == pytest.approx(
-        params.c / p**0.75, rel=1e-14)
+        c / p**0.75, rel=1e-14)
 
 
 def test_thm2_bound_part2_scales_with_s():

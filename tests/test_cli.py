@@ -8,6 +8,8 @@ from psetdisc.cli import main
 from psetdisc.config import InvariantError
 
 POW_FILE = str(Path(__file__).parent / "golden" / "pow.txt")  # gamma_j = j^-2
+# gamma = 1, 1, 1, then 0.999^j: k0 = 11370, an envelope constant past 1e308
+OVERFLOW_FILE = str(Path(__file__).parent / "golden" / "overflow.txt")
 
 HALVING_TEXT = "product\n1 0.5\n2 0.25\ntail geometric 0.5\n"
 
@@ -296,10 +298,10 @@ def test_check_weil_honours_env_cap(capsys, monkeypatch):
 
 
 def test_memory_error_exits_two(capsys, monkeypatch):
-    def exhausted(*args):
+    def exhausted(*args, **kwargs):
         raise MemoryError("table too large")
 
-    monkeypatch.setattr(cli, "_cmd_disc", exhausted)
+    monkeypatch.setattr(cli, "star_discrepancy_exact", exhausted)
     rc = main(["disc", "--kind", "P", "--p", "5", "--s", "1"])
     assert rc == 2
     captured = capsys.readouterr()
@@ -308,12 +310,14 @@ def test_memory_error_exits_two(capsys, monkeypatch):
 
 
 def _raising(exc):
-    def handler(*args):
+    def scan(*args, **kwargs):
         raise exc
-    return handler
+    return scan
 
 
-# argv, PSET_DISC_MAX_OPS or None, what the disc handler raises or None,
+_OVERFLOW = "error: the envelope constant at k0=11370 (power 11371) does not fit a float"
+
+# argv, PSET_DISC_MAX_OPS or None, what disc's exact scan raises or None,
 # exit code, the last stderr line (the only one but for a usage error)
 EXIT_PATHS = {
     "usage": (["disc", "--kind", "P", "--p", "5"], None, None, 1,
@@ -330,6 +334,15 @@ EXIT_PATHS = {
     "invariant": (["disc", "--kind", "P", "--p", "5", "--s", "1"], None,
                   InvariantError("count mismatch"), 3,
                   "internal invariant violation: count mismatch"),
+    "overflow-bound": (["bound", "--thm", "2", "--kind", "Q", "--p", "5", "--s", "2",
+                        "--weights", OVERFLOW_FILE, "--delta", "0.25"], None, None, 1,
+                       _OVERFLOW),
+    "overflow-nmin": (["nmin", "--kind", "P", "--eps", "0.1", "--s", "2",
+                       "--weights", OVERFLOW_FILE, "--delta", "0.25"], None, None, 1,
+                      _OVERFLOW),
+    "overflow-chain": (["chain", "--kind", "R", "--p", "5", "--s", "2",
+                        "--weights", OVERFLOW_FILE, "--delta", "0.25"], None, None, 1,
+                       _OVERFLOW),
 }
 
 
@@ -340,7 +353,7 @@ def test_exit_paths(path, capsys, monkeypatch):
     if max_ops is not None:
         monkeypatch.setenv("PSET_DISC_MAX_OPS", max_ops)
     if exc is not None:
-        monkeypatch.setattr(cli, "_cmd_disc", _raising(exc))
+        monkeypatch.setattr(cli, "star_discrepancy_exact", _raising(exc))
     rc = main(argv)
     captured = capsys.readouterr()
     assert rc == code

@@ -305,13 +305,18 @@ _SCREENED += [(3, 53, 3), (3, 101, 2), (3, 101, 3), (3, 211, 2)]
 
 
 def _reference_report(lemma, p, s):
-    """weil_bound_check's direct loop: every h through sums.slabs."""
+    """weil_bound_check's direct loop: every h through sums.slabs.  Returns
+    the report and the largest |screen - direct| of _slab_dft's magnitudes."""
     m = p * p if lemma == 5 else p
     bound = (s - 1) * math.sqrt(p) if lemma == 3 else float((s - 1) * p)
-    sums = _PhaseSums(power_table(m, s, first_power=1), m, _roots_of_unity(m))
+    points = power_table(m, s, first_power=1)
+    sums = _PhaseSums(points, m, _roots_of_unity(m))
     eps = _screen_eps(m, m)  # the m points n = 0..m-1
     max_ratio, worst, max_mag, n_checked, violations = -1.0, (), 0.0, 0, 0
-    for _, heads, out in sums.slabs(s):
+    screen_err = 0.0
+    for (_, _, screened), (_, heads, out) in zip(_slab_dft(sums, points[:, -1], s),
+                                                 sums.slabs(s)):
+        screen_err = max(screen_err, float(np.abs(screened - np.abs(out)).max()))
         block = _slab_vectors(heads, m)
         keep = ~np.all(block % p == 0, axis=1)
         if not keep.any():
@@ -330,22 +335,17 @@ def _reference_report(lemma, p, s):
     if max_mag <= eps:  # no nonzero sum is this small
         max_mag = 0.0
     return dict(max_ratio=max_ratio, worst_h=worst, max_magnitude=max_mag,
-                n_checked=n_checked, violations=violations)
+                n_checked=n_checked, violations=violations), screen_err
 
 
 @pytest.mark.parametrize("lemma,p,s", _SCREENED)
 def test_weil_screen_matches_direct_sweep(lemma, p, s):
     rep = weil_bound_check(lemma, p, s)
-    want = _reference_report(lemma, p, s)
+    want, err = _reference_report(lemma, p, s)
     assert rep.exhaustive
     assert {k: getattr(rep, k) for k in want} == want
     # and the stated bound holds for every screened magnitude
     m = p * p if lemma == 5 else p
-    points = power_table(m, s, first_power=1)
-    sums = _PhaseSums(points, m, _roots_of_unity(m))
-    err = max(np.abs(mags - np.abs(out)).max()
-              for (_, _, mags), (_, _, out) in zip(_slab_dft(sums, points[:, -1], s),
-                                                   sums.slabs(s)))
     assert err <= _screen_eps(m, m), (err, _screen_eps(m, m))
 
 
@@ -354,7 +354,7 @@ def test_weil_screen_running_max_across_chunks(lemma, p, s):
     # one head per chunk: the running maximum carries every candidate over
     with mock.patch.object(expsum, "_GATHER_BYTES", 1):
         rep = weil_bound_check(lemma, p, s)
-    want = _reference_report(lemma, p, s)
+    want = _reference_report(lemma, p, s)[0]
     assert {k: getattr(rep, k) for k in want} == want
 
 

@@ -54,7 +54,7 @@ CASES = {
     "check_weil_p13_s1_lemma3": ("check-weil --p 13 --s 1 --lemma 3", None),
     "gen_P_7_2": ("gen --kind P --p 7 --s 2", None),
     "gen_R_3_3_exact": ("gen --kind R --p 3 --s 3 --exact", None),
-    # Q's envelope constant is c_q, not c
+    # Q reads its own family row (3, 6 log p), not the one P and R share
     "nmin_Q": ("nmin --kind Q --eps 0.1 --s 5 --weights geo.txt --delta 0.25", None),
     "bound_thm1_R_11_3": ("bound --thm 1 --kind R --p 11 --s 3 --weights geo.txt", None),
     "bound_thm2_Q_11_3": ("bound --thm 2 --kind Q --p 11 --s 3 --weights geo.txt "
@@ -64,6 +64,9 @@ CASES = {
                           "--delta 0.25 --t 2", None),
     # two roots of h_1 + h_2 a + h_3 a^2 mod 5: the double sum is 2p
     "sum_double_5_3": ("sum --p 5 --s 3 --h=0,1,2 --double", None),
+    # k0 = 11370: the envelope constant does not fit a float, exit 1
+    "nmin_envelope_overflow": ("nmin --kind P --eps 0.1 --s 3 --weights overflow.txt "
+                               "--delta 0.25", None),
 }
 
 
