@@ -32,6 +32,7 @@ Q/R), and Bertrand's postulate turns M into a prime p in [M, 2M).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,7 @@ from .weights import (GeneralWeights, ProductWeights, Weights, _enumerate_subset
                       gamma_tail_sum)
 
 _LOG2 = math.log(2.0)
+_LN_FLOAT_MAX = math.log(sys.float_info.max)  # math.exp overflows past this
 
 # kind -> (prefactor, log coefficient, 1/p exponent) of Theorem 1's closed
 # form; Theorem 2's envelope for the kind is built from the same row
@@ -183,7 +185,9 @@ def thm2_params(w: ProductWeights, delta: float, t: float | None = None) -> Thm2
     k >= 0 with Gamma_k < delta/(8e) (part 1) resp. Gamma_{k,t} <= the part-2
     threshold delta/(8 e^t t).  Gamma_k never increases with k (each dropped
     term is >= 0 and every float step is monotone), so doubling then
-    bisecting finds that k in O(log k0) tail sums.
+    bisecting finds that k in O(log k0) tail sums.  A t outside
+    (0, ln(max float)], or one whose threshold is not a positive float,
+    raises ValueError.
     """
     if not isinstance(w, ProductWeights):
         raise TypeError("envelope constants are defined for product weights")
@@ -191,11 +195,13 @@ def thm2_params(w: ProductWeights, delta: float, t: float | None = None) -> Thm2
         raise ValueError(f"delta must be in (0, 1/2), got {delta}")
     if not w.is_non_increasing():
         raise ValueError("product weights must be non-increasing for the envelope")
-    if t is not None and t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    if t is not None and not 0.0 < t <= _LN_FLOAT_MAX:
+        raise ValueError(f"t must be in (0, {_LN_FLOAT_MAX!r}], got {t}")
     part = 1 if t is None else 2
     teff = 1.0 if t is None else float(t)
     threshold = delta / (8.0 * math.e) if part == 1 else delta / (8.0 * math.exp(teff) * teff)
+    if not 0.0 < threshold < math.inf:
+        raise ValueError(f"the threshold at t={t} is {threshold}, not a positive float")
 
     def tail(k: int) -> float:
         return gamma_tail_sum(w, k, teff)  # raises DivergenceError if divergent
@@ -231,8 +237,14 @@ def thm2_bound(kind: PSetKind, p: int, s: int, params: Thm2Params) -> float:
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
     const, exponent = params.envelope(kind)
-    factor = float(s) if params.part == 2 else 1.0
-    return factor * const / float(p) ** exponent
+    try:
+        factor = float(s) if params.part == 2 else 1.0
+        value = factor * const / float(p) ** exponent
+    except OverflowError:  # s or p past the range of a float
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError("the envelope bound does not fit a float")
+    return value
 
 
 @dataclass(frozen=True)
@@ -249,26 +261,30 @@ def n_min_from_bound(kind: PSetKind, eps: float, s: int, w: ProductWeights,
     bound(M) <= eps, and the first prime p >= M (Bertrand: p < 2M).
 
     M = ceil((C/eps)^(2/(1-2 delta))) for P and ceil((C/eps)^(1/(1-delta)))
-    for Q/R, where C is the envelope constant (times s under part 2).
+    for Q/R, where C is the envelope constant (times s under part 2).  A
+    target whose 2M is past the range of a float raises ValueError before the
+    prime search.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
+    if s < 1:
+        raise ValueError(f"s must be >= 1, got {s}")
     params = thm2_params(w, delta, t)
     const, exponent = params.envelope(kind)
+    inv_exp = 1.0 / exponent
+    if const > 0.0:  # ln M from logs: refuse a 2M past float range before next_prime
+        ln_m = inv_exp * (math.log(const) + (math.log(s) if params.part == 2 else 0.0)
+                          - math.log(eps))
+        if ln_m >= _LN_FLOAT_MAX - _LOG2:
+            raise ValueError(f"the target modulus M = exp({ln_m:.6g}) is past the "
+                             f"range of a float")
     if params.part == 2:
         const *= s
-    inv_exp = 1.0 / exponent
     if const <= eps:
         m_target = 1  # bound already below eps at any modulus
     else:
-        ln_m = inv_exp * (math.log(const) - math.log(eps))
-        if ln_m < 700.0:
-            # nudge up so float rounding can never land below the real target
-            m_target = math.ceil((const / eps) ** inv_exp * (1.0 + 1e-12))
-        else:
-            shift = int(ln_m / math.log(2.0)) - 40
-            mantissa = math.exp(ln_m - shift * math.log(2.0))
-            m_target = math.ceil(mantissa * (1.0 + 1e-9)) << shift
+        # nudge up so float rounding can never land below the real target
+        m_target = math.ceil((const / eps) ** inv_exp * (1.0 + 1e-12))
     p = next_prime(max(m_target, 1))
     achieved = thm2_bound(kind, p, s, params)
     if achieved > eps:

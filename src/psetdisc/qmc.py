@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .bounds import thm1_bound
 from .config import DEFAULT_CAPS, BudgetError, Caps
 from .discrepancy import star_discrepancy_exact
 from .pointset import PSetKind, RationalPointSet, generate
@@ -84,8 +85,6 @@ def convergence_table(kind: PSetKind, s: int, f: ProductIntegrand,
     Falls back to the closed-form bound with unit weights when the exact
     corner scan would blow the corner budget.
     """
-    from .bounds import thm1_bound
-
     if f.dim != s:
         raise ValueError(f"integrand dim {f.dim} != s {s}")
     variation = hk_variation(f)

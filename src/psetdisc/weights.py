@@ -10,7 +10,7 @@ Two variants:
   gamma_u; unlisted subsets default to 0, which removes them from every
   maximization.
 
-Weights need not be <= 1; only nonnegativity is required.  Monotonicity of
+Weights need not be <= 1; they must be finite and nonnegative.  Monotonicity of
 product weights is enforced only where the dimension-free envelope constants
 are requested (bounds.thm2_params), not here.
 
@@ -25,7 +25,7 @@ Weight-file format (UTF-8, line based, '#' starts a comment):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from typing import Iterable, Union
 
 import numpy as np
@@ -61,11 +61,23 @@ class PowerLawTail:
     scale: float
 
     def __post_init__(self):
-        if self.exponent <= 0 or self.scale <= 0:
-            raise ValueError("powerlaw tail needs exponent > 0 and scale > 0")
+        if not (0 < self.exponent < math.inf and 0 < self.scale < math.inf):
+            raise ValueError("powerlaw tail needs finite exponent > 0 and scale > 0")
 
 
 TailRule = Union[ZeroTail, GeometricTail, PowerLawTail]
+
+# tail-rule name in the weight file -> its class; the class's fields are the
+# rule's numbers, in file order
+_TAILS = {"zero": ZeroTail, "geometric": GeometricTail, "powerlaw": PowerLawTail}
+
+
+def _weight(value) -> float:
+    """value as a float; every weight must be finite and nonnegative."""
+    g = float(value)
+    if not 0.0 <= g < math.inf:
+        raise ValueError(f"weight must be finite and nonnegative, got {g!r}")
+    return g
 
 
 @dataclass(frozen=True)
@@ -74,10 +86,7 @@ class ProductWeights:
     tail: TailRule = field(default_factory=ZeroTail)
 
     def __post_init__(self):
-        gs = tuple(float(g) for g in self.gammas)
-        if any(g < 0 for g in gs):
-            raise ValueError("product weights must be nonnegative")
-        object.__setattr__(self, "gammas", gs)
+        object.__setattr__(self, "gammas", tuple(_weight(g) for g in self.gammas))
 
     def gamma(self, j: int) -> float:
         """gamma_j for 1-based coordinate index j."""
@@ -112,11 +121,9 @@ class GeneralWeights:
         canon: dict[tuple[int, ...], float] = {}
         for u, g in self.entries.items():
             key = _canonical_subset(u)
-            if float(g) < 0:
-                raise ValueError(f"weight for subset {key} must be nonnegative")
             if key in canon:
                 raise ValueError(f"duplicate subset {key}")
-            canon[key] = float(g)
+            canon[key] = _weight(g)
         object.__setattr__(self, "entries", canon)
 
 
@@ -241,27 +248,19 @@ def parse_weights(text: str) -> Weights:
             if len(parts) != 2:
                 raise WeightFormatError(line_no, f"expected '<j> <gamma>', got {line!r}")
             j = _parse_int(line_no, parts[0])
-            g = _parse_float(line_no, parts[1])
             if j != len(prod_gammas) + 1:
                 raise WeightFormatError(
                     line_no, f"indices must be consecutive from 1, expected {len(prod_gammas) + 1}, got {j}")
-            if g < 0:
-                raise WeightFormatError(line_no, f"negative weight {g}")
-            prod_gammas.append(g)
+            prod_gammas.append(_parse_weight(line_no, parts[1]))
         else:
             if len(parts) != 2:
                 raise WeightFormatError(line_no, f"expected '<i1,i2,...> <gamma>', got {line!r}")
             idx = tuple(_parse_int(line_no, tok) for tok in parts[0].split(","))
             if list(idx) != sorted(set(idx)) or (idx and idx[0] < 1):
                 raise WeightFormatError(line_no, f"indices must be 1-based, sorted, distinct: {parts[0]!r}")
-            if not idx:
-                raise WeightFormatError(line_no, "empty subset")
-            g = _parse_float(line_no, parts[1])
-            if g < 0:
-                raise WeightFormatError(line_no, f"negative weight {g}")
             if idx in gen_entries:
                 raise WeightFormatError(line_no, f"duplicate subset {parts[0]}")
-            gen_entries[idx] = g
+            gen_entries[idx] = _parse_weight(line_no, parts[1])
     if mode is None:
         raise WeightFormatError(1, "empty weight file")
     if mode == "product":
@@ -270,20 +269,13 @@ def parse_weights(text: str) -> Weights:
 
 
 def _parse_tail(line_no: int, parts: list[str]) -> TailRule:
-    if not parts:
-        raise WeightFormatError(line_no, "tail rule missing kind")
-    kind, args = parts[0], parts[1:]
+    rule = _TAILS.get(parts[0]) if parts else None
+    if rule is None or len(parts) - 1 != len(fields(rule)):
+        raise WeightFormatError(line_no, f"bad tail rule: {' '.join(parts)!r}")
     try:
-        if kind == "zero" and not args:
-            return ZeroTail()
-        if kind == "geometric" and len(args) == 1:
-            return GeometricTail(ratio=_parse_float(line_no, args[0]))
-        if kind == "powerlaw" and len(args) == 2:
-            return PowerLawTail(exponent=_parse_float(line_no, args[0]),
-                                scale=_parse_float(line_no, args[1]))
+        return rule(*map(float, parts[1:]))
     except ValueError as exc:
         raise WeightFormatError(line_no, str(exc)) from None
-    raise WeightFormatError(line_no, f"bad tail rule: {' '.join([kind] + args)!r}")
 
 
 def _parse_int(line_no: int, tok: str) -> int:
@@ -293,14 +285,11 @@ def _parse_int(line_no: int, tok: str) -> int:
         raise WeightFormatError(line_no, f"expected integer, got {tok!r}") from None
 
 
-def _parse_float(line_no: int, tok: str) -> float:
+def _parse_weight(line_no: int, tok: str) -> float:
     try:
-        v = float(tok)
-    except ValueError:
-        raise WeightFormatError(line_no, f"expected number, got {tok!r}") from None
-    if math.isnan(v) or math.isinf(v):
-        raise WeightFormatError(line_no, f"weight must be finite, got {tok!r}")
-    return v
+        return _weight(tok)
+    except ValueError as exc:
+        raise WeightFormatError(line_no, str(exc)) from None
 
 
 def serialize_weights(w: Weights) -> str:
@@ -308,13 +297,8 @@ def serialize_weights(w: Weights) -> str:
     if isinstance(w, ProductWeights):
         lines = ["product"]
         lines += [f"{j} {g!r}" for j, g in enumerate(w.gammas, start=1)]
-        tail = w.tail
-        if isinstance(tail, GeometricTail):
-            lines.append(f"tail geometric {tail.ratio!r}")
-        elif isinstance(tail, PowerLawTail):
-            lines.append(f"tail powerlaw {tail.exponent!r} {tail.scale!r}")
-        else:
-            lines.append("tail zero")
+        name = next(name for name, rule in _TAILS.items() if isinstance(w.tail, rule))
+        lines.append(" ".join(["tail", name, *map(repr, astuple(w.tail))]))
         return "\n".join(lines) + "\n"
     lines = ["general"]
     for u in sorted(w.entries):

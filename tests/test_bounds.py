@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psetdisc import bounds
 from psetdisc.bounds import (envelope_constant, harmonic_sum_estimate,
                              harmonic_sum_exact, n_min_from_bound, thm1_bound,
                              thm2_bound, thm2_params)
@@ -202,12 +203,21 @@ def test_thm2_params_validation():
         thm2_params(HALVING, 0.5)
     with pytest.raises(ValueError):
         thm2_params(ProductWeights(gammas=(0.25, 0.5)), 0.25)  # increasing
-    with pytest.raises(ValueError):
-        thm2_params(HALVING, 0.25, t=-1.0)
+    for t in (-1.0, 0.0, math.nan, math.inf, 800.0):  # 800: exp(t) overflows
+        with pytest.raises(ValueError, match="t must be in"):
+            thm2_params(HALVING, 0.25, t=t)
     with pytest.raises(TypeError):
         thm2_params(GeneralWeights(entries={(1,): 1.0}), 0.25)
     with pytest.raises(DivergenceError):
         thm2_params(ProductWeights(tail=PowerLawTail(exponent=0.5, scale=1.0)), 0.25)
+
+
+def test_thm2_params_rejects_threshold_outside_positive_floats():
+    # exp(705) fits a float, 8 exp(705) 705 does not: the threshold is 0.0
+    with pytest.raises(ValueError, match="not a positive float"):
+        thm2_params(HALVING, 0.25, t=705.0)
+    # the formula is kept, so the threshold of t = 2 is the recorded one
+    assert thm2_params(HALVING, 0.25, t=2.0).threshold == 0.25 / (8.0 * math.exp(2.0) * 2.0)
 
 
 def _scan_k0(w, delta, t=None):
@@ -347,6 +357,10 @@ def test_thm2_bound_validation():
         thm2_bound(PSetKind.KOROBOV_P, 1, 2, params)
     with pytest.raises(ValueError):
         thm2_bound(PSetKind.KOROBOV_P, 7, 0, params)
+    part2 = thm2_params(POW_FILE, 0.25, t=2.0)
+    for s in (10**300, 10**400):  # s times the constant is inf; s is past float range
+        with pytest.raises(ValueError, match="envelope bound does not fit a float"):
+            thm2_bound(PSetKind.KOROBOV_Q, 5, s, part2)
 
 
 def test_thm2_envelope_dominates_thm1_sweep():
@@ -398,6 +412,23 @@ def test_n_min_validation():
     with pytest.raises(DivergenceError):
         n_min_from_bound(PSetKind.KOROBOV_P, 0.5, 2,
                          ProductWeights(tail=PowerLawTail(exponent=1.0, scale=1.0)), 0.25)
+
+
+@pytest.mark.parametrize("kind,s,w,t", [
+    # k0 = 67, ln M ~ 2506
+    (PSetKind.KOROBOV_P, 5, ProductWeights(gammas=(1.0, 1.0, 1.0), tail=GeometricTail(0.9)),
+     None),
+    # the part-2 constant times s is inf
+    (PSetKind.KOROBOV_Q, 10**201, POW_FILE, 2.0),
+    (PSetKind.KOROBOV_Q, 10**400, POW_FILE, 2.0),
+])
+def test_n_min_target_past_float_range_refused_before_prime_search(kind, s, w, t, monkeypatch):
+    def no_search(m):
+        raise AssertionError(f"next_prime called with a {m.bit_length()}-bit target")
+
+    monkeypatch.setattr(bounds, "next_prime", no_search)
+    with pytest.raises(ValueError, match="past the range of a float"):
+        n_min_from_bound(kind, 0.1, s, w, 0.25, t)
 
 
 # ---------------------------------------------------------------- chain

@@ -343,6 +343,18 @@ EXIT_PATHS = {
     "overflow-chain": (["chain", "--kind", "R", "--p", "5", "--s", "2",
                         "--weights", OVERFLOW_FILE, "--delta", "0.25"], None, None, 1,
                        _OVERFLOW),
+    "nmin-float-range": (["nmin", "--kind", "Q", "--eps", "0.1", "--s", str(10**201),
+                          "--weights", POW_FILE, "--delta", "0.25", "--t", "2"], None, None, 1,
+                         "error: the target modulus M = exp(993.94) is past the range of a float"),
+    "t-overflow": (["bound", "--thm", "2", "--kind", "P", "--p", "5", "--s", "2",
+                    "--weights", POW_FILE, "--delta", "0.25", "--t", "800"], None, None, 1,
+                   "error: t must be in (0, 709.782712893384], got 800.0"),
+    "t-nan": (["bound", "--thm", "2", "--kind", "P", "--p", "5", "--s", "2",
+               "--weights", POW_FILE, "--delta", "0.25", "--t", "nan"], None, None, 1,
+              "error: t must be in (0, 709.782712893384], got nan"),
+    "bound-inf": (["bound", "--thm", "2", "--kind", "Q", "--p", "5", "--s", str(10**300),
+                   "--weights", POW_FILE, "--delta", "0.25", "--t", "2"], None, None, 1,
+                  "error: the envelope bound does not fit a float"),
 }
 
 

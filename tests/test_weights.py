@@ -34,6 +34,8 @@ def test_gamma_of_validates_subset():
         gamma_of(HALVING, [0])
     with pytest.raises(ValueError):
         gamma_of(HALVING, [1, 1])
+    with pytest.raises(ValueError):
+        HALVING.gamma(0)
 
 
 def test_negative_weights_rejected():
@@ -41,6 +43,25 @@ def test_negative_weights_rejected():
         ProductWeights(gammas=(0.5, -0.1))
     with pytest.raises(ValueError):
         GeneralWeights(entries={(1,): -1.0})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_weights_rejected(bad):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        ProductWeights(gammas=(bad, 0.5))
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        GeneralWeights(entries={(1,): bad})
+    with pytest.raises(ValueError):
+        PowerLawTail(exponent=bad, scale=1.0)
+    with pytest.raises(ValueError):
+        PowerLawTail(exponent=2.0, scale=bad)
+    with pytest.raises(ValueError):
+        GeometricTail(bad)
+
+
+def test_general_weights_reject_duplicate_after_canonicalisation():
+    with pytest.raises(ValueError, match="duplicate subset \\(1, 2\\)"):
+        GeneralWeights(entries={(1, 2): 0.5, (2, 1): 0.25})
 
 
 @given(st.lists(st.floats(0, 4), min_size=1, max_size=6),
@@ -152,11 +173,34 @@ def test_parse_comments_and_blanks():
     ("bogus\n1 1.0", 1),
     ("", 1),
     ("product\ntail geometric 1.5", 2),
+    ("product\ntail zero\ntail zero", 3),  # duplicate tail
+    ("product\ntail zero\n1 0.5", 3),  # tail rule not last
+    ("product\n1 0.5 0.25", 2),  # field count
+    ("general\n1", 2),
+    ("general\n1 -1.0", 2),  # negative weight
+    ("product\ntail", 2),  # missing tail kind
+    ("product\ntail cubic 2", 2),  # unknown tail kind
+    ("product\ntail geometric", 2),  # tail arity
+    ("product\ntail powerlaw 2", 2),
+    ("general\n1,x 0.5", 2),  # non-integer index
+    ("general\n1, 0.5", 2),  # empty index
+    ("product\n1 nan", 2),  # non-finite weight
+    ("product\n1 1e400", 2),
+    ("general\n1 inf", 2),
+    ("product\ntail powerlaw inf 1", 2),
+    ("product\ntail powerlaw 2 nan", 2),
 ])
 def test_parse_rejects_malformed(text, line):
     with pytest.raises(WeightFormatError) as err:
         parse_weights(text)
     assert err.value.line_no == line
+
+
+def test_serialize_tail_lines():
+    assert serialize_weights(ProductWeights(gammas=(1.0,))) == "product\n1 1.0\ntail zero\n"
+    assert serialize_weights(HALVING).endswith("\ntail geometric 0.5\n")
+    power = ProductWeights(tail=PowerLawTail(exponent=2.0, scale=3.0))
+    assert serialize_weights(power) == "product\ntail powerlaw 2.0 3.0\n"
 
 
 tails = st.one_of(
