@@ -99,7 +99,10 @@ def thm1_bound(kind: PSetKind, p: int, s: int, w: Weights) -> BoundReport:
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
     prefactor, logc, exp = _FAMILY_FORM[kind]
-    pref = prefactor / p ** exp
+    try:
+        pref = prefactor / float(p) ** exp
+    except OverflowError:  # p past the range of a float
+        raise ValueError(f"p**{exp} in the bound does not fit a float") from None
     c = logc * math.log(p)
 
     best_term = 0.0

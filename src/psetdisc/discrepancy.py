@@ -13,27 +13,26 @@ numerators over the common modulus M, so every corner value is the exact
 rational (A*M^s - N*volnum) / (N*M^s) and the scan compares integers only;
 no floating point enters the maximization.
 
-Each coordinate is replaced by its index on its axis's grid.  The closed
-counts form a cumulative count table (a summed-area table): the histogram of
-the points' grid indices summed along every axis.  The open counts are the
-same table over the strict points shifted one index along every axis, and the
-volumes are an outer product of the grid values.  A table covers the trailing
-axes, as many as fit in the corner budget; its closed and open counts are two
-contiguous halves.  When the whole grid fits, one table is the whole scan.
-Otherwise one flat loop runs over the corners of the leading axes, the grid
-indices in lexicographic order (itertools.product), so the first best corner
-found is the lexicographically first.  At each it holds the points whose
-indices are <= the corner's on every leading axis (closed) and those < it
-(strict), and sweeps the axis in front of the table in slabs of consecutive
-grid values.  Each slab's table starts from the last row of the slab before
-(a carried running sum), so no table outgrows the budget.  The arithmetic runs
-in int64 when N*M^s < 2^62 and on dtype=object arrays of Python integers
-otherwise, on the same lines.
+Each coordinate is replaced by its index on its axis's grid.  A count table
+over a lattice of grid indices holds the closed and open counts of all its
+corners (the points binned at their next lattice index, summed along every
+axis), so one table scores its corners exactly.  The scan is a branch-and-bound
+over boxes [lo, hi] of corners: with C(hi) the points of index <= hi on every
+axis and C_open(lo) those < lo, every closed value in the box is at most
+C(hi)*M^s - N*vol(lo), every open one at most N*vol(hi) - C_open(lo)*M^s, and
+the same counts are the exact closed value at hi and open value at lo.  Boxes
+are cut into parts scored by one table over the parts' ends (by bitset counts
+if that lattice outgrows a table); a part whose bound is below the best value L
+found so far is dropped, and boxes whose corners fit one table are read whole,
+as is a grid that small.  A box holding a best corner has a bound >= D* >= L,
+so it is never dropped (ties are kept), and the least (corner, side) key wins,
+closed before open: the witness is the lexicographically first best corner in
+any order of visits.  The arithmetic runs in int64 when N*M^s < 2^62 and on
+dtype=object arrays of Python integers otherwise, on the same lines.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -50,16 +49,14 @@ from .weights import Weights, _enumerate_subsets
 Box = Sequence
 
 _INT64_SAFE = 2**62
-# Corners in one count table, 256 KB per branch in int64.  A slab takes as
-# many rows as fit in the same bytes, so a dtype=object slab, whose corners
-# hold Python integers, takes fewer.
+# Corners in one count table, 256 KB per branch in int64; a dtype=object
+# table, whose corners hold Python integers, takes as many as fit those bytes.
 _TABLE_CORNERS = 2**15
-# Elements the sampled lower bound works on at once: thresholds x points in
-# one block's bitset masks, corners x bytes in the three buffers of one
-# block's AND (the result, one axis's gather and its popcounts), and corners x
-# thresholds in one batch, unless its tables need more corners.
+_HALVED_AXES = 6  # up to s = 6 a box is cut in two on every axis, past it on its widest
+# Elements the bitset counts work on at once: thresholds x points in one
+# block's masks, corners x bytes in each buffer of one block's AND (the result,
+# an axis's gather, the popcounts), corners x thresholds in one sampled batch.
 _SAMPLE_ELEMENTS = 2_000_000
-_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -83,36 +80,26 @@ class WeightedDiscrepancyResult:
 def _box_fractions(ps: RationalPointSet, z: Box) -> list[Fraction]:
     if len(z) != ps.dim:
         raise ValueError(f"box has {len(z)} coordinates, point set has {ps.dim}")
-    out = []
-    for v in z:
-        f = Fraction(v)
+    out = [Fraction(v) for v in z]
+    for v, f in zip(z, out):
         if not 0 <= f <= 1:
             raise ValueError(f"box coordinate {v} outside [0, 1]")
-        out.append(f)
     return out
 
 
 def box_counts(ps: RationalPointSet, z: Box) -> tuple[int, int]:
     """(strict, closed) numbers of points in [0, z) and [0, z], multiset."""
-    fz = _box_fractions(ps, z)
-    m = ps.modulus
+    fz, m = _box_fractions(ps, z), ps.modulus
     # numerator n satisfies n/M < z  iff  n <= ceil(z*M) - 1
-    strict_hi = np.array([math.ceil(f * m) - 1 for f in fz], dtype=np.int64)
-    closed_hi = np.array([math.floor(f * m) for f in fz], dtype=np.int64)
-    pts = ps.numerators
-    n_strict = int(np.all(pts <= strict_hi, axis=1).sum())
-    n_closed = int(np.all(pts <= closed_hi, axis=1).sum())
-    return n_strict, n_closed
+    return tuple(int(np.all(ps.numerators <= np.array(top, dtype=np.int64), axis=1).sum())
+                 for top in ([math.ceil(f * m) - 1 for f in fz], [math.floor(f * m) for f in fz]))
 
 
 def local_discrepancy(ps: RationalPointSet, z: Box) -> float:
     """A_N([0,z))/N - vol([0,z)) with strict multiset counting, exact."""
     fz = _box_fractions(ps, z)
     n_strict, _ = box_counts(ps, z)
-    vol = Fraction(1)
-    for f in fz:
-        vol *= f
-    return float(Fraction(n_strict, ps.n) - vol)
+    return float(Fraction(n_strict, ps.n) - math.prod(fz))
 
 
 def _grids(ps: RationalPointSet) -> list[np.ndarray]:
@@ -146,108 +133,136 @@ def _scan(ps, grids, ms):
     n_pts, s = ps.n, ps.dim
     # every term below is at most N*M^s in magnitude
     dtype = np.int64 if n_pts * ms < _INT64_SAFE else object
-    d = 1  # trailing axes covered by every count table
-    while d < s and math.prod(len(g) for g in grids[s - d - 1:]) <= _TABLE_CORNERS:
-        d += 1
-    tail = grids[s - d:]
-    shape = tuple(len(g) for g in tail)
-    size = math.prod(shape)
-    idx = np.stack([np.searchsorted(g, ps.numerators[:, j])
-                    for j, g in enumerate(grids)], axis=1)
-    # Keys are the points' flat indices into the table.  A value lies below M,
-    # so its index + 1 on every axis stays on the grid: open counts are the
-    # strict points shifted one index along every axis.
-    keys = np.ravel_multi_index(tuple(idx[:, s - d:].T), shape)
-    shift = int(np.ravel_multi_index((1,) * d, shape))
-    n_vol = n_pts * functools.reduce(np.multiply.outer, [g.astype(dtype) for g in tail])
-    if d == s:
-        counts = np.bincount(np.concatenate((keys, keys + size + shift)),
-                             minlength=2 * size).reshape((2,) + shape)
-        for axis in range(1, d + 1):
-            counts.cumsum(axis=axis, out=counts)
-        num, i, side = _best(counts, n_vol, ms, dtype)
-        return num, _corner(tail, i), side
-    # Axis a, in front of the table, is swept k grid values (rows) at a time;
-    # keys on it count whole tables.
-    a = s - d - 1
-    n_rows = len(grids[a])
-    k = max(1, _TABLE_CORNERS * 8 // (size * _item_bytes(dtype, n_pts * ms)))
-    edges = list(range(0, n_rows, k)) + [n_rows]
-    key_edges = np.array(edges) * size
-    row_vals = grids[a].astype(dtype)
-    keys = keys + idx[:, a] * size
-    lead = idx[:, :a]
-    best = (-1, None, "closed")  # numerator over n_pts*ms, corner, side
-    # leading corners in lexicographic order: the first best corner wins
-    for at in itertools.product(*(range(len(g)) for g in grids[:a])):
-        held = np.all(lead <= at, axis=1)
-        closed = np.sort(keys[held])
-        opened = np.sort(keys[held & np.all(lead < at, axis=1)]) + (size + shift)
-        prefix = tuple(int(g[i]) for g, i in zip(grids, at))
-        vol_prefix = math.prod(prefix)
-        c_ends = np.searchsorted(closed, key_edges).tolist()
-        o_ends = np.searchsorted(opened, key_edges).tolist()
-        carry = 0  # the counts of the previous slab's last row
-        for j, (r0, r1) in enumerate(zip(edges, edges[1:])):
-            n = r1 - r0
-            counts = np.bincount(
-                np.concatenate((closed[c_ends[j]:c_ends[j + 1]] - r0 * size,
-                                opened[o_ends[j]:o_ends[j + 1]] + (n - r0) * size)),
-                minlength=2 * n * size).reshape((2, n) + shape)
-            for axis in range(2, d + 2):
-                counts.cumsum(axis=axis, out=counts)
-            counts[:, 0] += carry
-            for half in counts:  # row adds on contiguous rows beat cumsum
-                half_rows = list(half)
-                for prev, row in zip(half_rows, half_rows[1:]):
-                    row += prev
-            carry = counts[:, -1].copy()
-            vol = np.multiply.outer(vol_prefix * row_vals[r0:r1], n_vol)
-            num, i, side = _best(counts, vol, ms, dtype)
-            if num > best[0]:
-                r, i = divmod(i, size)
-                best = (num, prefix + (int(grids[a][r0 + r]),) + _corner(tail, i), side)
-    return best
+    # a table holds the bytes of _TABLE_CORNERS int64 corners per branch
+    limit = _TABLE_CORNERS * 8 // _item_bytes(dtype, n_pts * ms)
+    sizes = [len(g) for g in grids]
+    vals = [g.astype(dtype, copy=False) for g in grids]
+    # Row 0 of keys names the branch: a corner's closed count holds the points
+    # of index <= it on every axis, its open count those of index + 1 <= it.
+    keys = np.array([np.zeros(n_pts, dtype=np.int64)]
+                    + [np.searchsorted(g, ps.numerators[:, j]) for j, g in enumerate(grids)])
+    keys = np.concatenate((keys, keys + 1), axis=1)
+
+    def table(cuts):
+        """Numerators (closed, minus open) on the cuts' lattice; its best key."""
+        shape = (2,) + tuple(len(c) for c in cuts)
+        at = keys
+        if any(c[-1] >= len(c) for c in cuts):  # cuts 0, 1, ..., k - 1 need no search
+            at = np.array([keys[0]] + [np.searchsorted(c, r) for c, r in zip(cuts, keys[1:])])
+        if any(c[-1] < n - 1 for c, n in zip(cuts, sizes)):  # points past the last cut
+            at = at[:, np.all(at < np.array(shape)[:, None], axis=0)]
+        value = _lattice_counts(at, shape).astype(dtype, copy=False)
+        value *= ms
+        value -= functools.reduce(np.multiply.outer, [v[c] for v, c in zip(vals, cuts)], n_pts)
+        # the first best corner in lattice order wins, at one corner the closed branch
+        ic, io = int(value[0].argmax()), int(value[1].argmin())
+        top, i, side = max((value[0].flat[ic], -ic, 0), (-value[1].flat[io], -io, -1))
+        at = np.unravel_index(-i, shape[1:])
+        return value, (-int(top), tuple(int(c[k]) for c, k in zip(cuts, at)), -side)
+
+    parts = max(1, _TABLE_CORNERS // 16)  # boxes scored at once; 2 bitset counts each
+    batch = max(1, parts >> s if s <= _HALVED_AXES else parts // 2)
+    # levels 0..n (hi + 1 is one); a block's AND of 2 counts a part fits _SAMPLE_ELEMENTS
+    bits = _rank_bits(keys[1:, :n_pts], [n + 1 for n in sizes],
+                      max(64, _SAMPLE_ELEMENTS // (2 * parts) * 8 // 64 * 64))
+    best = (1, (), 0)  # (-numerator, corner indices, side): the least key wins
+    stack = [np.array([[[0] * s, [n - 1 for n in sizes]]])]  # boxes (lo, hi)
+    while stack:
+        boxes = stack.pop()
+        while stack and len(boxes) < batch:
+            boxes = np.concatenate((stack.pop(), boxes))
+        if len(boxes) > batch:
+            stack.append(boxes[:-batch])
+        lo, hi = boxes[-batch:, 0], boxes[-batch:, 1]
+        if len(lo) == 1:
+            spans = [np.arange(a, b + 1) for a, b in zip(lo[0], hi[0])]
+        else:
+            spans = [np.flatnonzero(np.cumsum(np.bincount(lo[:, j], minlength=n + 1)
+                                              - np.bincount(hi[:, j] + 1, minlength=n + 1)))
+                     for j, n in enumerate(sizes)]
+        if math.prod(len(c) for c in spans) <= limit:  # one table reads every corner
+            best = min(best, table(spans)[1])
+            continue
+        # cut every box into q parts on each axis: 2, or for a lone box (the
+        # whole grid) as many as a batch holds
+        width = hi - lo + 1
+        k = 2
+        while (len(lo) == 1 and k < width.max()
+               and math.prod(np.minimum(2 * k, width[0]).tolist()) <= parts):
+            k *= 2
+        if k == 2 and s > _HALVED_AXES:  # in two on its widest axis only
+            r, a = np.arange(len(lo)), width.argmax(axis=1)
+            lo, hi = np.concatenate((lo, lo)), np.concatenate((hi, hi))
+            hi[r, a] = lo[r, a] + width[r, a] // 2 - 1
+            lo[r + len(r), a] = hi[r, a] + 1
+        else:
+            q = np.minimum(k, width.max(axis=0))
+            at = np.indices(q).reshape(s, -1).T
+            lo, hi = ((lo[:, None] + at * width[:, None] // q).reshape(-1, s),
+                      (lo[:, None] + (at + 1) * width[:, None] // q - 1).reshape(-1, s))
+            keep = np.all(lo <= hi, axis=1)
+            lo, hi = lo[keep], hi[keep]
+        cuts = [np.flatnonzero(np.bincount(np.concatenate((lo[:, j], hi[:, j])), minlength=n))
+                for j, n in enumerate(sizes)]
+        vol_lo, vol_hi = (n_pts * math.prod(v[e[:, j]] for j, v in enumerate(vals))
+                          for e in (lo, hi))
+        if math.prod(len(c) for c in cuts) <= limit:
+            value, key = table(cuts)
+            best = min(best, key)
+            at_lo = np.array([np.searchsorted(c, lo[:, j]) for j, c in enumerate(cuts)])
+            at_hi = np.array([np.searchsorted(c, hi[:, j]) for j, c in enumerate(cuts)])
+            closed, opened = value[0][tuple(at_hi)], -value[1][tuple(at_lo)]
+            done = np.all(at_hi - at_lo == (hi - lo).T, axis=0)  # every corner on the lattice
+        else:
+            count = _count_below(np.concatenate((hi + 1, lo)).T, bits()).astype(dtype) * ms
+            closed, opened = count[:len(lo)] - vol_hi, vol_lo - count[len(lo):]
+            top = int(max(closed.max(), opened.max()))
+            best = min(best, (-top, *min((tuple(end[i].tolist()), side) for side, end, v in
+                                         ((0, hi, closed), (1, lo, opened))
+                                         for i in np.flatnonzero(v == top))))
+            done = np.all(lo == hi, axis=1)
+        keep = (np.maximum(closed, opened) + (vol_hi - vol_lo) >= -best[0]) & ~done
+        if keep.any():
+            stack.append(np.stack((lo[keep], hi[keep]), axis=1))
+    return -best[0], tuple(int(g[i]) for g, i in zip(grids, best[1])), ("closed", "open")[best[2]]
+
+
+def _lattice_counts(at, shape):
+    """Points binned at lattice indices (columns of at), summed on all axes but the first."""
+    counts = np.bincount(np.ravel_multi_index(tuple(at), shape),
+                         minlength=math.prod(shape)).reshape(shape)
+    for axis in range(1, len(shape)):
+        counts.cumsum(axis=axis, out=counts)
+    return counts
 
 
 def _item_bytes(dtype, top):
-    """Bytes of one array entry; a dtype=object entry also holds a Python
-    integer of up to top's size."""
+    """Bytes of an array entry; a dtype=object one also holds an integer up to top."""
     return np.dtype(dtype).itemsize + (sys.getsizeof(top) if dtype is object else 0)
 
 
-def _best(counts, n_vol, ms, dtype):
-    """Largest corner numerator of a table whose first axis holds the closed
-    and the open counts, with its flat corner index and side.  The first corner
-    wins a tie, and at one corner the closed branch wins.  Overwrites counts."""
-    value = counts.astype(dtype, copy=False)
-    value *= ms
-    closed, opened = value
-    closed -= n_vol
-    opened -= n_vol  # the open branch's value is minus this
-    ic, io = int(closed.argmax()), int(opened.argmin())
-    vc, vo = closed.flat[ic], -opened.flat[io]
-    if vo > vc or (vo == vc and io < ic):
-        return int(vo), io, "open"
-    return int(vc), ic, "closed"
+def _rank_bits(ranks, levels, block):
+    """Callable: per block of points, per-axis uint64-packed bitsets, row l < levels[j]
+    the points of rank < l; built once if all fit _SAMPLE_ELEMENTS bytes, else per call."""
+    def build(lo):
+        return [np.pad(bits, ((0, 0), (0, -bits.shape[1] % 8))).view(np.uint64)
+                for bits in (np.packbits(np.arange(n)[:, None] > r[lo:lo + block], axis=1)
+                             for n, r in zip(levels, ranks))]
+    blocks = functools.partial(map, build, range(0, len(ranks[0]), block))
+    if sum(levels) * len(ranks[0]) // 8 <= _SAMPLE_ELEMENTS:
+        return functools.cache(lambda: list(blocks()))
+    return blocks
 
 
-def _corner(tail, i):
-    at = np.unravel_index(i, tuple(len(g) for g in tail))
-    return tuple(int(g[k]) for g, k in zip(tail, at))
-
-
-def _count_below(at, ranks, levels, block):
+def _count_below(at, blocks):
     """For each column i of at, the points whose rank on every axis j is below
-    at[j, i]: one AND of per-axis rank-prefix bitsets and a byte popcount."""
+    at[j, i]: one AND of per-axis rank-prefix bitsets and a popcount."""
     count = np.zeros(at.shape[1], dtype=np.int64)
-    for lo in range(0, len(ranks[0]), block):
-        bits = [np.packbits(lv > r[lo:lo + block], axis=1)
-                for lv, r in zip(levels, ranks)]
+    for bits in blocks:
         hit = bits[0][at[0]]
         for j in range(1, len(bits)):
             hit &= bits[j][at[j]]
-        count += _POPCOUNT[hit].sum(axis=1, dtype=np.int64)
+        count += np.bitwise_count(hit).sum(axis=1, dtype=np.int64)
     return count
 
 
@@ -264,8 +279,7 @@ def star_discrepancy_sampled_lb(ps: RationalPointSet, trials: int,
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    n_pts, s = ps.n, ps.dim
-    m = ps.modulus
+    n_pts, s, m = ps.n, ps.dim, ps.modulus
     ms = m ** s
     dtype = np.int64 if n_pts * ms < _INT64_SAFE else object
     grids = _grids(ps)
@@ -274,12 +288,10 @@ def star_discrepancy_sampled_lb(ps: RationalPointSet, trials: int,
     # on every axis are both the closed count at grid[at - 1] (when every
     # at > 0) and the open count at grid[at], where the last grid value is M.
     rank = np.stack([np.searchsorted(g, ps.numerators[:, j]) for j, g in enumerate(grids)])
-    levels = [np.arange(len(g))[:, None] for g in grids]
     width = sum(len(g) for g in grids)
     block = max(8, _SAMPLE_ELEMENTS // width // 8 * 8)  # points per bitset table
-    # Corners per batch.  A block's tables compare width levels per point and
-    # each corner ANDs s/8 bytes per point, so 8*width/s corners pay for them.
-    # The scores take the bytes of an int64 per corner, or more on dtype=object.
+    # Corners per batch: 8*width/s corners' ANDs of s/8 bytes a point pay for a
+    # block's tables; scores take an int64's bytes a corner, more on dtype=object.
     batch = min(max(_SAMPLE_ELEMENTS // width, 8 * width // s),
                 _SAMPLE_ELEMENTS // (3 * -(-min(n_pts, block) // 8)))
     batch = max(1, batch * 8 // _item_bytes(dtype, n_pts * ms))
@@ -291,17 +303,17 @@ def star_discrepancy_sampled_lb(ps: RationalPointSet, trials: int,
             boxes = rng.random((min(batch, trials - lo), s)) * m
             at = np.stack([np.searchsorted(g, boxes[:, j]) for j, g in enumerate(grids)])
             if dtype is object:  # Python-integer scores cost more than a sort
-                at = at[:, np.lexsort(at)]
-                at = at[:, np.r_[True, np.any(at[:, 1:] != at[:, :-1], axis=0)]]
+                at = np.unique(at, axis=1)
             yield at, (1, 0)
         points = np.unique(rank, axis=1)
         for lo in range(0, points.shape[1], batch):
             yield points[:, lo:lo + batch] + 1, (1,)  # closed at the point
             yield points[:, lo:lo + batch], (0,)  # open at the point
 
+    bits = _rank_bits(rank, [len(g) for g in grids], block)
     best = 0  # numerator over n_pts * ms
     for at, branches in corners():
-        count = _count_below(at, rank, levels, block).astype(dtype) * ms
+        count = _count_below(at, bits()).astype(dtype) * ms
         for closed in branches:
             # a closed corner with some at = 0 holds no point and wraps to M on
             # that axis, so its numerator is at most 0 and never raises best
@@ -314,11 +326,8 @@ def weighted_local_discrepancy(ps: RationalPointSet, w: Weights, z: Box,
                                caps: Caps = DEFAULT_CAPS) -> float:
     """max over nonempty u of gamma_u * |Delta(z_u, 1)| at a single box."""
     fz = _box_fractions(ps, z)
-    best = 0.0
-    for u, g in _enumerate_subsets(ps.dim, w, caps):
-        zu = [fz[j - 1] if j in u else Fraction(1) for j in range(1, ps.dim + 1)]
-        best = max(best, g * abs(local_discrepancy(ps, zu)))
-    return best
+    return max([g * abs(local_discrepancy(ps, [f if j in u else 1 for j, f in enumerate(fz, 1)]))
+                for u, g in _enumerate_subsets(ps.dim, w, caps)], default=0.0)
 
 
 def weighted_star_discrepancy_exact(
@@ -330,21 +339,12 @@ def weighted_star_discrepancy_exact(
     re-embedded into full dimension with free coordinates at 1.
     """
     per_subset: dict[tuple[int, ...], float] = {}
-    best_val = 0.0
-    best_u: tuple[int, ...] = ()
-    best_res: DiscrepancyResult | None = None
+    best_val, best_u, wit, side = 0.0, (), {}, "closed"
     for u, g in _enumerate_subsets(ps.dim, w, caps):
         res = star_discrepancy_exact(project(ps, u), caps=caps)
-        val = g * res.value
-        per_subset[u] = val
+        per_subset[u] = val = g * res.value
         if val > best_val:
-            best_val, best_u, best_res = val, u, res
-    if best_res is None:
-        witness = tuple(Fraction(1) for _ in range(ps.dim))
-        return WeightedDiscrepancyResult(value=0.0, subset=(), witness=witness,
-                                         side="closed", per_subset=per_subset)
-    wit = {j: best_res.witness[i] for i, j in enumerate(best_u)}
+            best_val, best_u, wit, side = val, u, dict(zip(u, res.witness)), res.side
     witness = tuple(wit.get(j, Fraction(1)) for j in range(1, ps.dim + 1))
-    return WeightedDiscrepancyResult(value=best_val, subset=best_u,
-                                     witness=witness, side=best_res.side,
-                                     per_subset=per_subset)
+    return WeightedDiscrepancyResult(value=best_val, subset=best_u, witness=witness,
+                                     side=side, per_subset=per_subset)

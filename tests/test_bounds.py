@@ -132,6 +132,9 @@ def test_thm1_validation():
         thm1_bound(PSetKind.KOROBOV_P, 1, 2, HALVING)
     with pytest.raises(ValueError):
         thm1_bound(PSetKind.KOROBOV_P, 5, 0, HALVING)
+    for kind in PSetKind:  # p**exponent past the range of a float
+        with pytest.raises(ValueError, match="does not fit a float"):
+            thm1_bound(kind, 10**400 + 1, 2, HALVING)
 
 
 # ---------------------------------------------------------------- thm2 params

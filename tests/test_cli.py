@@ -8,6 +8,7 @@ from psetdisc.cli import main
 from psetdisc.config import InvariantError
 
 POW_FILE = str(Path(__file__).parent / "golden" / "pow.txt")  # gamma_j = j^-2
+GEO_FILE = str(Path(__file__).parent / "golden" / "geo.txt")
 # gamma = 1, 1, 1, then 0.999^j: k0 = 11370, an envelope constant past 1e308
 OVERFLOW_FILE = str(Path(__file__).parent / "golden" / "overflow.txt")
 
@@ -352,6 +353,9 @@ EXIT_PATHS = {
     "t-nan": (["bound", "--thm", "2", "--kind", "P", "--p", "5", "--s", "2",
                "--weights", POW_FILE, "--delta", "0.25", "--t", "nan"], None, None, 1,
               "error: t must be in (0, 709.782712893384], got nan"),
+    "thm1-float-range": (["bound", "--thm", "1", "--kind", "P", "--p", str(10**400 + 1),
+                          "--s", "2", "--weights", GEO_FILE], None, None, 1,
+                         "error: p**0.5 in the bound does not fit a float"),
     "bound-inf": (["bound", "--thm", "2", "--kind", "Q", "--p", "5", "--s", str(10**300),
                    "--weights", POW_FILE, "--delta", "0.25", "--t", "2"], None, None, 1,
                   "error: the envelope bound does not fit a float"),

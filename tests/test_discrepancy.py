@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -152,8 +153,9 @@ def test_exact_matches_witness_oracle_big_modulus(case):
     assert _result_triple(ps) == naive_dstar_witness(ps.rows(), ps.modulus)
 
 
-# Table budgets that split even these small grids: a leading-axis loop (over
-# two axes at s = 4), one-row slabs, multi-row slabs and a partial last slab.
+# Table budgets that split even these small grids into boxes: almost only
+# bitset counts (1, and dtype=object at 3 and 16), and lattices of a few parts'
+# ends (16, 64), whose bounds drop boxes before their corners are read.
 SPLIT_BUDGETS = (1, 3, 16, 64)
 
 
@@ -179,6 +181,119 @@ def test_split_scan_matches_oracles(ps):
 @settings(max_examples=40, deadline=None)
 def test_split_scan_matches_oracles_big_modulus(case):
     _assert_split_scans_match_oracles(case[0])
+
+
+@st.composite
+def tie_heavy_point_sets(draw):
+    """Rows closed under every permutation of the axes and repeated, so a best
+    corner off the diagonal has twins; at s = 1, midpoints, where all tie."""
+    s = draw(st.integers(1, 3))
+    if s == 1:
+        k = draw(st.integers(1, 6))
+        return _point_set(2 * k, [(2 * i + 1,) for i in range(k)] * draw(st.integers(1, 3)))
+    m = draw(st.integers(2, 9))
+    base = draw(st.lists(st.tuples(*[st.integers(0, m - 1)] * s), min_size=1, max_size=3))
+    rows = sorted({tuple(r[i] for i in perm) for r in base
+                   for perm in itertools.permutations(range(s))})
+    return _point_set(m, rows * draw(st.integers(1, 3)))
+
+
+def _best_corners(ps):
+    """(corner, side) pairs attaining D*, by brute force over the grid."""
+    rows, m, n = ps.rows(), ps.modulus, ps.n
+    grids = [sorted({r[j] for r in rows}) + [m] for j in range(ps.dim)]
+    values = {}
+    for c in itertools.product(*grids):
+        vol = math.prod(Fraction(x, m) for x in c)
+        values[c, "closed"] = Fraction(sum(all(map(int.__le__, r, c)) for r in rows), n) - vol
+        values[c, "open"] = vol - Fraction(sum(all(map(int.__lt__, r, c)) for r in rows), n)
+    top = max(values.values())
+    return [key for key, v in values.items() if v == top]
+
+
+# tie-heavy sets, each with the number of (corner, side) pairs reaching D*
+TIES = [(_point_set(5, [(0, 0, 0), (0, 4, 4), (4, 0, 4), (4, 4, 0)] * 2), 12),
+        (_point_set(7, [(0, 0), (0, 0)]), 3),
+        (_point_set(8, [(1,), (3,), (5,), (7,)]), 8)]
+
+
+@given(tie_heavy_point_sets())
+@example(TIES[0][0])
+@example(TIES[1][0])
+@settings(max_examples=40, deadline=None)
+def test_split_scan_matches_oracles_on_ties(ps):
+    _assert_split_scans_match_oracles(ps)
+
+
+@given(st.integers(7, 8).flatmap(
+    lambda s: st.lists(st.tuples(*[st.integers(0, 1)] * s), min_size=1, max_size=4)))
+@settings(max_examples=10, deadline=None)
+def test_split_scan_past_halved_axes_matches_oracle(rows):
+    # at s > _HALVED_AXES each box is cut in two on its widest axis only
+    ps = _point_set(2, rows)
+    want = naive_dstar_witness(ps.rows(), ps.modulus)
+    for budget in SPLIT_BUDGETS:
+        with mock.patch.object(discrepancy, "_TABLE_CORNERS", budget):
+            assert _result_triple(ps) == want
+
+
+def test_tie_heavy_sets_have_several_best_corners():
+    # the examples do exercise the tie-break
+    for ps, n_best in TIES:
+        assert len(_best_corners(ps)) == n_best
+
+
+def test_split_scan_over_bitset_blocks_matches_oracle():
+    # 150 points and a one-element bitset budget: the fallback counts run over
+    # blocks of 64 points, rebuilt at each call
+    ps = _point_set(12, np.random.default_rng(3).integers(0, 12, size=(150, 2)))
+    with (mock.patch.object(discrepancy, "_TABLE_CORNERS", 1),
+          mock.patch.object(discrepancy, "_SAMPLE_ELEMENTS", 1)):
+        assert _result_triple(ps) == naive_dstar_witness(ps.rows(), ps.modulus)
+
+
+# (kind, p, s, grid corners, D*, witness numerators, side, share of the grid
+# read at most); P 2/s12 is past _HALVED_AXES, where cutting all 12 axes at
+# once reads twice its grid
+READ_FEW = [(PSetKind.KOROBOV_P, 23, 5, 2_336_256, Fraction(3155938, 6436343),
+             (21, 18, 21, 18, 21), "closed", 0.1),
+            (PSetKind.KOROBOV_P, 2, 12, 531_441, Fraction(4095, 4096), (1,) * 12, "closed", 0.2)]
+
+
+@pytest.mark.parametrize("kind,p,s,corners,exact,witness,side,share", READ_FEW)
+def test_exact_scan_reads_few_corners(kind, p, s, corners, exact, witness, side, share):
+    # the box bound drops most grid corners unread
+    read = []
+    lattice_counts, count_below = discrepancy._lattice_counts, discrepancy._count_below
+
+    def counted_lattice(at, shape):
+        read.append(math.prod(shape[1:]))
+        return lattice_counts(at, shape)
+
+    def counted_below(at, blocks):
+        read.append(at.shape[1])
+        return count_below(at, blocks)
+
+    with (mock.patch.object(discrepancy, "_lattice_counts", counted_lattice),
+          mock.patch.object(discrepancy, "_count_below", counted_below)):
+        res = star_discrepancy_exact(generate(kind, p, s))
+    assert (res.exact, res.side, res.corners_scanned) == (exact, side, corners)
+    assert res.witness == tuple(Fraction(c, p) for c in witness)
+    assert sum(read) < share * corners
+
+
+def test_exact_scan_memory_holds_tables_and_batches_to_budget():
+    # 68,656,200 grid corners: the scan holds one count table, one batch of
+    # parts with its bitset buffers, and the boxes still to cut
+    ps = generate(PSetKind.KOROBOV_Q, 23, 3)
+    tracemalloc.start()
+    try:
+        res = star_discrepancy_exact(ps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exact == Fraction(9549758, 148035889)
+    assert peak <= 4 * 2**20
 
 
 @given(small_point_sets())
