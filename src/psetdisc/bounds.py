@@ -35,8 +35,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .config import InvariantError
 from .numtheory import next_prime
 from .pointset import PSetKind
@@ -53,22 +51,6 @@ _FAMILY_FORM = {
     PSetKind.KOROBOV_Q: (3.0, 6.0, 1.0),
     PSetKind.HUA_WANG_R: (2.0, 4.0, 1.0),
 }
-
-
-def harmonic_sum_exact(modulus: int) -> float:
-    """S_M = sum over nonzero h in C(M) of 1/|h|, by direct summation."""
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    pos = np.arange(1, modulus // 2 + 1, dtype=np.float64)
-    neg = np.arange(1, (modulus - 1) // 2 + 1, dtype=np.float64)
-    return float(np.sum(1.0 / pos) + np.sum(1.0 / neg))
-
-
-def harmonic_sum_estimate(modulus: int) -> float:
-    """Closed-form majorant 2(1 + log(M/2)) >= harmonic_sum_exact(M)."""
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    return 2.0 * (1.0 + math.log(modulus / 2.0))
 
 
 @dataclass(frozen=True)

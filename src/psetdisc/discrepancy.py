@@ -103,9 +103,8 @@ def local_discrepancy(ps: RationalPointSet, z: Box) -> float:
 
 
 def _grids(ps: RationalPointSet) -> list[np.ndarray]:
-    return [np.concatenate([np.unique(ps.numerators[:, j]),
-                            np.array([ps.modulus], dtype=np.int64)])
-            for j in range(ps.dim)]
+    top = np.array([ps.modulus], dtype=np.int64 if ps.modulus < 2**63 else object)
+    return [np.concatenate([np.unique(ps.numerators[:, j]), top]) for j in range(ps.dim)]
 
 
 def star_discrepancy_exact(ps: RationalPointSet,

@@ -3,15 +3,16 @@
 Frequency vectors live in C_s(M) = C(M)^s with C(M) = (-M/2, M/2] cap Z; the
 nonzero ones form C_s*(M) and carry the weight 1/r(h), r(h) = prod max(1,|h_j|).
 
-Three sum families are evaluated by exact modular phase accumulation (phases
-are M-th roots of unity indexed by the phase polynomial mod M):
+korobov_sum and the rhs are evaluated by exact modular phase accumulation
+(phases are M-th roots of unity indexed by the phase polynomial mod M); the
+double sum is an exact integer root count:
 
 * korobov_sum        S(h) = sum_{n<M} e(2*pi*i (h_1 n + ... + h_s n^s)/M),
                      M = p or p^2.  |S| <= (s-1)*sqrt(p) for M = p and
                      |S| <= (s-1)*p for M = p^2, whenever p divides not all h_j.
 * hua_wang_double_sum  sum_{a,k<p} e(2*pi*i k (h_1 + h_2 a + ... + h_s a^(s-1))/p),
-                     which collapses to p * #roots of the coefficient
-                     polynomial mod p; bounded by (s-1)*p for p not| gcd(h).
+                     = p * #roots of the coefficient polynomial mod p, counted
+                     by _root_counts; bounded by (s-1)*p for p not| gcd(h).
 * niederreiter_rhs   the transference bound
                      D* <= s/M + (1/2) sum_{h in C_s*(M)} |S_P(h)|/(N r(h)),
                      for points y_n/M, evaluated exactly by full enumeration.
@@ -31,18 +32,16 @@ share their first d-1 entries, the head, while the last entry runs over C(M).
 _heads yields the heads in chunks, and every sweep reads it: the Weil sweeps
 report the first worst h in this order, and the rhs leaves h = 0 out.
 
-One kernel, _PhaseSums, serves the rhs and the Weil sweeps (y_n = (n, ...,
-n^s), or (1, a, ..., a^(s-1)) for lemma 6).  Axis j has a table T_j whose
-rows c*y_j mod M run over c in C(M) order.  sums.slabs(d) yields each chunk's
-(k, M) sums: it builds a head's phase row, T_0[h_0] + ... + T_{d-1}[h_{d-1}]
-with h_{d-1} = 0, once and adds the rows of T_{d-1}, a view, in one broadcast
+One kernel, _PhaseSums, serves the rhs and the lemma 3 and 5 sweeps
+(y_n = (n, ..., n^s)).  Axis j has a table T_j whose rows c*y_j mod M run
+over c in C(M) order.  sums.slabs(d) yields each chunk's (k, M) sums: it
+builds a head's phase row, T_0[h_0] + ... + T_{d-1}[h_{d-1}] with
+h_{d-1} = 0, once and adds the rows of T_{d-1}, a view, in one broadcast
 add.  sums(h_rows) sums at the rows themselves (a zero tail), for the sampled
 mode and the screen's candidates.  The phases need no matmul and no modulo:
-they stay below (d+1)*M and index the values tiled d+1 times, the roots of
-unity or, for lemma 6, p times the indicator of phase 0 (an exact root
-count).  Each row gets the same numpy pairwise row sum of the values of
-roots[h.y mod M], so every magnitude is bit-identical to the direct
-h @ y.T % M formula.
+they stay below (d+1)*M and index the roots of unity tiled d+1 times.  Each
+row gets the same numpy pairwise row sum of roots[h.y mod M], so every
+magnitude is bit-identical to the direct h @ y.T % M formula.
 
 _BLOCK has two readers.  The rhs adds one float per 4096 consecutive h of
 C_d*(M), re-cutting the chunks' terms into those blocks, so _BLOCK fixes the
@@ -58,7 +57,7 @@ take half the gather again, and the k' head rows no more than that.  An axis
 whose M*N table entries exceed _GATHER_BYTES forms c*y_j mod M per gather
 instead, the same integers; such a gather holds one head (k' = 1).
 
-With root values a slab is a length-M DFT along the last axis, and the
+A slab is a length-M DFT along the last axis, and the
 exhaustive lemma 3 and 5 sweeps use it as a screen.  _slab_dft bins each
 head's roots by the points' last column and takes one FFT per head.  An FFT
 adds the N terms of each S(h) in another order than the pairwise row sum, so
@@ -68,8 +67,19 @@ _screen keeps the h whose screened magnitude could decide one of them (near
 the running maximum, or near the violation threshold), and the kernel
 recomputes just those: the report is the direct sweep's, bit for bit.  The
 rhs sums every magnitude, so it stays direct: an FFT would move the last
-printed digit of the rhs.  Lemma 6's values are no character, so its slabs
-are no DFT and it stays direct too.
+printed digit of the rhs.
+
+Lemma 6 sums no phases.  _root_counts(heads, p) gives, for each head and each
+last entry c of C(p), the number of roots a < p of the coefficient polynomial
+h_1 + h_2 a + ... + h_s a^(s-1) mod p.  For a unit a^(s-1) put b = 1/a: a is
+a root for exactly one c, c == -(h_1 b^(s-1) + ... + h_{s-1} b), so one
+product with the powers of b and one np.bincount count every c at once, at
+O(p) per head.  At s = 1 that is every a, each a root for c == 0 alone; at
+s > 1, a = 0 is a root for every c or for none, as p divides h_1 or not.  The
+exhaustive lemma 6 sweep reads it over the chunks of _heads, the sampled mode
+at each seeded row's own column, and hua_wang_double_sum at one h; a chunk of
+k heads takes 16*k*p bytes, within _GATHER_BYTES.  The counts are exact
+integers, so lemma 6 reports carry no rounding.
 """
 from __future__ import annotations
 
@@ -79,7 +89,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CAPS, Caps
-from .numtheory import is_prime, poly_eval_mod, power_table
+from .numtheory import is_prime, power_table
 from .pointset import RationalPointSet, project
 from .weights import Weights, _enumerate_subsets
 
@@ -96,29 +106,6 @@ def c_values(modulus: int) -> range:
 
 
 @dataclass(frozen=True)
-class FrequencyVector:
-    entries: tuple[int, ...]
-    modulus: int
-
-    def __post_init__(self):
-        entries = tuple(int(h) for h in self.entries)
-        if not entries:
-            raise ValueError("frequency vector must have dimension >= 1")
-        rng = c_values(self.modulus)
-        if any(h < rng.start or h >= rng.stop for h in entries):
-            raise ValueError(f"entries {entries} not all in C({self.modulus})")
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def r(self) -> int:
-        return math.prod(max(1, abs(h)) for h in self.entries)
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.entries)
-
-
-@dataclass(frozen=True)
 class ExpSumValue:
     value: complex
     terms: int
@@ -126,12 +113,6 @@ class ExpSumValue:
     @property
     def magnitude(self) -> float:
         return abs(self.value)
-
-
-def _entries(h) -> tuple[int, ...]:
-    if isinstance(h, FrequencyVector):
-        return h.entries
-    return tuple(int(v) for v in h)
 
 
 def _roots_of_unity(m: int) -> np.ndarray:
@@ -150,7 +131,7 @@ def korobov_sum(h, p: int, modulus_power: int = 1,
     element-wise operations on the same integers, so every term, and the
     pairwise sum, has the bits of _roots_of_unity(M)[phase].sum().
     """
-    hs = _entries(h)
+    hs = [int(v) for v in h]
     if modulus_power not in (1, 2):
         raise ValueError(f"modulus_power must be 1 or 2, got {modulus_power}")
     if not is_prime(p):
@@ -171,10 +152,30 @@ def korobov_sum(h, p: int, modulus_power: int = 1,
     return ExpSumValue(value=complex(z.sum()), terms=m)
 
 
+def _root_counts(heads: np.ndarray, p: int) -> np.ndarray:
+    """(k, p) int64 counts: [i, j] is the number of roots a < p of
+    h_1 + h_2 a + ... + h_s a^(s-1) mod p, for h = heads[i] with its last
+    entry replaced by the j-th c of C(p).  p is prime; see the module doc."""
+    k, s = heads.shape
+    # b^(s-1), ..., b^1 for b = 1/a: every a at s = 1, every a but 0 after
+    powers = power_table(p, s - 1, first_power=1)[1 if s > 1 else 0:, ::-1]
+    at = (heads[:, :-1] % p) @ powers.T  # h_1 b^(s-1) + ... + h_{s-1} b
+    np.subtract((p - 1) // 2, at, out=at)  # the C(p) position of c = -at
+    at %= p
+    at += np.arange(0, k * p, p)[:, None]
+    counts = np.bincount(at.ravel(), minlength=k * p).reshape(k, p)
+    if s > 1:  # a = 0
+        counts += heads[:, :1] % p == 0
+    return counts
+
+
 def hua_wang_root_count(h, p: int) -> int:
-    """#{a in [0,p): h_1 + h_2 a + ... + h_s a^(s-1) == 0 mod p}."""
-    hs = _entries(h)
-    return sum(1 for a in range(p) if poly_eval_mod(hs, a, p) == 0)
+    """#{a in [0,p): h_1 + h_2 a + ... + h_s a^(s-1) == 0 mod p}, p prime."""
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    row = [int(v) % p for v in h] or [0]  # h = () is the zero polynomial
+    counts = _root_counts(np.array([row], dtype=np.int64), p)
+    return int(counts[0, (row[-1] + (p - 1) // 2) % p])
 
 
 def hua_wang_double_sum(h, p: int, caps: Caps = DEFAULT_CAPS) -> ExpSumValue:
@@ -183,12 +184,11 @@ def hua_wang_double_sum(h, p: int, caps: Caps = DEFAULT_CAPS) -> ExpSumValue:
     The inner k-sum is p when the coefficient polynomial vanishes at a and 0
     otherwise, so the value is exactly p * (number of roots mod p).
     """
-    hs = _entries(h)
+    hs = [int(v) for v in h]
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     caps.check("max_point_entries", p * len(hs))
-    count = hua_wang_root_count(hs, p)
-    return ExpSumValue(value=complex(p * count), terms=p * p)
+    return ExpSumValue(value=complex(p * hua_wang_root_count(hs, p)), terms=p * p)
 
 
 @dataclass(frozen=True)
@@ -207,15 +207,14 @@ class WeilCheckReport:
 
 
 class _PhaseSums:
-    """sums(h_rows) -> sum_n values[h.y_n mod M] for each row h, and
-    sums.slabs(d) -> the same sums over the slabs of C_d(M); see the module
-    doc."""
+    """sums(h_rows) -> sum_n e(h.y_n/M) for each row h, and sums.slabs(d) ->
+    the same sums over the slabs of C_d(M); see the module doc."""
 
-    def __init__(self, points: np.ndarray, m: int, values: np.ndarray):
+    def __init__(self, points: np.ndarray, m: int):
         n, d = points.shape
         self.m, self.n = m, n
         self.off = (m - 1) // 2  # C(M) position of c = 0
-        self.values = np.tile(values, d + 1)
+        self.roots = np.tile(_roots_of_unity(m), d + 1)
         # axis tables in C(M) order: row i holds (i - off)*y mod M
         self.tables = [np.outer(np.arange(-self.off, m - self.off), y) % m
                        if m * n <= _GATHER_BYTES else y for y in points.T]
@@ -239,7 +238,7 @@ class _PhaseSums:
 
     def __call__(self, h_rows: np.ndarray) -> np.ndarray:
         pos = (h_rows + self.off) % self.m
-        return np.concatenate([np.take(self.values, self.head(pos[lo:lo + self.step]))
+        return np.concatenate([np.take(self.roots, self.head(pos[lo:lo + self.step]))
                                .sum(axis=-1) for lo in range(0, len(pos), self.step)])
 
     def slabs(self, d: int):
@@ -249,7 +248,7 @@ class _PhaseSums:
         k = max(1, step // m)  # heads per gather
         for lo, heads in _heads(m, d, self.per):
             pos = heads + self.off
-            out = np.empty((len(pos), m), dtype=self.values.dtype)
+            out = np.empty((len(pos), m), dtype=np.complex128)
             for i in range(0, len(pos), k):
                 head = self.head(pos[i:i + k])
                 for c0 in range(0, m, step):
@@ -259,7 +258,7 @@ class _PhaseSums:
                     else:  # no table fits, so k = 1: add the head in place
                         phase = self._rows(last, np.arange(c0, c1))
                         phase += head
-                    out[i:i + k, c0:c1] = np.take(self.values, phase).sum(axis=-1)
+                    out[i:i + k, c0:c1] = np.take(self.roots, phase).sum(axis=-1)
             yield lo, heads, out
 
 
@@ -327,7 +326,7 @@ def _slab_dft(sums: _PhaseSums, last: np.ndarray, d: int):
     """Yield (lo, heads, mags) for each chunk of _heads, as sums.slabs(d)
     does, with the magnitudes of the sums.  last is the points' last column.
 
-    With root values, each slab is one length-M transform:
+    Each slab is one length-M transform:
     S(head + c*e_d) = sum_b G[b] e(c*b/M), where G[b] sums the head's roots
     over the points whose last column is b.  _screen_eps bounds the
     difference to the magnitudes of sums.slabs(d).
@@ -338,7 +337,7 @@ def _slab_dft(sums: _PhaseSums, last: np.ndarray, d: int):
     read = np.arange(-off, m - off) % m  # transform entries in C(M) order
     for lo, heads in _heads(m, d, sums.per):
         g = np.zeros((len(heads), m), dtype=np.complex128)
-        roots = np.take(sums.values, sums.head(heads + off)[:, order])
+        roots = np.take(sums.roots, sums.head(heads + off)[:, order])
         g[:, bins] = np.add.reduceat(roots, starts, axis=1)
         yield lo, heads, np.abs(np.fft.ifft(g, axis=1, norm="forward")[:, read])
 
@@ -387,9 +386,10 @@ def weil_bound_check(lemma: int, p: int, s: int, caps: Caps = DEFAULT_CAPS,
     rounding too, so it is the tolerance throughout: an h violates the bound
     when its magnitude exceeds bound + eps, and a maximum magnitude within eps
     of 0 is no nonzero sum and is reported as 0.0 (at s = 1 every admissible
-    S(h) is exactly 0, and the bound is 0 too).  Lemma 6's sums add integer
-    multiples of p and are exact.
-    The (M, s) power table must fit caps.max_point_entries.
+    S(h) is exactly 0, and the bound is 0 too).  Lemma 6's sums are exact
+    integers, p times the _root_counts.
+    M*s, the entries of lemma 3 and 5's power table, must fit
+    caps.max_point_entries.
     """
     if lemma not in (3, 5, 6):
         raise ValueError(f"lemma must be 3, 5 or 6, got {lemma}")
@@ -406,24 +406,29 @@ def weil_bound_check(lemma: int, p: int, s: int, caps: Caps = DEFAULT_CAPS,
     cap = caps.max_freq_vectors
     admissible = m ** s - (p ** s if lemma == 5 else 1)
     exhaustive = admissible <= cap
+    eps = _screen_eps(m, m)  # M terms: n < M, or a < p for lemma 6
+    rng = np.random.default_rng(seed)
+    blocks = (rng.integers(-((m - 1) // 2), m // 2 + 1,
+                           size=(min(_BLOCK, cap - lo), s), dtype=np.int64)
+              for lo in range(0, cap, _BLOCK))
     if lemma == 6:  # p per root a of h_1 + h_2 a + ... + h_s a^(s-1) mod p
-        sums = _PhaseSums(power_table(p, s, first_power=0), p,
-                          p * (np.arange(p) == 0))
+        per = max(1, _GATHER_BYTES // (16 * p))
+        if exhaustive:  # each head's slab: its last entry runs over C(p)
+            swept = ((np.column_stack((np.repeat(heads[:, :-1], p, axis=0),
+                                       np.tile(c_values(p), len(heads)))),
+                      p * _root_counts(heads, p).ravel(), 0)
+                     for _, heads in _heads(p, s, per))
+        else:  # seeded rows, per at a time, each read at its own column
+            rows = (b[i:i + per] for b in blocks for i in range(0, len(b), per))
+            swept = ((r, p * _root_counts(r, p)[np.arange(len(r)), r[:, -1] + (p - 1) // 2], 0)
+                     for r in rows)
     else:  # columns n, n^2, ..., n^s
         points = power_table(m, s, first_power=1)
-        sums = _PhaseSums(points, m, _roots_of_unity(m))
-    eps = _screen_eps(sums.n, m)
-    if exhaustive and lemma != 6:
-        swept = _screen(sums, points[:, -1], p, s, bound + eps)
-    elif exhaustive:  # lemma 6's values are no character: no slab DFT
-        swept = ((_vectors(lo * m + np.arange(out.size), m, s), out.ravel(), 0)
-                 for lo, _, out in sums.slabs(s))
-    else:  # the same kernel on seeded rows, each with a zero tail
-        rng = np.random.default_rng(seed)
-        blocks = (rng.integers(-((m - 1) // 2), m // 2 + 1,
-                               size=(min(_BLOCK, cap - lo), s), dtype=np.int64)
-                  for lo in range(0, cap, _BLOCK))
-        swept = ((block, sums(block), 0) for block in blocks)
+        sums = _PhaseSums(points, m)
+        if exhaustive:
+            swept = _screen(sums, points[:, -1], p, s, bound + eps)
+        else:  # the same kernel on seeded rows, each with a zero tail
+            swept = ((block, sums(block), 0) for block in blocks)
 
     max_ratio = -1.0
     worst: tuple[int, ...] = ()
@@ -463,7 +468,7 @@ def _rhs_sum_term(numerators: np.ndarray, m: int) -> float:
     """sum over h in C_d*(M) of |N^-1 sum_n e(2 pi i h.y_n / M)| / r(h), one
     float per _BLOCK consecutive terms in sweep order."""
     n_pts, d = numerators.shape
-    sums = _PhaseSums(numerators, m, _roots_of_unity(m))
+    sums = _PhaseSums(numerators, m)
     r_last = np.maximum(1, np.abs(np.array(c_values(m))))
     zero = (m - 1) // 2 * ((m ** d - 1) // (m - 1))  # flat position of h = 0
     total, rest = 0.0, np.empty(0)

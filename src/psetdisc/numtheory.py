@@ -1,8 +1,5 @@
-"""Deterministic primality, prime search, modular polynomial evaluation, and
-tables of modular powers."""
+"""Deterministic primality, prime search and tables of modular powers."""
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -64,20 +61,6 @@ def next_prime(n: int) -> int:
     while not is_prime(c):
         c += 2
     return c
-
-
-def poly_eval_mod(coeffs: Sequence[int], x: int, modulus: int) -> int:
-    """Evaluate coeffs[0] + coeffs[1]*x + ... + coeffs[s-1]*x^(s-1) mod modulus.
-
-    Horner's scheme with reduction at each step, so intermediates stay below
-    modulus**2 regardless of the number of coefficients.
-    """
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % modulus
-    return acc
 
 
 def power_table(m: int, s: int, first_power: int) -> np.ndarray:

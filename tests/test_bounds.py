@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psetdisc import bounds
-from psetdisc.bounds import (envelope_constant, harmonic_sum_estimate,
-                             harmonic_sum_exact, n_min_from_bound, thm1_bound,
+from psetdisc.bounds import (envelope_constant, n_min_from_bound, thm1_bound,
                              thm2_bound, thm2_params)
 from psetdisc.config import DivergenceError
 from psetdisc.discrepancy import weighted_star_discrepancy_exact
@@ -21,36 +20,6 @@ from psetdisc.weights import (GeneralWeights, GeometricTail, PowerLawTail,
 from oracles import sieve_primes
 
 HALVING = ProductWeights(gammas=(0.5, 0.25), tail=GeometricTail(0.5))
-
-
-# ---------------------------------------------------------------- harmonic
-
-
-def test_harmonic_exact_small():
-    assert harmonic_sum_exact(2) == 1.0
-    assert harmonic_sum_exact(3) == 2.0
-    assert harmonic_sum_exact(4) == 2.5
-
-
-def test_harmonic_estimate_values():
-    assert harmonic_sum_estimate(2) == pytest.approx(2.0)
-    assert harmonic_sum_estimate(4) == pytest.approx(2 * (1 + math.log(2)))
-
-
-def test_harmonic_estimate_dominates_exact_sweep():
-    # incremental recurrence oracle: S(M+1) = S(M) + 1/floor((M+1)/2)
-    s = 1.0
-    assert harmonic_sum_estimate(2) >= s
-    for m in range(3, 100_001):
-        s += 1.0 / ((m) // 2)
-        if m <= 2000 or m % 997 == 0:
-            assert harmonic_sum_exact(m) == pytest.approx(s, rel=1e-12)
-        assert harmonic_sum_estimate(m) >= s
-
-
-def test_harmonic_validation():
-    with pytest.raises(ValueError):
-        harmonic_sum_exact(1)
 
 
 # ---------------------------------------------------------------- thm1

@@ -153,6 +153,19 @@ def test_exact_matches_witness_oracle_big_modulus(case):
     assert _result_triple(ps) == naive_dstar_witness(ps.rows(), ps.modulus)
 
 
+def test_modulus_past_int64():
+    # M = 2^70 itself, the grid's last entry, fits no int64
+    m = 2**70
+    ps = _point_set(m, [(5,)])
+    res = star_discrepancy_exact(ps)
+    assert (res.exact, res.witness, res.side) == (1 - Fraction(5, m), (Fraction(5, m),), "closed")
+    assert star_discrepancy_sampled_lb(ps, 100, 0) <= res.value
+    # and against the oracle, with a numerator past 2^62 and a duplicate value
+    ps = _point_set(2**64 + 13, [(5, 2**62), (2**63 - 1, 7), (5, 7)])
+    assert _result_triple(ps) == naive_dstar_witness(ps.rows(), ps.modulus)
+    assert star_discrepancy_sampled_lb(ps, 1000, 3) <= star_discrepancy_exact(ps).value
+
+
 # Table budgets that split even these small grids into boxes: almost only
 # bitset counts (1, and dtype=object at 3 and 16), and lattices of a few parts'
 # ends (16, 64), whose bounds drop boxes before their corners are read.

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from psetdisc import expsum
 from psetdisc.config import BudgetError, Caps
 from psetdisc.discrepancy import star_discrepancy_exact, weighted_star_discrepancy_exact
-from psetdisc.expsum import (FrequencyVector, _heads, _PhaseSums,
-                             _rhs_sum_term, _roots_of_unity, _screen,
-                             _screen_eps, _slab_dft, _vectors, c_values,
+from psetdisc.expsum import (_heads, _PhaseSums, _rhs_sum_term, _root_counts,
+                             _roots_of_unity, _screen, _screen_eps,
+                             _slab_dft, _vectors, c_values,
                              hua_wang_double_sum, hua_wang_root_count,
                              korobov_sum, niederreiter_rhs,
                              weighted_niederreiter_rhs, weil_bound_check)
@@ -52,17 +52,6 @@ def test_c_values(m, expected):
     assert list(c_values(m)) == expected
 
 
-def test_frequency_vector():
-    h = FrequencyVector(entries=(-2, 0, 3), modulus=7)
-    assert h.r == 6
-    assert not h.is_zero
-    assert FrequencyVector(entries=(0, 0), modulus=5).is_zero
-    with pytest.raises(ValueError):
-        FrequencyVector(entries=(4,), modulus=7)  # outside (-7/2, 7/2]
-    with pytest.raises(ValueError):
-        FrequencyVector(entries=(), modulus=7)
-
-
 # ---------------------------------------------------------------- korobov
 
 
@@ -82,9 +71,9 @@ def test_korobov_sum_gauss_saturation():
     assert v.magnitude == pytest.approx(math.sqrt(5), abs=1e-9)
 
 
-def test_korobov_sum_accepts_frequency_vector():
-    h = FrequencyVector(entries=(1, 1), modulus=5)
-    assert korobov_sum(h, 5).magnitude == pytest.approx(math.sqrt(5), abs=1e-9)
+def test_korobov_sum_accepts_any_int_sequence():
+    for h in ((1, 1), [1, 6], np.array([-4, 1], dtype=np.int64)):
+        assert korobov_sum(h, 5).magnitude == pytest.approx(math.sqrt(5), abs=1e-9)
 
 
 @given(st.integers(0, 2), st.lists(st.integers(-3, 3), min_size=1, max_size=3))
@@ -175,6 +164,9 @@ def test_hua_wang_examples():
     # unique root a=4 of 1 + a == 0 mod 5
     assert hua_wang_double_sum((1, 1), 5).value == pytest.approx(5)
     assert hua_wang_root_count((1, 1), 5) == 1
+    assert hua_wang_root_count((), 5) == 5  # the zero polynomial
+    with pytest.raises(ValueError):
+        hua_wang_root_count((1, 1), 6)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -185,6 +177,33 @@ def test_hua_wang_matches_direct_double_sum(p):
             want = direct_double_sum(h, p)
             assert got.value == pytest.approx(want, abs=1e-9 * p * p), (p, h)
             assert got.value.real == p * hua_wang_root_count(h, p)
+
+
+_PRIMES_TO_31 = [q for q in range(2, 32) if is_prime(q)]
+
+
+@given(st.sampled_from(_PRIMES_TO_31 + [1009]),
+       st.lists(st.integers(-10**20, 10**20), max_size=5))
+@settings(max_examples=80, deadline=None)
+def test_hua_wang_root_count_matches_direct_evaluation(p, h):
+    # any Python ints, past int64 too, and h = () (the zero polynomial)
+    want = sum(1 for a in range(p) if sum(c * a**j for j, c in enumerate(h)) % p == 0)
+    assert hua_wang_root_count(h, p) == want
+
+
+@given(st.sampled_from(_PRIMES_TO_31), st.integers(1, 5), st.data())
+@settings(max_examples=80, deadline=None)
+def test_root_counts_match_direct_formula(p, s, data):
+    # heads with entries outside C(p); the last entry is replaced by each c
+    rows = st.lists(st.integers(-5 * p, 5 * p), min_size=s, max_size=s)
+    heads = np.array(data.draw(st.lists(rows, min_size=1, max_size=6)), dtype=np.int64)
+    counts = _root_counts(heads, p)
+    h = _slab_vectors(heads, p)
+    y = power_table(p, s, first_power=0)  # (1, a, ..., a^(s-1))
+    assert counts.dtype == np.int64 and counts.shape == (len(heads), p)
+    assert np.array_equal(counts.ravel(), (h @ y.T % p == 0).sum(1))
+    for v, n in zip(h[:p].tolist(), counts[0].tolist()):  # the first head's slab
+        assert abs(direct_double_sum(v, p) - p * n) < 1e-9 * p * p
 
 
 # ---------------------------------------------------------------- weil checks
@@ -267,7 +286,7 @@ def test_weil_point_entry_cap():
     assert weil_bound_check(5, 7, 2, caps=Caps(max_point_entries=98)).exhaustive
     with pytest.raises(BudgetError):
         weil_bound_check(5, 7, 2, caps=Caps(max_point_entries=97))
-    with pytest.raises(BudgetError):  # lemma 6's table is p x s
+    with pytest.raises(BudgetError):  # lemma 6 asks for p*s entries too
         weil_bound_check(6, 7, 3, caps=Caps(max_point_entries=20))
 
 
@@ -310,7 +329,7 @@ def _reference_report(lemma, p, s):
     m = p * p if lemma == 5 else p
     bound = (s - 1) * math.sqrt(p) if lemma == 3 else float((s - 1) * p)
     points = power_table(m, s, first_power=1)
-    sums = _PhaseSums(points, m, _roots_of_unity(m))
+    sums = _PhaseSums(points, m)
     eps = _screen_eps(m, m)  # the m points n = 0..m-1
     max_ratio, worst, max_mag, n_checked, violations = -1.0, (), 0.0, 0, 0
     screen_err = 0.0
@@ -375,7 +394,7 @@ def test_weil_screen_band_decides_ties_at_threshold():
     # sides of it; with the threshold at 5 only the band sorts them out
     m, threshold = 25, 5.0
     points = power_table(m, 3, first_power=1)
-    sums = _PhaseSums(points, m, _roots_of_unity(m))
+    sums = _PhaseSums(points, m)
     got = sum(rest + int((np.abs(out) > threshold).sum())
               for _, out, rest in _screen(sums, points[:, -1], 5, 3, threshold))
     want = sum(int((np.abs(out.ravel()[~np.all(_slab_vectors(heads, m) % 5 == 0, axis=1)])
@@ -416,7 +435,7 @@ def _rational_sets(draw):
 def test_phase_sums_bit_identical_to_direct_formula(ps, seed, budget):
     m, y = ps.modulus, ps.numerators
     with mock.patch.object(expsum, "_GATHER_BYTES", _budget(budget, len(y))):
-        sums = _PhaseSums(y, m, _roots_of_unity(m))
+        sums = _PhaseSums(y, m)
     total = m ** ps.dim
     first, last = np.arange(min(4096, total)), np.arange(max(0, total - 4096), total)
     sampled = np.random.default_rng(seed).integers(-2 * m, 2 * m + 1,
@@ -425,25 +444,21 @@ def test_phase_sums_bit_identical_to_direct_formula(ps, seed, budget):
         assert np.array_equal(np.abs(sums(h)), _reference_magnitudes(y, m, h))
 
 
-@given(_rational_sets(), st.sampled_from(_BUDGETS), st.booleans())
-@example(_point_set(12, [[0, 3, 7, 11], [5, 5, 1, 0]]), "default", False)  # one chunk
-@example(_point_set(4099, [[1], [5], [4098], [5]]), "three rows", True)  # slab > gather
+@given(_rational_sets(), st.sampled_from(_BUDGETS))
+@example(_point_set(12, [[0, 3, 7, 11], [5, 5, 1, 0]]), "default")  # one chunk
+@example(_point_set(4099, [[1], [5], [4098], [5]]), "three rows")  # slab > gather
 @settings(max_examples=80, deadline=None)
-def test_sweep_every_block_bit_identical(ps, budget, counting):
+def test_sweep_every_block_bit_identical(ps, budget):
     # slabs split across chunks and gathers: every chunk, not only the ends
     m, y = ps.modulus, ps.numerators
-    values = m * (np.arange(m) == 0) if counting else _roots_of_unity(m)
     with mock.patch.object(expsum, "_GATHER_BYTES", _budget(budget, len(y))):
-        swept = list(_PhaseSums(y, m, values).slabs(ps.dim))
+        swept = list(_PhaseSums(y, m).slabs(ps.dim))
     sizes = [len(heads) for _, heads, _ in swept]
     assert [lo for lo, _, _ in swept] == np.cumsum([0] + sizes[:-1]).tolist()
     assert sum(sizes) == m ** (ps.dim - 1)
     h = _slab_vectors(np.concatenate([heads for _, heads, _ in swept]), m)
     got = np.concatenate([out.ravel() for _, _, out in swept])
-    if counting:  # lemma 6's values: M per n with h.y_n = 0 mod M
-        assert np.array_equal(got, m * (h @ y.T % m == 0).sum(axis=1))
-    else:
-        assert np.array_equal(np.abs(got), _reference_magnitudes(y, m, h))
+    assert np.array_equal(np.abs(got), _reference_magnitudes(y, m, h))
 
 
 def _reference_rhs_sum_term(y, m):
@@ -471,20 +486,49 @@ def test_rhs_sum_term_adds_blocks_of_the_direct_formula(ps):
             assert _rhs_sum_term(y, m) == want, budget
 
 
+def _lemma6_reference(p, s):
+    """The exhaustive lemma 6 report by the direct formula over C_s*(p)."""
+    h = np.array(list(c_star(p, s)), dtype=np.int64)
+    sums = p * (h @ power_table(p, s, first_power=0).T % p == 0).sum(1)
+    bound, i = (s - 1) * p, int(np.argmax(sums))  # at s = 1 every sum is 0
+    return dict(max_ratio=sums[i] / bound if bound else 0.0, worst_h=tuple(h[i]),
+                max_magnitude=float(sums[i]), n_checked=len(h),
+                violations=int((sums > bound).sum()))
+
+
 @pytest.mark.parametrize("budget", _BUDGETS)
-def test_phase_sums_count_hua_wang_roots(budget):
-    # lemma 6's lookup: p for each a whose coefficient polynomial vanishes
-    for p, s in ((2, 3), (3, 3), (5, 2), (7, 3)):
-        h = np.array(list(c_star(p, s)), dtype=np.int64)
-        basis = power_table(p, s, first_power=0)
-        with mock.patch.object(expsum, "_GATHER_BYTES", _budget(budget, p)):
-            got = _PhaseSums(basis, p, p * (np.arange(p) == 0))(h)
-            rep = weil_bound_check(6, p, s)
-        want = [direct_double_sum(tuple(v), p) for v in h.tolist()]
-        assert got.tolist() == [round(w.real) for w in want], (p, s)
-        assert max(abs(w - g) for w, g in zip(want, got)) < 1e-9 * p * p
-        assert rep.max_magnitude == max(got)
-        assert rep.worst_h == tuple(h[int(np.argmax(got))])
+def test_lemma6_sweep_counts_hua_wang_roots(budget):
+    # exhaustive sweeps in one, three or many heads per chunk, and the sampled
+    # mode's rows cut the same way: p per root of the coefficient polynomial
+    pairs = ((2, 3), (3, 3), (5, 2), (7, 3), (2, 5), (3, 5), (11, 1), (31, 2))
+    with mock.patch.object(expsum, "_GATHER_BYTES", _budget(budget, 13)):
+        reports = [weil_bound_check(6, p, s) for p, s in pairs]
+        sampled = weil_bound_check(6, 13, 3, caps=Caps(max_freq_vectors=500), seed=7)
+    for (p, s), rep in zip(pairs, reports):
+        assert rep.exhaustive
+        assert {k: getattr(rep, k) for k in _lemma6_reference(p, s)} == _lemma6_reference(p, s)
+        assert direct_double_sum(rep.worst_h, p) == pytest.approx(rep.max_magnitude, abs=1e-9)
+    assert sampled == weil_bound_check(6, 13, 3, caps=Caps(max_freq_vectors=500), seed=7)
+    assert not sampled.exhaustive and sampled.n_checked == 500
+    assert 13 * hua_wang_root_count(sampled.worst_h, 13) == sampled.max_magnitude
+
+
+@pytest.mark.parametrize("p,s,cap", [(23, 4, None), (211, 2, None), (1009, 3, 1000)])
+def test_lemma6_memory_follows_budget(p, s, cap):
+    # a chunk's counts and slab vectors, or a sampled block's rows, stay
+    # within a small multiple of _GATHER_BYTES at the default and an 8th of it
+    caps = Caps() if cap is None else Caps(max_freq_vectors=cap)
+    want = weil_bound_check(6, p, s, caps=caps)
+    for budget in (expsum._GATHER_BYTES, expsum._GATHER_BYTES // 8):
+        with mock.patch.object(expsum, "_GATHER_BYTES", budget):
+            tracemalloc.start()
+            try:
+                got = weil_bound_check(6, p, s, caps=caps)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert got == want
+        assert peak < 10 * budget, (budget, peak)
 
 
 def test_phase_sums_memory_follows_budget():

@@ -67,6 +67,15 @@ CASES = {
     # k0 = 11370: the envelope constant does not fit a float, exit 1
     "nmin_envelope_overflow": ("nmin --kind P --eps 0.1 --s 3 --weights overflow.txt "
                                "--delta 0.25", None),
+    # 13^3 - 1 vectors past the cap of 500: the seeded sampled lemma 6 mode
+    "check_weil_sampled_p13_s3_lemma6": ("check-weil --p 13 --s 3 --lemma 6", "500"),
+    "check_weil_p2_s3_lemma6": ("check-weil --p 2 --s 3 --lemma 6", None),
+    # at s = 1 the polynomial is the constant h_1: a = 0 counts like any a
+    "check_weil_p11_s1_lemma6": ("check-weil --p 11 --s 1 --lemma 6", None),
+    # entries outside C(11): a^2 + 8a + 2 mod 11 has the roots 1 and 2
+    "sum_double_11_3_large_h": ("sum --p 11 --s 3 --h=13,-25,100 --double", None),
+    # every entry a multiple of p: the polynomial is 0 mod p, p roots
+    "sum_double_5_3_zero_poly": ("sum --p 5 --s 3 --h=10,-5,25 --double", None),
 }
 
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psetdisc.numtheory import is_prime, next_prime, poly_eval_mod
+from psetdisc.numtheory import is_prime, next_prime
 
 from oracles import sieve_primes, trial_division_is_prime
 
@@ -76,23 +76,3 @@ def test_next_prime_bertrand_window_random(n):
 def test_next_prime_rejects_nonpositive():
     with pytest.raises(ValueError):
         next_prime(0)
-
-
-def test_poly_eval_mod_examples():
-    assert poly_eval_mod((1, 1), 3, 5) == 4
-    assert poly_eval_mod((0, 0, 0), 7, 11) == 0
-    assert poly_eval_mod((2, 3, 1), 4, 7) == 2  # (2 + 12 + 16) mod 7
-
-
-def test_poly_eval_mod_rejects_small_modulus():
-    with pytest.raises(ValueError):
-        poly_eval_mod((1,), 0, 1)
-
-
-@given(st.lists(st.integers(min_value=-10**9, max_value=10**9), min_size=1, max_size=12),
-       st.integers(min_value=-10**9, max_value=10**9),
-       st.integers(min_value=2, max_value=10**9))
-def test_poly_eval_mod_matches_direct_evaluation(coeffs, x, modulus):
-    direct = sum(c * x**j for j, c in enumerate(coeffs)) % modulus
-    assert poly_eval_mod(coeffs, x, modulus) == direct
-    assert 0 <= poly_eval_mod(coeffs, x, modulus) < modulus
