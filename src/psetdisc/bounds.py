@@ -36,7 +36,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .config import InvariantError
-from .numtheory import next_prime
+from .numtheory import is_prime, next_prime
 from .pointset import PSetKind
 from .weights import (GeneralWeights, ProductWeights, Weights, _enumerate_subsets,
                       gamma_tail_sum)
@@ -85,6 +85,8 @@ def thm1_bound(kind: PSetKind, p: int, s: int, w: Weights) -> BoundReport:
         pref = prefactor / float(p) ** exp
     except OverflowError:  # p past the range of a float
         raise ValueError(f"p**{exp} in the bound does not fit a float") from None
+    if not is_prime(p):  # after the float check, which refuses a p too long to test
+        raise ValueError(f"p must be prime, got {p}")
     c = logc * math.log(p)
 
     best_term = 0.0
@@ -229,6 +231,8 @@ def thm2_bound(kind: PSetKind, p: int, s: int, params: Thm2Params) -> float:
         value = math.inf
     if not math.isfinite(value):
         raise ValueError("the envelope bound does not fit a float")
+    if not is_prime(p):  # after the float check, as in thm1_bound
+        raise ValueError(f"p must be prime, got {p}")
     return value
 
 
@@ -271,7 +275,7 @@ def n_min_from_bound(kind: PSetKind, eps: float, s: int, w: ProductWeights,
         # nudge up so float rounding can never land below the real target
         m_target = math.ceil((const / eps) ** inv_exp * (1.0 + 1e-12))
     p = next_prime(max(m_target, 1))
-    achieved = thm2_bound(kind, p, s, params)
+    achieved = const / float(p) ** exponent  # thm2_bound's value, bit for bit
     if achieved > eps:
         raise InvariantError(
             f"inverted bound {achieved} exceeds eps {eps} at p={p}")

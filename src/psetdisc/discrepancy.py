@@ -90,8 +90,10 @@ def _box_fractions(ps: RationalPointSet, z: Box) -> list[Fraction]:
 def box_counts(ps: RationalPointSet, z: Box) -> tuple[int, int]:
     """(strict, closed) numbers of points in [0, z) and [0, z], multiset."""
     fz, m = _box_fractions(ps, z), ps.modulus
-    # numerator n satisfies n/M < z  iff  n <= ceil(z*M) - 1
-    return tuple(int(np.all(ps.numerators <= np.array(top, dtype=np.int64), axis=1).sum())
+    # numerator n satisfies n/M < z  iff  n <= ceil(z*M) - 1; the numerators
+    # are int64, so a top past that range cuts none of them
+    return tuple(int(np.all(ps.numerators <= np.array([min(t, 2**63 - 1) for t in top]),
+                            axis=1).sum())
                  for top in ([math.ceil(f * m) - 1 for f in fz], [math.floor(f * m) for f in fz]))
 
 

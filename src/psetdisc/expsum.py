@@ -37,11 +37,12 @@ One kernel, _PhaseSums, serves the rhs and the lemma 3 and 5 sweeps
 over c in C(M) order.  sums.slabs(d) yields each chunk's (k, M) sums: it
 builds a head's phase row, T_0[h_0] + ... + T_{d-1}[h_{d-1}] with
 h_{d-1} = 0, once and adds the rows of T_{d-1}, a view, in one broadcast
-add.  sums(h_rows) sums at the rows themselves (a zero tail), for the sampled
-mode and the screen's candidates.  The phases need no matmul and no modulo:
-they stay below (d+1)*M and index the roots of unity tiled d+1 times.  Each
-row gets the same numpy pairwise row sum of roots[h.y mod M], so every
-magnitude is bit-identical to the direct h @ y.T % M formula.
+add.  sums(h_rows) gives the magnitudes at the rows themselves (a zero
+tail), for the sampled mode and the screen's candidates.  The phases need no
+matmul and no modulo: they stay below (d+1)*M and index the roots of unity
+tiled d+1 times.  Each row gets the same numpy pairwise row sum of
+roots[h.y mod M], so every magnitude is bit-identical to the direct
+h @ y.T % M formula.
 
 _BLOCK has two readers.  The rhs adds one float per 4096 consecutive h of
 C_d*(M), re-cutting the chunks' terms into those blocks, so _BLOCK fixes the
@@ -52,22 +53,16 @@ Memory follows _GATHER_BYTES.  A chunk holds k heads, so that 16*k*max(N, M)
 bytes fit it: a complex gather of its head rows, its (k, M) sums, or the
 screen's bins and transforms.  The kernel gathers k' heads by t tail rows at a
 time, 16*k'*t*N bytes within it; a row is never split, and a longer slab is
-split along its last axis.  Those int64 phases
-take half the gather again, and the k' head rows no more than that.  An axis
-whose M*N table entries exceed _GATHER_BYTES forms c*y_j mod M per gather
-instead, the same integers; such a gather holds one head (k' = 1).
+split along its last axis.  Those int64 phases take half the gather again,
+and the k' head rows no more than that.  An axis whose M*N table entries
+exceed _GATHER_BYTES forms c*y_j mod M per gather instead, the same
+integers; such a gather holds one head (k' = 1).
 
-A slab is a length-M DFT along the last axis, and the
-exhaustive lemma 3 and 5 sweeps use it as a screen.  _slab_dft bins each
-head's roots by the points' last column and takes one FFT per head.  An FFT
-adds the N terms of each S(h) in another order than the pairwise row sum, so
-its magnitudes move in their last bits; _screen_eps bounds how far.  The
-Weil report needs only counts, a maximum and the first h attaining it, so
-_screen keeps the h whose screened magnitude could decide one of them (near
-the running maximum, or near the violation threshold), and the kernel
-recomputes just those: the report is the direct sweep's, bit for bit.  The
-rhs sums every magnitude, so it stays direct: an FFT would move the last
-printed digit of the rhs.
+A slab is a length-M DFT along the last axis: _slab_dft bins each head's
+roots by the points' last column and takes one FFT per head.  An FFT adds the
+N terms of each S(h) in another order than the pairwise row sum, so its
+magnitudes move in their last bits; _screen_eps bounds how far.  The rhs sums
+every magnitude, so it stays direct: an FFT would move its last printed digit.
 
 Lemma 6 sums no phases.  _root_counts(heads, p) gives, for each head and each
 last entry c of C(p), the number of roots a < p of the coefficient polynomial
@@ -75,11 +70,16 @@ h_1 + h_2 a + ... + h_s a^(s-1) mod p.  For a unit a^(s-1) put b = 1/a: a is
 a root for exactly one c, c == -(h_1 b^(s-1) + ... + h_{s-1} b), so one
 product with the powers of b and one np.bincount count every c at once, at
 O(p) per head.  At s = 1 that is every a, each a root for c == 0 alone; at
-s > 1, a = 0 is a root for every c or for none, as p divides h_1 or not.  The
-exhaustive lemma 6 sweep reads it over the chunks of _heads, the sampled mode
-at each seeded row's own column, and hua_wang_double_sum at one h; a chunk of
-k heads takes 16*k*p bytes, within _GATHER_BYTES.  The counts are exact
-integers, so lemma 6 reports carry no rounding.
+s > 1, a = 0 is a root for every c or for none, as p divides h_1 or not.
+
+weil_bound_check has one exhaustive and one sampled path.  Each lemma gives
+the magnitudes of whole slabs, _slab_dft's or p times _root_counts, and of
+explicit rows, sums(rows) or p times each row's count at its own last
+entry.  The report needs only counts, a maximum and the first h attaining it,
+so _screen passes on just the h whose slab magnitude could decide one of them
+and values those rows again: the report is the direct sweep's, bit for bit.
+Exact counts need neither a band nor the second look.  The sampled path
+values its seeded rows, dropping the inadmissible ones as they are drawn.
 """
 from __future__ import annotations
 
@@ -169,13 +169,24 @@ def _root_counts(heads: np.ndarray, p: int) -> np.ndarray:
     return counts
 
 
+def _row_root_counts(rows: np.ndarray, p: int) -> np.ndarray:
+    """The root count of each row, _root_counts read at the row's own last
+    entry, for rows of heads that fit _GATHER_BYTES at a time."""
+    per = max(1, _GATHER_BYTES // (16 * p))
+    at = (rows[:, -1] + (p - 1) // 2) % p  # C(p) positions of the last entries
+    out = np.empty(len(rows), dtype=np.int64)
+    for i in range(0, len(rows), per):
+        j = at[i:i + per]
+        out[i:i + per] = _root_counts(rows[i:i + per], p)[np.arange(len(j)), j]
+    return out
+
+
 def hua_wang_root_count(h, p: int) -> int:
     """#{a in [0,p): h_1 + h_2 a + ... + h_s a^(s-1) == 0 mod p}, p prime."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     row = [int(v) % p for v in h] or [0]  # h = () is the zero polynomial
-    counts = _root_counts(np.array([row], dtype=np.int64), p)
-    return int(counts[0, (row[-1] + (p - 1) // 2) % p])
+    return int(_row_root_counts(np.array([row], dtype=np.int64), p)[0])
 
 
 def hua_wang_double_sum(h, p: int, caps: Caps = DEFAULT_CAPS) -> ExpSumValue:
@@ -207,8 +218,8 @@ class WeilCheckReport:
 
 
 class _PhaseSums:
-    """sums(h_rows) -> sum_n e(h.y_n/M) for each row h, and sums.slabs(d) ->
-    the same sums over the slabs of C_d(M); see the module doc."""
+    """sums(h_rows) -> |sum_n e(h.y_n/M)| for each row h, and sums.slabs(d) ->
+    the sums themselves over the slabs of C_d(M); see the module doc."""
 
     def __init__(self, points: np.ndarray, m: int):
         n, d = points.shape
@@ -238,8 +249,8 @@ class _PhaseSums:
 
     def __call__(self, h_rows: np.ndarray) -> np.ndarray:
         pos = (h_rows + self.off) % self.m
-        return np.concatenate([np.take(self.roots, self.head(pos[lo:lo + self.step]))
-                               .sum(axis=-1) for lo in range(0, len(pos), self.step)])
+        return np.abs(np.concatenate([np.take(self.roots, self.head(pos[lo:lo + self.step]))
+                                      .sum(axis=-1) for lo in range(0, len(pos), self.step)]))
 
     def slabs(self, d: int):
         """Yield (lo, heads, sums) for each chunk of _heads: sums[i, j] is the
@@ -342,32 +353,30 @@ def _slab_dft(sums: _PhaseSums, last: np.ndarray, d: int):
         yield lo, heads, np.abs(np.fft.ifft(g, axis=1, norm="forward")[:, read])
 
 
-def _screen(sums: _PhaseSums, last: np.ndarray, p: int, d: int,
-            threshold: float):
-    """The exhaustive lemma 3/5 sweep of C_d*(M), screened by _slab_dft.
-
-    For each chunk of heads yield (candidates, sums(candidates), v): the
-    admissible h, in sweep order, whose screened magnitude is within 2*eps of
-    the running maximum or within eps of threshold, their direct sums, and v,
-    the number of the other admissible h above threshold.  No other h can
-    attain the maximum magnitude, be the first h attaining the maximum ratio,
-    or lie on the other side of threshold than the screen says.  h is
-    inadmissible when p divides every entry.
-    """
-    m = sums.m
-    eps = _screen_eps(len(last), m)
-    c_zero = np.array(c_values(m)) % p == 0
+def _screen(slabs, p: int, threshold: float, eps: float, recompute=None):
+    """The exhaustive Weil sweep: slabs yields (lo, heads, mags) for each chunk
+    of _heads, every magnitude within eps of the exact one.  For each chunk
+    yield (candidates, their magnitudes, v): the admissible h, in sweep order,
+    above the maximum before them less 2*eps or within eps of threshold, valued
+    again by recompute if given, and v, the number of the other admissible h
+    above threshold.  No other h can attain the maximum magnitude, be the
+    first h attaining the maximum ratio, or lie on the other side of threshold
+    than the screen says.  h is inadmissible when p divides every entry."""
     top = -np.inf  # running maximum of the screened magnitudes
-    for lo, heads, mags in _slab_dft(sums, last, d):
-        mags[np.all(heads % p == 0, axis=1)[:, None] & c_zero] = -np.inf
+    for lo, heads, mags in slabs:
+        m, d = mags.shape[1], heads.shape[1]
+        zero = np.all(heads % p == 0, axis=1)
+        if zero.any():
+            mags[zero[:, None] & (np.array(c_values(m)) % p == 0)] = -np.inf
         mags = mags.ravel()
-        run = np.maximum(np.maximum.accumulate(mags), top)
-        top = run[-1]
-        keep = (mags >= run - 2 * eps) | (np.abs(mags - threshold) <= eps)
+        run = np.maximum.accumulate(np.concatenate(([top], mags)))
+        top = run[-1]  # run[i] is the maximum before mags[i]
+        keep = (mags > run[:-1] - 2 * eps) | (np.abs(mags - threshold) <= eps)
         keep &= mags > -np.inf
         rest = int((mags[~keep] > threshold).sum())
-        cand = _vectors(lo * m + np.flatnonzero(keep), m, d)
-        yield cand, sums(cand) if len(cand) else np.empty(0), rest
+        at = np.flatnonzero(keep)
+        cand = _vectors(lo * m + at, m, d)
+        yield cand, recompute(cand) if recompute and len(at) else mags[at], rest
 
 
 def weil_bound_check(lemma: int, p: int, s: int, caps: Caps = DEFAULT_CAPS,
@@ -379,17 +388,14 @@ def weil_bound_check(lemma: int, p: int, s: int, caps: Caps = DEFAULT_CAPS,
     lemma 6: |hua_wang_double_sum(h, p)| <= (s-1)*p for h in C_s*(p).
 
     Exhaustive when the admissible count is within caps.max_freq_vectors,
-    otherwise a seeded uniform sample of that many vectors.  Exhaustive lemma
-    3 and 5 sweeps are screened by the slab DFT (see the module doc).  Reports
-    the worst magnitude/bound ratio and the first h attaining it in
-    enumeration order.  eps = _screen_eps(N, M) bounds one direct sum's
-    rounding too, so it is the tolerance throughout: an h violates the bound
-    when its magnitude exceeds bound + eps, and a maximum magnitude within eps
-    of 0 is no nonzero sum and is reported as 0.0 (at s = 1 every admissible
-    S(h) is exactly 0, and the bound is 0 too).  Lemma 6's sums are exact
-    integers, p times the _root_counts.
-    M*s, the entries of lemma 3 and 5's power table, must fit
-    caps.max_point_entries.
+    otherwise a seeded uniform sample of that many vectors (see the module
+    doc).  Reports the worst magnitude/bound ratio and the first h attaining
+    it in enumeration order.  eps = _screen_eps(N, M) bounds one direct
+    sum's rounding too, so it is the tolerance throughout: an h violates the
+    bound when its magnitude exceeds bound + eps, and a maximum magnitude
+    within eps of 0 is no nonzero sum and is reported as 0.0 (at s = 1 every
+    admissible S(h) is exactly 0, and the bound is 0 too).  M*s, the entries
+    of the power table, must fit caps.max_point_entries.
     """
     if lemma not in (3, 5, 6):
         raise ValueError(f"lemma must be 3, 5 or 6, got {lemma}")
@@ -399,57 +405,44 @@ def weil_bound_check(lemma: int, p: int, s: int, caps: Caps = DEFAULT_CAPS,
         raise ValueError(f"s must be >= 1, got {s}")
     m = p * p if lemma == 5 else p
     caps.check("max_point_entries", m * s)
-    if lemma == 3:
-        bound = (s - 1) * math.sqrt(p)
-    else:
-        bound = float((s - 1) * p)
+    bound = (s - 1) * math.sqrt(p) if lemma == 3 else float((s - 1) * p)
     cap = caps.max_freq_vectors
     admissible = m ** s - (p ** s if lemma == 5 else 1)
     exhaustive = admissible <= cap
     eps = _screen_eps(m, m)  # M terms: n < M, or a < p for lemma 6
-    rng = np.random.default_rng(seed)
-    blocks = (rng.integers(-((m - 1) // 2), m // 2 + 1,
-                           size=(min(_BLOCK, cap - lo), s), dtype=np.int64)
-              for lo in range(0, cap, _BLOCK))
     if lemma == 6:  # p per root a of h_1 + h_2 a + ... + h_s a^(s-1) mod p
         per = max(1, _GATHER_BYTES // (16 * p))
-        if exhaustive:  # each head's slab: its last entry runs over C(p)
-            swept = ((np.column_stack((np.repeat(heads[:, :-1], p, axis=0),
-                                       np.tile(c_values(p), len(heads)))),
-                      p * _root_counts(heads, p).ravel(), 0)
-                     for _, heads in _heads(p, s, per))
-        else:  # seeded rows, per at a time, each read at its own column
-            rows = (b[i:i + per] for b in blocks for i in range(0, len(b), per))
-            swept = ((r, p * _root_counts(r, p)[np.arange(len(r)), r[:, -1] + (p - 1) // 2], 0)
-                     for r in rows)
+        slabs = ((lo, heads, _root_counts(heads, p) * float(p))
+                 for lo, heads in _heads(p, s, per))
+        band, recompute = 0.0, None  # exact counts
+
+        def value(rows):
+            return p * _row_root_counts(rows, p)
     else:  # columns n, n^2, ..., n^s
         points = power_table(m, s, first_power=1)
-        sums = _PhaseSums(points, m)
-        if exhaustive:
-            swept = _screen(sums, points[:, -1], p, s, bound + eps)
-        else:  # the same kernel on seeded rows, each with a zero tail
-            swept = ((block, sums(block), 0) for block in blocks)
+        value = recompute = _PhaseSums(points, m)
+        slabs = _slab_dft(value, points[:, -1], s)
+        band = eps
+    if exhaustive:
+        swept = _screen(slabs, p, bound + eps, band, recompute)
+    else:  # seeded rows, _BLOCK per draw, the inadmissible ones dropped
+        rng = np.random.default_rng(seed)
+        rows = (rng.integers(-((m - 1) // 2), m // 2 + 1,
+                             size=(min(_BLOCK, cap - lo), s), dtype=np.int64)
+                for lo in range(0, cap, _BLOCK))
+        rows = (r[~np.all(r % p == 0, axis=1)] for r in rows)
+        swept = ((r, value(r), 0) for r in rows if len(r))
 
-    max_ratio = -1.0
-    worst: tuple[int, ...] = ()
-    max_mag = 0.0
+    max_ratio, worst, max_mag, violations = -1.0, (), 0.0, 0
     n_checked = admissible if exhaustive else 0
-    violations = 0
-    for block, block_sums, screened in swept:
-        violations += screened  # the h the screen decided alone
-        # admissible: p divides not every entry (for M = p, h != 0)
-        keep = ~np.all(block % p == 0, axis=1)
-        if not keep.any():
-            continue
-        block, mags = block[keep], np.abs(block_sums[keep])
+    for block, mags, screened in swept:
+        violations += screened + int((mags > bound + eps).sum())
         if not exhaustive:
             n_checked += len(block)
-        violations += int((mags > bound + eps).sum())
+        if not len(block):
+            continue
         max_mag = max(max_mag, float(mags.max()))
-        if bound > 0:
-            ratios = mags / bound
-        else:
-            ratios = np.where(mags <= eps, 0.0, np.inf)
+        ratios = mags / bound if bound > 0 else np.where(mags <= eps, 0.0, np.inf)
         i = int(np.argmax(ratios))
         if float(ratios[i]) > max_ratio:
             max_ratio = float(ratios[i])

@@ -104,6 +104,11 @@ def test_thm1_validation():
     for kind in PSetKind:  # p**exponent past the range of a float
         with pytest.raises(ValueError, match="does not fit a float"):
             thm1_bound(kind, 10**400 + 1, 2, HALVING)
+    for p in (4, 9, 91, 2**61 + 1):
+        with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
+            thm1_bound(PSetKind.HUA_WANG_R, p, 2, HALVING)
+        with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
+            thm2_bound(PSetKind.HUA_WANG_R, p, 2, thm2_params(HALVING, 0.25))
 
 
 # ---------------------------------------------------------------- thm2 params
@@ -293,8 +298,8 @@ def test_envelope_validity_sweep_small():
 def test_thm2_bound_power_law_scaling():
     params = thm2_params(HALVING, 0.25)
     b1 = thm2_bound(PSetKind.KOROBOV_P, 5, 2, params)
-    b4 = thm2_bound(PSetKind.KOROBOV_P, 20, 2, params)
-    assert b4 / b1 == pytest.approx(4.0 ** -(0.5 - 0.25), rel=1e-12)
+    b2 = thm2_bound(PSetKind.KOROBOV_P, 13, 2, params)
+    assert b2 / b1 == pytest.approx((13 / 5) ** -(0.5 - 0.25), rel=1e-12)
 
 
 def test_thm2_bound_exponents_by_family():

@@ -356,6 +356,11 @@ EXIT_PATHS = {
     "thm1-float-range": (["bound", "--thm", "1", "--kind", "P", "--p", str(10**400 + 1),
                           "--s", "2", "--weights", GEO_FILE], None, None, 1,
                          "error: p**0.5 in the bound does not fit a float"),
+    "thm1-composite": (["bound", "--thm", "1", "--kind", "P", "--p", "4", "--s", "2",
+                        "--weights", GEO_FILE], None, None, 1, "error: p must be prime, got 4"),
+    "thm2-composite": (["bound", "--thm", "2", "--kind", "P", "--p", "4", "--s", "2",
+                        "--weights", GEO_FILE, "--delta", "0.25"], None, None, 1,
+                       "error: p must be prime, got 4"),
     "bound-inf": (["bound", "--thm", "2", "--kind", "Q", "--p", "5", "--s", str(10**300),
                    "--weights", POW_FILE, "--delta", "0.25", "--t", "2"], None, None, 1,
                   "error: the envelope bound does not fit a float"),

@@ -104,6 +104,27 @@ def test_box_counts_multiset():
     assert box_counts(ps, (0.5, 0.5)) == (2, 3)
 
 
+@pytest.mark.parametrize("m,rows", [(2**70, [(5,), (5,), (2**63 - 1,)]),
+                                    (2**64 + 13, [(5, 2**62), (2**63 - 1, 7), (5, 7)])])
+def test_box_functions_past_int64(m, rows):
+    # the box's top numerators reach M, past the int64 range
+    ps = _point_set(m, rows)
+    ends = [Fraction(0), Fraction(5, m), Fraction(6, m), Fraction(2**63 - 1, m),
+            Fraction(2**63, m), Fraction(1, 2), Fraction(m - 1, m), Fraction(1)]
+    for z in itertools.product(ends, repeat=ps.dim):
+        strict = sum(all(Fraction(v, m) < f for v, f in zip(r, z)) for r in rows)
+        closed = sum(all(Fraction(v, m) <= f for v, f in zip(r, z)) for r in rows)
+        assert box_counts(ps, z) == (strict, closed), z
+        want = naive_local(rows, m, z)
+        assert local_discrepancy(ps, z) == float(want), z
+        gammas = {(1,): 0.5, (2,): 0.25, (1, 2): 0.125}  # HALVING's subsets
+        weighted = max(g * abs(naive_local(rows, m, [f if j in u else 1
+                                                     for j, f in enumerate(z, 1)]))
+                       for u, g in gammas.items() if max(u) <= ps.dim)
+        assert weighted_local_discrepancy(ps, HALVING, z) == pytest.approx(float(weighted),
+                                                                           abs=1e-15)
+
+
 # ---------------------------------------------------------------- exact
 
 

@@ -76,6 +76,10 @@ CASES = {
     "sum_double_11_3_large_h": ("sum --p 11 --s 3 --h=13,-25,100 --double", None),
     # every entry a multiple of p: the polynomial is 0 mod p, p roots
     "sum_double_5_3_zero_poly": ("sum --p 5 --s 3 --h=10,-5,25 --double", None),
+    # the sampled lemma 5 mode: 5 of the 40 drawn rows are multiples of p
+    "check_weil_sampled_p2_s3_lemma5": ("check-weil --p 2 --s 3 --lemma 5", "40"),
+    "check_weil_sampled_p3_s2_lemma5_seed4": ("check-weil --p 3 --s 2 --lemma 5 "
+                                              "--seed 4", "40"),
 }
 
 
