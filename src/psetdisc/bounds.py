@@ -55,9 +55,6 @@ _FAMILY_FORM = {
 
 @dataclass(frozen=True)
 class BoundReport:
-    kind: PSetKind
-    p: int
-    s: int
     value: float
     maximizing_subset: tuple[int, ...]
     constants: dict[str, float] = field(default_factory=dict)
@@ -111,8 +108,7 @@ def thm1_bound(kind: PSetKind, p: int, s: int, w: Weights) -> BoundReport:
                 best_term, best_u = term, u
     else:
         raise TypeError(f"unsupported weight model {type(w).__name__}")
-    return BoundReport(kind=kind, p=p, s=s, value=pref * best_term,
-                       maximizing_subset=best_u,
+    return BoundReport(value=pref * best_term, maximizing_subset=best_u,
                        constants={"prefactor": pref, "log_factor": c,
                                   "subset_term": best_term})
 
@@ -121,7 +117,6 @@ def thm1_bound(kind: PSetKind, p: int, s: int, w: Weights) -> BoundReport:
 class Thm2Params:
     """Envelope ingredients: threshold, tail index and tail norms."""
     delta: float
-    t: float
     part: int  # 1: summable weights; 2: sum gamma^t < inf, bound gains factor s
     k0: int
     gamma0: float        # Gamma_{0,t}
@@ -212,7 +207,7 @@ def thm2_params(w: ProductWeights, delta: float, t: float | None = None) -> Thm2
             lo = mid
         else:
             hi, g_k = mid, g_mid
-    return Thm2Params(delta=delta, t=teff, part=part, k0=hi, gamma0=gamma0,
+    return Thm2Params(delta=delta, part=part, k0=hi, gamma0=gamma0,
                       gamma_tail_k0=g_k, threshold=threshold)
 
 

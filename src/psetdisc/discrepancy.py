@@ -109,6 +109,14 @@ def _grids(ps: RationalPointSet) -> list[np.ndarray]:
     return [np.concatenate([np.unique(ps.numerators[:, j]), top]) for j in range(ps.dim)]
 
 
+def _ranked(ps: RationalPointSet, grids, ms):
+    """The scores' dtype (int64 while N*M^s, which bounds every term, fits), the
+    grid values in it, and each point's index on every axis's grid, a row an axis."""
+    dtype = np.int64 if ps.n * ms < _INT64_SAFE else object
+    rank = np.array([np.searchsorted(g, ps.numerators[:, j]) for j, g in enumerate(grids)])
+    return dtype, [g.astype(dtype, copy=False) for g in grids], rank
+
+
 def star_discrepancy_exact(ps: RationalPointSet,
                            caps: Caps = DEFAULT_CAPS) -> DiscrepancyResult:
     """Exact D* by the critical-corner scan; rational-exact value and witness.
@@ -116,8 +124,6 @@ def star_discrepancy_exact(ps: RationalPointSet,
     Ties are broken to the lexicographically first corner (closed branch
     preferred at the same corner), so results are deterministic.
     """
-    if ps.n < 1:
-        raise ValueError("point set is empty")
     grids = _grids(ps)
     n_corners = math.prod(len(g) for g in grids)
     caps.check("max_corners", n_corners)
@@ -132,16 +138,13 @@ def star_discrepancy_exact(ps: RationalPointSet,
 def _scan(ps, grids, ms):
     """Best corner numerator over N*M^s, its corner and its side."""
     n_pts, s = ps.n, ps.dim
-    # every term below is at most N*M^s in magnitude
-    dtype = np.int64 if n_pts * ms < _INT64_SAFE else object
+    dtype, vals, rank = _ranked(ps, grids, ms)
     # a table holds the bytes of _TABLE_CORNERS int64 corners per branch
     limit = _TABLE_CORNERS * 8 // _item_bytes(dtype, n_pts * ms)
     sizes = [len(g) for g in grids]
-    vals = [g.astype(dtype, copy=False) for g in grids]
     # Row 0 of keys names the branch: a corner's closed count holds the points
     # of index <= it on every axis, its open count those of index + 1 <= it.
-    keys = np.array([np.zeros(n_pts, dtype=np.int64)]
-                    + [np.searchsorted(g, ps.numerators[:, j]) for j, g in enumerate(grids)])
+    keys = np.concatenate(([np.zeros(n_pts, dtype=np.int64)], rank))
     keys = np.concatenate((keys, keys + 1), axis=1)
 
     def table(cuts):
@@ -282,13 +285,11 @@ def star_discrepancy_sampled_lb(ps: RationalPointSet, trials: int,
         raise ValueError(f"trials must be >= 1, got {trials}")
     n_pts, s, m = ps.n, ps.dim, ps.modulus
     ms = m ** s
-    dtype = np.int64 if n_pts * ms < _INT64_SAFE else object
     grids = _grids(ps)
-    vals = [g.astype(dtype) for g in grids]
     # A corner is a vector `at` of per-axis ranks.  The points of rank below at
     # on every axis are both the closed count at grid[at - 1] (when every
     # at > 0) and the open count at grid[at], where the last grid value is M.
-    rank = np.stack([np.searchsorted(g, ps.numerators[:, j]) for j, g in enumerate(grids)])
+    dtype, vals, rank = _ranked(ps, grids, ms)
     width = sum(len(g) for g in grids)
     block = max(8, _SAMPLE_ELEMENTS // width // 8 * 8)  # points per bitset table
     # Corners per batch: 8*width/s corners' ANDs of s/8 bytes a point pay for a

@@ -95,7 +95,6 @@ from .weights import Weights, _enumerate_subsets
 
 _BLOCK = 4096  # rhs terms per float sum; sampled Weil rows per draw
 _GATHER_BYTES = 1 << 19  # one chunk's complex gather; entries of one axis table
-_HORNER_CHUNK = 1 << 15  # values of n per Horner pass in korobov_sum
 
 
 def c_values(modulus: int) -> range:
@@ -139,8 +138,9 @@ def korobov_sum(h, p: int, modulus_power: int = 1,
     m = p ** modulus_power
     caps.check("max_point_entries", m * len(hs))
     z = np.empty(m, dtype=np.complex128)
-    for lo in range(0, m, _HORNER_CHUNK):
-        n = np.arange(lo, min(lo + _HORNER_CHUNK, m), dtype=np.int64)
+    step = max(1, _GATHER_BYTES // 16)  # values of n per Horner pass
+    for lo in range(0, m, step):
+        n = np.arange(lo, min(lo + step, m), dtype=np.int64)
         phase = np.zeros(len(n), dtype=np.int64)
         for hj in reversed(hs):  # below 2*M^2 before each reduction
             phase += hj % m
@@ -196,8 +196,6 @@ def hua_wang_double_sum(h, p: int, caps: Caps = DEFAULT_CAPS) -> ExpSumValue:
     otherwise, so the value is exactly p * (number of roots mod p).
     """
     hs = [int(v) for v in h]
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
     caps.check("max_point_entries", p * len(hs))
     return ExpSumValue(value=complex(p * hua_wang_root_count(hs, p)), terms=p * p)
 

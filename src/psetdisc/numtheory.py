@@ -3,8 +3,6 @@ from __future__ import annotations
 
 import numpy as np
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 # Miller-Rabin with these witnesses is deterministic for n < 3.317e24
 # (covers the full 64-bit range with room to spare).
 _DETERMINISTIC_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -37,7 +35,7 @@ def is_prime(n: int) -> bool:
     """Primality test, deterministic for all n < 3.317e24 (incl. 64-bit)."""
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
+    for p in _DETERMINISTIC_WITNESSES:  # trial division by the primes up to 41
         if n == p:
             return True
         if n % p == 0:

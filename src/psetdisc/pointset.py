@@ -43,7 +43,6 @@ class RationalPointSet:
     modulus: int
     dim: int
     numerators: np.ndarray  # (n, dim) int64, read-only
-    kind: PSetKind | None = None
 
     def __post_init__(self):
         arr = np.ascontiguousarray(self.numerators, dtype=np.int64)
@@ -55,20 +54,8 @@ class RationalPointSet:
             raise ValueError("point set is empty")
         if arr.min() < 0 or arr.max() >= self.modulus:
             raise ValueError("numerators must lie in [0, modulus)")
-        if self.kind is not None:
-            if len(arr) != self.kind.point_count(self._p_of_kind(arr)):
-                raise ValueError(f"point count {len(arr)} inconsistent with kind {self.kind}")
         arr.setflags(write=False)
         object.__setattr__(self, "numerators", arr)
-
-    def _p_of_kind(self, arr: np.ndarray) -> int:
-        # recover p from (kind, modulus): M = p for P/R, M = p^2 for Q
-        if self.kind is PSetKind.KOROBOV_Q:
-            p = round(self.modulus ** 0.5)
-            if p * p != self.modulus:
-                raise ValueError("Korobov Q modulus must be a perfect square")
-            return p
-        return self.modulus
 
     @property
     def n(self) -> int:
@@ -93,7 +80,7 @@ def generate(kind: PSetKind, p: int, s: int,
     else:  # Hua-Wang R: rows ordered (a=0,k=0..p-1), (a=1,k=0..p-1), ...
         k = np.arange(p, dtype=np.int64)[:, None]
         out = (power_table(p, s, first_power=0)[:, None, :] * k % p).reshape(n_points, s)
-    return RationalPointSet(modulus=m, dim=s, numerators=out, kind=kind)
+    return RationalPointSet(modulus=m, dim=s, numerators=out)
 
 
 def project(ps: RationalPointSet, u) -> RationalPointSet:
@@ -105,4 +92,4 @@ def project(ps: RationalPointSet, u) -> RationalPointSet:
         raise ValueError(f"subset {idx} out of range for dimension {ps.dim}")
     cols = [j - 1 for j in idx]
     return RationalPointSet(modulus=ps.modulus, dim=len(cols),
-                            numerators=ps.numerators[:, cols], kind=None)
+                            numerators=ps.numerators[:, cols])

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .bounds import thm1_bound
 from .config import DEFAULT_CAPS, BudgetError, Caps
 from .discrepancy import star_discrepancy_exact
@@ -34,11 +36,12 @@ class ProductIntegrand:
     def dim(self) -> int:
         return len(self.coefficients)
 
-    def __call__(self, x: Sequence[float]) -> float:
+    def __call__(self, x):
+        """f at one point (a float), or at each row of an (n, dim) array."""
         out = 1.0
-        for c, xi in zip(self.coefficients, x):
-            out *= 1.0 + c * (xi - 0.5)
-        return out
+        for c, xj in zip(self.coefficients, np.asarray(x, dtype=np.float64).T):
+            out *= 1.0 + c * (xj - 0.5)
+        return out if np.ndim(out) else float(out)
 
 
 def hk_variation(f: ProductIntegrand) -> float:
@@ -60,9 +63,7 @@ def qmc_integrate(ps: RationalPointSet, f: ProductIntegrand) -> tuple[float, flo
     """
     if f.dim != ps.dim:
         raise ValueError(f"integrand dim {f.dim} != point set dim {ps.dim}")
-    m = float(ps.modulus)
-    values = (f([v / m for v in row]) for row in ps.numerators)
-    estimate = math.fsum(values) / ps.n
+    estimate = math.fsum(f(ps.numerators / float(ps.modulus)).tolist()) / ps.n
     return estimate, abs(estimate - 1.0)
 
 

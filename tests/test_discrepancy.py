@@ -361,13 +361,6 @@ def test_corner_budget():
         star_discrepancy_exact(ps, caps=Caps(max_corners=100))
 
 
-def test_empty_point_set_rejected():
-    ps = _point_set(3, [(1,)])
-    object.__setattr__(ps, "numerators", ps.numerators[:0])
-    with pytest.raises(ValueError):
-        star_discrepancy_exact(ps)
-
-
 # ---------------------------------------------------------------- sampled
 
 

@@ -42,7 +42,6 @@ def test_counts_and_moduli(kind, expected_n, expected_m):
     ps = generate(kind, 7, 3)
     assert ps.n == expected_n
     assert ps.modulus == expected_m
-    assert ps.kind is kind
 
 
 def test_dimension_one_reductions():
@@ -133,13 +132,6 @@ def test_point_set_validation():
         RationalPointSet(modulus=4, dim=2, numerators=np.array([[0, 1, 2]]))
     with pytest.raises(ValueError, match="point set is empty"):
         RationalPointSet(modulus=4, dim=2, numerators=np.zeros((0, 2)))
-
-
-def test_kind_contract_enforced():
-    with pytest.raises(ValueError):
-        RationalPointSet(modulus=5, dim=1,
-                         numerators=np.arange(3).reshape(-1, 1),
-                         kind=PSetKind.KOROBOV_P)
 
 
 def test_numerators_are_read_only():

@@ -44,6 +44,34 @@ def test_estimate_invariant_under_permutation():
     assert qmc_integrate(ps, f)[0] == qmc_integrate(shuffled, f)[0]
 
 
+_PRIMES_TO_47 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+
+@pytest.mark.parametrize("kind", list(PSetKind))
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+def test_integrand_on_an_array_is_the_per_point_product(kind, s):
+    # one call on the (n, s) array gives, bit for bit, each point's product of
+    # 1 + c_j (x_j - 1/2) formed in coordinate order; one point gives a float
+    rng = np.random.default_rng(s)
+    for p in _PRIMES_TO_47:
+        # |c| log-uniform in [1e-3, 7] with both signs, and both ends present from s = 2
+        mags = np.concatenate(([1e-3, 7.0], 10 ** rng.uniform(-3, np.log10(7), s)))[:s]
+        coeffs = tuple((rng.permutation(mags) * rng.choice([-1.0, 1.0], s)).tolist())
+        f = ProductIntegrand(coefficients=coeffs)
+        x = generate(kind, p, s).numerators / float(kind.modulus(p))
+        want = []
+        for row in x.tolist():
+            out = 1.0
+            for c, xi in zip(coeffs, row):
+                out *= 1.0 + c * (xi - 0.5)
+            want.append(out)
+        got = f(x)
+        assert got.shape == (len(want),)
+        assert got.tolist() == want, (p, coeffs)
+        first = f(x[0].tolist())
+        assert type(first) is float and first == want[0]
+
+
 def test_hk_variation_examples():
     assert hk_variation(ProductIntegrand(coefficients=(0.0, 0.0))) == 0.0
     assert hk_variation(ProductIntegrand(coefficients=(2.0,))) == pytest.approx(2.0)
