@@ -4,8 +4,12 @@
 For each set it prints the critical grid's corner count, the exact result
 (D* as a fraction, the witness corner's numerators over p-set modulus M, and
 the side), and the least process CPU time of `star_discrepancy_exact` over
---repeat runs.  Two checkouts print the same triples when they agree, so the
-output of one can be compared with the other's line by line.
+--repeat runs.  Then, for the weighted star discrepancy with gamma_j = 2^-j,
+it prints the value, the winning subset, the witness numerators, the side,
+the subsets scanned out of the positive-weight subsets, and the least CPU time
+of `weighted_star_discrepancy_exact`.  Two checkouts print the same results
+when they agree, so the output of one can be compared with the other's line
+by line.
 
 Example:
     PYTHONPATH=src python scripts/scan_timing.py --repeat 5
@@ -13,11 +17,14 @@ Example:
 import argparse
 import time
 
-from psetdisc.discrepancy import star_discrepancy_exact
+from psetdisc.discrepancy import star_discrepancy_exact, weighted_star_discrepancy_exact
 from psetdisc.pointset import PSetKind, generate
+from psetdisc.weights import GeometricTail, ProductWeights, _enumerate_subsets
 
 SETS = (("P", 199, 3), ("P", 401, 3), ("Q", 19, 3), ("Q", 23, 3),
         ("P", 23, 5), ("P", 61, 4))
+WEIGHTED_SETS = (("P", 23, 5), ("P", 97, 3), ("R", 13, 4))
+HALVING = ProductWeights(tail=GeometricTail(0.5))  # gamma_j = 2^-j
 
 
 def parse_args():
@@ -26,19 +33,36 @@ def parse_args():
     return ap.parse_args()
 
 
+def timed(fn, repeat):
+    """The result of fn() and its least process CPU time over repeat runs."""
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.process_time()
+        res = fn()
+        best = min(best, time.process_time() - t0)
+    return res, best
+
+
+def numerators(ps, witness):
+    return ":".join(str(int(c * ps.modulus)) for c in witness)
+
+
 def main():
     args = parse_args()
     print("set,corners,exact,witness,side,cpu_s")
     for kind, p, s in SETS:
         ps = generate(PSetKind(kind), p, s)
-        best = float("inf")
-        for _ in range(args.repeat):
-            t0 = time.process_time()
-            res = star_discrepancy_exact(ps)
-            best = min(best, time.process_time() - t0)
-        witness = ":".join(str(int(c * ps.modulus)) for c in res.witness)
-        print(f"{kind} {p}/s{s},{res.corners_scanned},{res.exact},{witness},"
+        res, best = timed(lambda: star_discrepancy_exact(ps), args.repeat)
+        print(f"{kind} {p}/s{s},{res.corners_scanned},{res.exact},{numerators(ps, res.witness)},"
               f"{res.side},{best:.4f}")
+    print("wdisc set,value,subset,witness,side,scanned,cpu_s")
+    for kind, p, s in WEIGHTED_SETS:
+        ps = generate(PSetKind(kind), p, s)
+        res, best = timed(lambda: weighted_star_discrepancy_exact(ps, HALVING), args.repeat)
+        subset = ":".join(map(str, res.subset))
+        scanned = f"{len(res.per_subset)}/{len(_enumerate_subsets(s, HALVING))}"
+        print(f"{kind} {p}/s{s},{res.value!r},{subset},{numerators(ps, res.witness)},"
+              f"{res.side},{scanned},{best:.4f}")
     return 0
 
 

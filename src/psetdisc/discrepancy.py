@@ -29,6 +29,12 @@ so it is never dropped (ties are kept), and the least (corner, side) key wins,
 closed before open: the witness is the lexicographically first best corner in
 any order of visits.  The arithmetic runs in int64 when N*M^s < 2^62 and on
 dtype=object arrays of Python integers otherwise, on the same lines.
+
+The weighted star discrepancy max_u gamma_u D*(P_u) scans one projection per
+positive-weight subset, in descending gamma_u, and stops at the first gamma_u
+below the best weighted value found: D*(P_u) <= 1 and float multiplication is
+monotone, so gamma_u * D*(P_u) <= gamma_u for this and every later subset.
+For weights that fall fast with |u| most subsets are never scanned.
 """
 from __future__ import annotations
 
@@ -338,15 +344,26 @@ def weighted_star_discrepancy_exact(
     """Exact max over nonempty u of gamma_u * D*(projection onto u).
 
     Zero-weight subsets are skipped; the winning subset's witness box is
-    re-embedded into full dimension with free coordinates at 1.
+    re-embedded into full dimension with free coordinates at 1.  Subsets are
+    scanned in descending gamma_u (equal weights in enumeration order), and
+    the scan stops at the first gamma_u below the best value so far: D* <= 1,
+    so gamma_u * D* <= gamma_u in floats too, and no later subset can reach
+    that value.  Of the subsets that reach the maximum, the first in
+    enumeration order wins.  `per_subset` holds the scanned subsets only, in
+    scan order, and `max_corners` is checked on each of them.
     """
     per_subset: dict[tuple[int, ...], float] = {}
-    best_val, best_u, wit, side = 0.0, (), {}, "closed"
-    for u, g in _enumerate_subsets(ps.dim, w, caps):
+    subsets = _enumerate_subsets(ps.dim, w, caps)
+    # best is (value, -enumeration index): the first maximum wins, and a value
+    # of 0 does not beat the start (0.0, 1)
+    best, best_u, wit, side = (0.0, 1), (), {}, "closed"
+    for i, (u, g) in sorted(enumerate(subsets), key=lambda e: -e[1][1]):
+        if g < best[0]:
+            break
         res = star_discrepancy_exact(project(ps, u), caps=caps)
         per_subset[u] = val = g * res.value
-        if val > best_val:
-            best_val, best_u, wit, side = val, u, dict(zip(u, res.witness)), res.side
+        if (val, -i) > best:
+            best, best_u, wit, side = (val, -i), u, dict(zip(u, res.witness)), res.side
     witness = tuple(wit.get(j, Fraction(1)) for j in range(1, ps.dim + 1))
-    return WeightedDiscrepancyResult(value=best_val, subset=best_u, witness=witness,
+    return WeightedDiscrepancyResult(value=best[0], subset=best_u, witness=witness,
                                      side=side, per_subset=per_subset)

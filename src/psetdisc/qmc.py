@@ -37,9 +37,13 @@ class ProductIntegrand:
         return len(self.coefficients)
 
     def __call__(self, x):
-        """f at one point (a float), or at each row of an (n, dim) array."""
+        """f at one point (a float), or at each point of an array whose last
+        axis holds the dim coordinates, such as an (n, dim) array."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape[-1:] != (self.dim,):
+            raise ValueError(f"integrand dim {self.dim} != point shape {x.shape}")
         out = 1.0
-        for c, xj in zip(self.coefficients, np.asarray(x, dtype=np.float64).T):
+        for c, xj in zip(self.coefficients, np.moveaxis(x, -1, 0)):
             out *= 1.0 + c * (xj - 0.5)
         return out if np.ndim(out) else float(out)
 

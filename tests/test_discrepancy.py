@@ -17,7 +17,7 @@ from psetdisc.discrepancy import (box_counts, local_discrepancy,
                                   weighted_local_discrepancy,
                                   weighted_star_discrepancy_exact)
 from psetdisc.pointset import PSetKind, RationalPointSet, generate, project
-from psetdisc.weights import GeneralWeights, GeometricTail, ProductWeights, gamma_of
+from psetdisc.weights import GeneralWeights, GeometricTail, ProductWeights, _enumerate_subsets
 
 from oracles import (naive_dstar, naive_dstar_witness, naive_local,
                      naive_weighted_dstar, sieve_primes)
@@ -550,21 +550,127 @@ def test_weighted_matches_subset_oracle_big_modulus(case):
 @settings(max_examples=40, deadline=None)
 def test_weighted_scales_linearly(ps, lam):
     base = weighted_star_discrepancy_exact(ps, HALVING)
-    # scale every subset weight uniformly via general weights
-    entries = {u: lam * gamma_of(HALVING, u) for u in base.per_subset}
-    if not entries:
-        return
+    # scale every positive subset weight uniformly via general weights
+    entries = {u: lam * g for u, g in _enumerate_subsets(ps.dim, HALVING)}
     scaled = weighted_star_discrepancy_exact(ps, GeneralWeights(entries=entries))
     assert scaled.value == pytest.approx(lam * base.value, rel=1e-12)
     if base.subset:
         assert scaled.subset == base.subset
 
 
+def _unpruned_weighted(ps, w):
+    """(value, subset, witness, side) from every positive-weight subset in
+    enumeration order, a later one winning only with a strictly larger value."""
+    best = (0.0, (), (Fraction(1),) * ps.dim, "closed")
+    for u, g in _enumerate_subsets(ps.dim, w):
+        res = star_discrepancy_exact(project(ps, u))
+        if g * res.value > best[0]:
+            wit = dict(zip(u, res.witness))
+            best = (g * res.value, u, tuple(wit.get(j, Fraction(1)) for j in range(1, ps.dim + 1)),
+                    res.side)
+    return best
+
+
+def _assert_pruned_matches_unpruned(ps, w):
+    res = weighted_star_discrepancy_exact(ps, w)
+    assert (res.value, res.subset, res.witness, res.side) == _unpruned_weighted(ps, w)
+    return res
+
+
+@given(small_point_sets(max_dim=4),
+       st.lists(st.one_of(st.floats(1e-6, 1.0), st.sampled_from([1e-6, 0.125, 0.5, 1.0])),
+                min_size=4, max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_weighted_pruned_matches_unpruned_product_weights(ps, gammas):
+    res = _assert_pruned_matches_unpruned(ps, ProductWeights(gammas=tuple(gammas[:ps.dim])))
+    want = naive_weighted_dstar(ps.rows(), ps.modulus, lambda j: gammas[j - 1])
+    assert res.value == pytest.approx(want, abs=1e-12)
+
+
+@given(st.one_of(small_point_sets(max_dim=3), tie_heavy_point_sets()), st.data())
+@settings(max_examples=80, deadline=None)
+def test_weighted_pruned_matches_unpruned_on_ties(ps, data):
+    # two subsets u < v tie on gamma_u D*(P_u) = gamma_v D*(P_v): with
+    # gamma_u = c D*(P_v) and gamma_v = c D*(P_u), c a power of two, both
+    # products round the same exact value; the others weigh up to the tie
+    axes = range(1, ps.dim + 1)
+    subsets = [u for k in axes for u in itertools.combinations(axes, k)]
+    if len(subsets) < 2:
+        return
+    u, v = sorted(data.draw(st.lists(st.sampled_from(subsets), min_size=2, max_size=2,
+                                     unique=True)))
+    d = {x: star_discrepancy_exact(project(ps, x)).value for x in (u, v)}
+    c = 2.0 ** -data.draw(st.integers(0, 3))
+    tie = c * d[v] * d[u]
+    entries = {x: data.draw(st.sampled_from([0.0, tie / 2, tie])) for x in subsets}
+    entries.update({u: c * d[v], v: c * d[u]})
+    assert _assert_pruned_matches_unpruned(ps, GeneralWeights(entries=entries)).value == tie
+
+
+def test_weighted_pruned_scans_ties_at_the_best_value():
+    # all points at the origin: every D* is 1, so the best value is the largest
+    # weight and every subset of that weight is scanned; none later wins
+    ps = _point_set(3, [(0, 0, 0)] * 2)
+    res = _assert_pruned_matches_unpruned(ps, ProductWeights(gammas=(0.5, 1.0, 1.0)))
+    assert (res.value, res.subset) == (1.0, (2,))
+    assert list(res.per_subset) == [(2,), (3,), (2, 3)]
+    # D*(P_{1}) = 1 and D*(P_{2}) = 1/2: {2} is scanned first and reaches 1/2,
+    # and {1}, whose weight is that value, ties it and wins as first in order
+    ps = _point_set(2, [(0, 1)])
+    res = _assert_pruned_matches_unpruned(ps, ProductWeights(gammas=(0.5, 1.0)))
+    assert (res.value, res.subset, res.witness, res.side) == (0.5, (1,), (0, 1), "closed")
+    assert list(res.per_subset) == [(2,), (1,), (1, 2)]
+
+
+def _counted_weighted(ps, w):
+    """The weighted result and the subsets whose projections were scanned."""
+    scanned = []
+
+    def counted_project(ps, u):
+        scanned.append(tuple(u))
+        return project(ps, u)
+
+    with (mock.patch.object(discrepancy, "project", counted_project),
+          mock.patch.object(discrepancy, "star_discrepancy_exact",
+                            wraps=star_discrepancy_exact) as scans):
+        res = weighted_star_discrepancy_exact(ps, w)
+    assert scans.call_count == len(scanned)
+    return res, scanned
+
+
+def test_weighted_scan_stops_once_no_weight_can_win():
+    ps = generate(PSetKind.KOROBOV_P, 23, 5)
+    w = ProductWeights(tail=GeometricTail(0.5))
+    res, scanned = _counted_weighted(ps, w)
+    assert len(scanned) <= 4  # of 31 positive-weight subsets
+    assert list(res.per_subset) == scanned
+    assert (res.value, res.subset, res.witness, res.side) == _unpruned_weighted(ps, w)
+    res, scanned = _counted_weighted(ps, ProductWeights(gammas=(1.0,) * 5))
+    assert len(scanned) == 2**5 - 1
+    assert set(res.per_subset) == set(scanned)
+
+
+def test_weighted_corner_cap_charges_scanned_subsets_only():
+    ps = generate(PSetKind.KOROBOV_P, 23, 5)
+    w = ProductWeights(tail=GeometricTail(0.5))
+    want, scanned = _counted_weighted(ps, w)
+    largest = max(star_discrepancy_exact(project(ps, u)).corners_scanned for u in scanned)
+    assert largest < star_discrepancy_exact(ps).corners_scanned  # a skipped grid is larger
+    # every scanned grid fits the cap, the full one does not: the scan returns
+    assert weighted_star_discrepancy_exact(ps, w, caps=Caps(max_corners=largest)) == want
+    # a scanned grid one corner over the cap is refused
+    limit = largest - 1
+    with pytest.raises(BudgetError, match=f"^max_corners: requested {largest}, limit {limit}$"):
+        weighted_star_discrepancy_exact(ps, w, caps=Caps(max_corners=limit))
+
+
 def test_weighted_zero_weights():
     ps = generate(PSetKind.KOROBOV_P, 5, 2)
-    res = weighted_star_discrepancy_exact(ps, ProductWeights(gammas=(0.0, 0.0)))
-    assert res.value == 0.0
-    assert res.subset == ()
+    for w in (ProductWeights(gammas=(0.0, 0.0)), GeneralWeights(entries={(1, 2): 0.0})):
+        res = _assert_pruned_matches_unpruned(ps, w)
+        assert res.value == 0.0
+        assert res.subset == ()
+        assert (res.witness, res.per_subset) == ((1, 1), {})
 
 
 def test_weighted_subset_cap():

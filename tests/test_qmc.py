@@ -72,6 +72,19 @@ def test_integrand_on_an_array_is_the_per_point_product(kind, s):
         assert type(first) is float and first == want[0]
 
 
+@pytest.mark.parametrize("point", [[0.3], [0.3, 0.9, 0.1], 0.3, [[0.3], [0.7]],
+                                   np.zeros((4, 3)), np.zeros((0, 1))])
+def test_integrand_refuses_points_of_another_dimension(point):
+    # a short point would lose factors and a long one coordinates
+    f = ProductIntegrand(coefficients=(1.0, 2.0))
+    with pytest.raises(ValueError, match=r"integrand dim 2 != point shape"):
+        f(point)
+    assert f([0.3, 0.9]) == (1.0 + 1.0 * (0.3 - 0.5)) * (1.0 + 2.0 * (0.9 - 0.5))
+    # the coordinates lie on the last axis of any array
+    x = np.random.default_rng(0).random((3, 4, 2))
+    assert f(x).tolist() == [[f(p) for p in row] for row in x.tolist()]
+
+
 def test_hk_variation_examples():
     assert hk_variation(ProductIntegrand(coefficients=(0.0, 0.0))) == 0.0
     assert hk_variation(ProductIntegrand(coefficients=(2.0,))) == pytest.approx(2.0)
