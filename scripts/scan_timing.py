@@ -7,9 +7,12 @@ the side), and the least process CPU time of `star_discrepancy_exact` over
 --repeat runs.  Then, for the weighted star discrepancy with gamma_j = 2^-j,
 it prints the value, the winning subset, the witness numerators, the side,
 the subsets scanned out of the positive-weight subsets, and the least CPU time
-of `weighted_star_discrepancy_exact`.  Two checkouts print the same results
-when they agree, so the output of one can be compared with the other's line
-by line.
+of `weighted_star_discrepancy_exact`.  Last, for the transference bounds of
+the spectrum benchmark's rhs sets and one set whose M*N phase table is past
+the kernel's gather budget (R 101/s2), it prints the repr of
+`niederreiter_rhs` and of `weighted_niederreiter_rhs` (gamma_j = 2^-j) and
+the least CPU time of each.  Two checkouts print the same results when they
+agree, so the output of one can be compared with the other's line by line.
 
 Example:
     PYTHONPATH=src python scripts/scan_timing.py --repeat 5
@@ -18,12 +21,14 @@ import argparse
 import time
 
 from psetdisc.discrepancy import star_discrepancy_exact, weighted_star_discrepancy_exact
+from psetdisc.expsum import niederreiter_rhs, weighted_niederreiter_rhs
 from psetdisc.pointset import PSetKind, generate
 from psetdisc.weights import GeometricTail, ProductWeights, _enumerate_subsets
 
 SETS = (("P", 199, 3), ("P", 401, 3), ("Q", 19, 3), ("Q", 23, 3),
         ("P", 23, 5), ("P", 61, 4))
 WEIGHTED_SETS = (("P", 23, 5), ("P", 97, 3), ("R", 13, 4))
+RHS_SETS = (("P", 97, 3), ("R", 23, 3), ("R", 31, 3), ("Q", 19, 2), ("R", 101, 2))
 HALVING = ProductWeights(tail=GeometricTail(0.5))  # gamma_j = 2^-j
 
 
@@ -63,6 +68,13 @@ def main():
         scanned = f"{len(res.per_subset)}/{len(_enumerate_subsets(s, HALVING))}"
         print(f"{kind} {p}/s{s},{res.value!r},{subset},{numerators(ps, res.witness)},"
               f"{res.side},{scanned},{best:.4f}")
+    print("rhs set,bound,value,cpu_s")
+    for kind, p, s in RHS_SETS:
+        ps = generate(PSetKind(kind), p, s)
+        value, best = timed(lambda: niederreiter_rhs(ps), args.repeat)
+        print(f"{kind} {p}/s{s},niederreiter,{value!r},{best:.4f}")
+        res, best = timed(lambda: weighted_niederreiter_rhs(ps, HALVING), args.repeat)
+        print(f"{kind} {p}/s{s},weighted,{res.value!r},{best:.4f}")
     return 0
 
 

@@ -35,28 +35,29 @@ report the first worst h in this order, and the rhs leaves h = 0 out.
 One kernel, _PhaseSums, serves the rhs and the lemma 3 and 5 sweeps
 (y_n = (n, ..., n^s)).  Axis j has a table T_j whose rows c*y_j mod M run
 over c in C(M) order.  sums.slabs(d) yields each chunk's (k, M) sums: it
-builds a head's phase row, T_0[h_0] + ... + T_{d-1}[h_{d-1}] with
-h_{d-1} = 0, once and adds the rows of T_{d-1}, a view, in one broadcast
-add.  sums(h_rows) gives the magnitudes at the rows themselves (a zero
-tail), for the sampled mode and the screen's candidates.  The phases need no
-matmul and no modulo: they stay below (d+1)*M and index the roots of unity
-tiled d+1 times.  Each row gets the same numpy pairwise row sum of
-roots[h.y mod M], so every magnitude is bit-identical to the direct
-h @ y.T % M formula.
+forms each head's phase row once, T_0[h_0] + ... + T_{d-2}[h_{d-2}] (the
+last entry is 0, its row all zeros), and fetches each block of rows of
+T_{d-1} once and adds it to every head of the chunk in a broadcast add.
+sums(h_rows) gives the magnitudes at the rows themselves (a zero tail), for
+the sampled mode and the screen's candidates.  The phases need no matmul and
+no modulo: they stay below d*M and index the roots of unity tiled d times.
+Each row gets the same numpy pairwise row sum of roots[h.y mod M], so every
+magnitude is bit-identical to the direct h @ y.T % M formula.
 
 _BLOCK has two readers.  The rhs adds one float per 4096 consecutive h of
 C_d*(M), re-cutting the chunks' terms into those blocks, so _BLOCK fixes the
 rhs's last printed digit.  The sampled mode draws and sums its seeded rows
 4096 at a time.
 
-Memory follows _GATHER_BYTES.  A chunk holds k heads, so that 16*k*max(N, M)
-bytes fit it: a complex gather of its head rows, its (k, M) sums, or the
-screen's bins and transforms.  The kernel gathers k' heads by t tail rows at a
-time, 16*k'*t*N bytes within it; a row is never split, and a longer slab is
-split along its last axis.  Those int64 phases take half the gather again,
-and the k' head rows no more than that.  An axis whose M*N table entries
-exceed _GATHER_BYTES forms c*y_j mod M per gather instead, the same
-integers; such a gather holds one head (k' = 1).
+Memory follows _GATHER_BYTES, B.  A chunk holds k heads, so that
+16*k*max(N, M) bytes fit B: a complex gather of its head rows, its (k, M)
+sums, or the screen's bins and transforms.  slabs keeps the chunk's int64
+head phases, B/2 at most, and takes the last axis t rows at a time, gathering
+k' heads by those rows: 16*k'*t*N bytes within B/2, or one row when B holds
+fewer than two.  The t rows and the gather's int64 phases take half the
+gather each.  A row is never split, and a longer slab is split along its
+last axis.  An axis whose M*N table entries exceed B keeps only its column,
+and _rows forms c*y_j mod M from it, the same integers.
 
 A slab is a length-M DFT along the last axis: _slab_dft bins each head's
 roots by the points' last column and takes one FFT per head.  An FFT adds the
@@ -181,11 +182,14 @@ def _row_root_counts(rows: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def hua_wang_root_count(h, p: int) -> int:
-    """#{a in [0,p): h_1 + h_2 a + ... + h_s a^(s-1) == 0 mod p}, p prime."""
+def hua_wang_root_count(h, p: int, caps: Caps = DEFAULT_CAPS) -> int:
+    """#{a in [0,p): h_1 + h_2 a + ... + h_s a^(s-1) == 0 mod p}, p prime.
+    p * len(h) must fit caps.max_point_entries."""
+    hs = [int(v) for v in h]
+    caps.check("max_point_entries", p * len(hs))
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    row = [int(v) % p for v in h] or [0]  # h = () is the zero polynomial
+    row = [v % p for v in hs] or [0]  # h = () is the zero polynomial
     return int(_row_root_counts(np.array([row], dtype=np.int64), p)[0])
 
 
@@ -195,9 +199,7 @@ def hua_wang_double_sum(h, p: int, caps: Caps = DEFAULT_CAPS) -> ExpSumValue:
     The inner k-sum is p when the coefficient polynomial vanishes at a and 0
     otherwise, so the value is exactly p * (number of roots mod p).
     """
-    hs = [int(v) for v in h]
-    caps.check("max_point_entries", p * len(hs))
-    return ExpSumValue(value=complex(p * hua_wang_root_count(hs, p)), terms=p * p)
+    return ExpSumValue(value=complex(p * hua_wang_root_count(h, p, caps)), terms=p * p)
 
 
 @dataclass(frozen=True)
@@ -223,7 +225,7 @@ class _PhaseSums:
         n, d = points.shape
         self.m, self.n = m, n
         self.off = (m - 1) // 2  # C(M) position of c = 0
-        self.roots = np.tile(_roots_of_unity(m), d + 1)
+        self.roots = np.tile(_roots_of_unity(m), d)
         # axis tables in C(M) order: row i holds (i - off)*y mod M
         self.tables = [np.outer(np.arange(-self.off, m - self.off), y) % m
                        if m * n <= _GATHER_BYTES else y for y in points.T]
@@ -239,7 +241,7 @@ class _PhaseSums:
         return out
 
     def head(self, pos: np.ndarray) -> np.ndarray:
-        """(k, n) phases, below d*M, of the rows at C(M) positions pos."""
+        """(k, n) phases of the rows at C(M) positions pos, below M per axis."""
         out = np.zeros((len(pos), self.n), dtype=np.int64)
         for t, c in zip(self.tables, pos.T):
             out += self._rows(t, c)
@@ -253,21 +255,17 @@ class _PhaseSums:
     def slabs(self, d: int):
         """Yield (lo, heads, sums) for each chunk of _heads: sums[i, j] is the
         sum at heads[i] + c*e_d for the j-th c of C(M)."""
-        m, step, last = self.m, self.step, self.tables[-1]
-        k = max(1, step // m)  # heads per gather
+        m = self.m
+        t = min(m, max(1, self.step // 2))  # last-axis rows per block
+        k = max(1, self.step // 2 // t)  # heads per gather
         for lo, heads in _heads(m, d, self.per):
-            pos = heads + self.off
-            out = np.empty((len(pos), m), dtype=np.complex128)
-            for i in range(0, len(pos), k):
-                head = self.head(pos[i:i + k])
-                for c0 in range(0, m, step):
-                    c1 = min(c0 + step, m)
-                    if last.ndim == 2:  # one broadcast add of a view
-                        phase = head[:, None] + last[c0:c1]
-                    else:  # no table fits, so k = 1: add the head in place
-                        phase = self._rows(last, np.arange(c0, c1))
-                        phase += head
-                    out[i:i + k, c0:c1] = np.take(self.roots, phase).sum(axis=-1)
+            head = self.head(heads[:, :-1] + self.off)  # the last entry is 0
+            out = np.empty((len(heads), m), dtype=np.complex128)
+            for c0 in range(0, m, t):
+                last = self._rows(self.tables[-1], np.arange(c0, min(c0 + t, m)))
+                for i in range(0, len(head), k):
+                    phase = head[i:i + k, None] + last
+                    out[i:i + k, c0:c0 + t] = np.take(self.roots, phase).sum(axis=-1)
             yield lo, heads, out
 
 
@@ -346,7 +344,7 @@ def _slab_dft(sums: _PhaseSums, last: np.ndarray, d: int):
     read = np.arange(-off, m - off) % m  # transform entries in C(M) order
     for lo, heads in _heads(m, d, sums.per):
         g = np.zeros((len(heads), m), dtype=np.complex128)
-        roots = np.take(sums.roots, sums.head(heads + off)[:, order])
+        roots = np.take(sums.roots, sums.head(heads[:, :-1] + off)[:, order])
         g[:, bins] = np.add.reduceat(roots, starts, axis=1)
         yield lo, heads, np.abs(np.fft.ifft(g, axis=1, norm="forward")[:, read])
 

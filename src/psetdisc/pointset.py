@@ -36,6 +36,13 @@ class PSetKind(enum.Enum):
         return p * p if self is PSetKind.KOROBOV_Q else p
 
 
+def _fits_int64(a: np.ndarray) -> bool:
+    """Whether every entry of a is an integer in int64's range."""
+    ints = a.dtype.kind in "biu" or a.dtype == object and all(
+        isinstance(v, (int, np.integer)) for v in a.flat)
+    return ints and (a.dtype.kind in "bi" or -2**63 <= a.min() and a.max() < 2**63)
+
+
 @dataclass(frozen=True, eq=False)
 class RationalPointSet:
     """Multiset of points numerators[i]/modulus in [0,1)^dim."""
@@ -45,7 +52,10 @@ class RationalPointSet:
     numerators: np.ndarray  # (n, dim) int64, read-only
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.numerators, dtype=np.int64)
+        raw = np.asarray(self.numerators)
+        if raw.size and not _fits_int64(raw):
+            raise ValueError("numerators must be integers that fit int64")
+        arr = np.ascontiguousarray(raw, dtype=np.int64)
         if arr.ndim != 2 or arr.shape[1] != self.dim:
             raise ValueError(f"numerators must be (n, {self.dim}), got {arr.shape}")
         if self.modulus < 1 or self.dim < 1:

@@ -2,8 +2,8 @@ import pytest
 
 from psetdisc.config import BudgetError, Caps
 from psetdisc.discrepancy import star_discrepancy_exact, weighted_star_discrepancy_exact
-from psetdisc.expsum import (hua_wang_double_sum, korobov_sum, niederreiter_rhs,
-                             weighted_niederreiter_rhs, weil_bound_check)
+from psetdisc.expsum import (hua_wang_double_sum, hua_wang_root_count, korobov_sum,
+                             niederreiter_rhs, weighted_niederreiter_rhs, weil_bound_check)
 from psetdisc.pointset import PSetKind, generate
 from psetdisc.weights import ProductWeights
 
@@ -22,6 +22,8 @@ GUARDS = [
      lambda caps: korobov_sum((1, 2), 5, caps=caps)),
     ("expsum.hua_wang_double_sum", "max_point_entries", 15,
      lambda caps: hua_wang_double_sum((1, 2, 3), 5, caps=caps)),
+    ("expsum.hua_wang_root_count", "max_point_entries", 15,
+     lambda caps: hua_wang_root_count((1, 2, 3), 5, caps=caps)),
     ("expsum.weil_bound_check", "max_point_entries", 10,
      lambda caps: weil_bound_check(3, 5, 2, caps=caps)),
     ("expsum.niederreiter_rhs", "max_freq_vectors", 24,

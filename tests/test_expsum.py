@@ -566,11 +566,8 @@ def test_lemma6_memory_follows_budget(p, s, cap):
         assert peak < limit * budget, (budget, peak)
 
 
-def test_phase_sums_memory_follows_budget():
-    ps = generate(PSetKind.HUA_WANG_R, 101, 1)  # M = 101, N = 10,201
-    n = len(ps.numerators)
-    want = niederreiter_rhs(ps)
-    budget = 16 * n * 2  # two rows per sub-block; M*N is past it, so no table
+def _rhs_at_budget(ps, budget):
+    """niederreiter_rhs(ps) with _GATHER_BYTES = budget, and its traced peak."""
     with mock.patch.object(expsum, "_GATHER_BYTES", budget):
         tracemalloc.start()
         try:
@@ -578,8 +575,30 @@ def test_phase_sums_memory_follows_budget():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert got == want
+    return got, peak
+
+
+def test_phase_sums_memory_follows_budget():
+    ps = generate(PSetKind.HUA_WANG_R, 101, 1)  # M = 101, N = 10,201
+    budget = 16 * len(ps.numerators) * 2  # two rows per sub-block; M*N is past it, so no table
+    got, peak = _rhs_at_budget(ps, budget)
+    assert got == niederreiter_rhs(ps)
     # one sub-block's int64 phases and complex gather, plus small arrays
+    assert peak < 2 * budget + 64 * 1024, peak
+
+
+@pytest.mark.parametrize("ps", [
+    generate(PSetKind.HUA_WANG_R, 41, 2),  # M = 41, N = 1,681
+    # M = 33 is the least modulus whose two rows fall below its M*N table
+    _point_set(33, np.random.default_rng(0).integers(0, 33, size=(2048, 3))),
+], ids=["R 41/s2", "M 33 N 2048 s3"])
+def test_phase_sums_memory_follows_budget_with_every_axis_a_column(ps):
+    # the heads' phases come from the columns too, not only the last axis
+    n = len(ps.numerators)
+    budget = 16 * n * 2  # two rows per sub-block, fewer than one axis table
+    assert budget < ps.modulus * n
+    got, peak = _rhs_at_budget(ps, budget)
+    assert got == niederreiter_rhs(ps)  # the default budget holds every table
     assert peak < 2 * budget + 64 * 1024, peak
 
 

@@ -130,8 +130,27 @@ def test_point_set_validation():
         RationalPointSet(modulus=4, dim=2, numerators=np.array([[0, -1]]))
     with pytest.raises(ValueError):
         RationalPointSet(modulus=4, dim=2, numerators=np.array([[0, 1, 2]]))
-    with pytest.raises(ValueError, match="point set is empty"):
-        RationalPointSet(modulus=4, dim=2, numerators=np.zeros((0, 2)))
+    for dtype in (float, object, str):  # an empty array of any dtype
+        with pytest.raises(ValueError, match="point set is empty"):
+            RationalPointSet(modulus=4, dim=2, numerators=np.zeros((0, 2), dtype=dtype))
+
+
+@pytest.mark.parametrize("modulus, numerators", [
+    (7, [[2.9]]), (7, np.array([[2.0]])),  # floats, whole or not
+    (2**70, [[2**65]]), (2**70, [[2**63]]),  # past int64: object, uint64
+    (2**70, [[1], [2**65]]),
+], ids=["2.9", "2.0", "2^65", "2^63", "1 and 2^65"])
+def test_point_set_refuses_numerators_that_are_no_int64(modulus, numerators):
+    with pytest.raises(ValueError, match="^numerators must be integers that fit int64$"):
+        RationalPointSet(modulus=modulus, dim=1, numerators=numerators)
+
+
+def test_point_set_takes_any_int64_integers():
+    for numerators in ([[3], [2**62]], np.array([[3]], dtype=np.uint64),
+                       np.array([[3]], dtype=object), [[np.int32(3)]]):
+        ps = RationalPointSet(modulus=2**63, dim=1, numerators=numerators)
+        assert ps.numerators.dtype == np.int64
+        assert ps.rows()[0] == (3,)
 
 
 def test_numerators_are_read_only():
