@@ -11,8 +11,12 @@ of `weighted_star_discrepancy_exact`.  Last, for the transference bounds of
 the spectrum benchmark's rhs sets and one set whose M*N phase table is past
 the kernel's gather budget (R 101/s2), it prints the repr of
 `niederreiter_rhs` and of `weighted_niederreiter_rhs` (gamma_j = 2^-j) and
-the least CPU time of each.  Two checkouts print the same results when they
-agree, so the output of one can be compared with the other's line by line.
+the least CPU time of each.  Then, for the Weil sweeps of the spectrum
+benchmark's `check-weil` jobs, a saturated lemma 5 sweep (p 17/s2, where
+every h is a candidate) and three sweeps past the default frequency cap (the
+sampled mode), it prints every field of `weil_bound_check`'s report and its
+least CPU time.  Two checkouts print the same results when they agree, so the
+output of one can be compared with the other's line by line.
 
 Example:
     PYTHONPATH=src python scripts/scan_timing.py --repeat 5
@@ -21,7 +25,7 @@ import argparse
 import time
 
 from psetdisc.discrepancy import star_discrepancy_exact, weighted_star_discrepancy_exact
-from psetdisc.expsum import niederreiter_rhs, weighted_niederreiter_rhs
+from psetdisc.expsum import niederreiter_rhs, weighted_niederreiter_rhs, weil_bound_check
 from psetdisc.pointset import PSetKind, generate
 from psetdisc.weights import GeometricTail, ProductWeights, _enumerate_subsets
 
@@ -29,6 +33,9 @@ SETS = (("P", 199, 3), ("P", 401, 3), ("Q", 19, 3), ("Q", 23, 3),
         ("P", 23, 5), ("P", 61, 4))
 WEIGHTED_SETS = (("P", 23, 5), ("P", 97, 3), ("R", 13, 4))
 RHS_SETS = (("P", 97, 3), ("R", 23, 3), ("R", 31, 3), ("Q", 19, 2), ("R", 101, 2))
+# (lemma, p, s): the spectrum jobs, saturated lemma 5, three sampled sweeps
+WEIL_SWEEPS = ((3, 23, 4), (5, 7, 3), (5, 11, 3), (6, 23, 4), (5, 2, 2),
+               (5, 17, 2), (3, 101, 4), (5, 17, 3), (6, 101, 4))
 HALVING = ProductWeights(tail=GeometricTail(0.5))  # gamma_j = 2^-j
 
 
@@ -75,6 +82,13 @@ def main():
         print(f"{kind} {p}/s{s},niederreiter,{value!r},{best:.4f}")
         res, best = timed(lambda: weighted_niederreiter_rhs(ps, HALVING), args.repeat)
         print(f"{kind} {p}/s{s},weighted,{res.value!r},{best:.4f}")
+    print("weil lemma,p,s,bound,max_ratio,worst_h,max_magnitude,n_checked,mode,violations,cpu_s")
+    for lemma, p, s in WEIL_SWEEPS:
+        rep, best = timed(lambda: weil_bound_check(lemma, p, s), args.repeat)
+        mode = "exhaustive" if rep.exhaustive else f"sampled seed={rep.seed}"
+        print(f"{lemma},{p},{s},{rep.bound!r},{rep.max_ratio!r},"
+              f"{':'.join(map(str, rep.worst_h))},{rep.max_magnitude!r},{rep.n_checked},"
+              f"{mode},{rep.violations},{best:.4f}")
     return 0
 
 

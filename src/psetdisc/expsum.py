@@ -38,16 +38,17 @@ over c in C(M) order.  sums.slabs(d) yields each chunk's (k, M) sums: it
 forms each head's phase row once, T_0[h_0] + ... + T_{d-2}[h_{d-2}] (the
 last entry is 0, its row all zeros), and fetches each block of rows of
 T_{d-1} once and adds it to every head of the chunk in a broadcast add.
-sums(h_rows) gives the magnitudes at the rows themselves (a zero tail), for
-the sampled mode and the screen's candidates.  The phases need no matmul and
-no modulo: they stay below d*M and index the roots of unity tiled d times.
+sums.values(head, at) gives the magnitudes at flat positions of a chunk's
+slabs, each a row of the chunk's head phases plus a row of T_{d-1}, for the
+screen's candidates.  The phases need no matmul and no modulo: they stay
+below d*M and index the roots of unity tiled d times.
 Each row gets the same numpy pairwise row sum of roots[h.y mod M], so every
 magnitude is bit-identical to the direct h @ y.T % M formula.
 
 _BLOCK has two readers.  The rhs adds one float per 4096 consecutive h of
 C_d*(M), re-cutting the chunks' terms into those blocks, so _BLOCK fixes the
-rhs's last printed digit.  The sampled mode draws and sums its seeded rows
-4096 at a time.
+rhs's last printed digit.  The sampled Weil mode draws its seeded heads
+4096 at a time, so the draws do not depend on _GATHER_BYTES.
 
 Memory follows _GATHER_BYTES, B.  A chunk holds k heads, so that
 16*k*max(N, M) bytes fit B: a complex gather of its head rows, its (k, M)
@@ -73,19 +74,21 @@ product with the powers of b and one np.bincount count every c at once, at
 O(p) per head.  At s = 1 that is every a, each a root for c == 0 alone; at
 s > 1, a = 0 is a root for every c or for none, as p divides h_1 or not.
 
-weil_bound_check has one exhaustive and one sampled path.  Each lemma gives
-the magnitudes of whole slabs, _slab_dft's or p times _root_counts, and of
-explicit rows, sums(rows) or p times each row's count at its own last
-entry.  The report needs only counts, a maximum and the first h attaining it,
-so _screen passes on just the h whose slab magnitude could decide one of them
-and values those rows again: the report is the direct sweep's, bit for bit.
-Exact counts need neither a band nor the second look.  The sampled path
-values its seeded rows, dropping the inadmissible ones as they are drawn.
+weil_bound_check has one sweep path, fed chunks of heads.  The exhaustive
+mode takes _heads.  Past caps.max_freq_vectors, cap, the sampled mode takes
+cap // M seeded heads of C_{d-1}(M) with last entry 0: whole slabs, so a cap
+below M is refused.  Each lemma gives the magnitudes of whole slabs,
+_slab_dft's or p times _root_counts.  The report needs only counts, a maximum
+and the first h attaining it, so _screen passes on just the h whose slab
+magnitude could decide one of them and values those again by sums.values:
+the report is the direct sweep's over the same heads, bit for bit.  Exact
+counts need neither a band nor the second look.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -94,7 +97,7 @@ from .numtheory import is_prime, power_table
 from .pointset import RationalPointSet, project
 from .weights import Weights, _enumerate_subsets
 
-_BLOCK = 4096  # rhs terms per float sum; sampled Weil rows per draw
+_BLOCK = 4096  # rhs terms per float sum; sampled Weil heads per draw
 _GATHER_BYTES = 1 << 19  # one chunk's complex gather; entries of one axis table
 
 
@@ -170,18 +173,6 @@ def _root_counts(heads: np.ndarray, p: int) -> np.ndarray:
     return counts
 
 
-def _row_root_counts(rows: np.ndarray, p: int) -> np.ndarray:
-    """The root count of each row, _root_counts read at the row's own last
-    entry, for rows of heads that fit _GATHER_BYTES at a time."""
-    per = max(1, _GATHER_BYTES // (16 * p))
-    at = (rows[:, -1] + (p - 1) // 2) % p  # C(p) positions of the last entries
-    out = np.empty(len(rows), dtype=np.int64)
-    for i in range(0, len(rows), per):
-        j = at[i:i + per]
-        out[i:i + per] = _root_counts(rows[i:i + per], p)[np.arange(len(j)), j]
-    return out
-
-
 def hua_wang_root_count(h, p: int, caps: Caps = DEFAULT_CAPS) -> int:
     """#{a in [0,p): h_1 + h_2 a + ... + h_s a^(s-1) == 0 mod p}, p prime.
     p * len(h) must fit caps.max_point_entries."""
@@ -189,8 +180,8 @@ def hua_wang_root_count(h, p: int, caps: Caps = DEFAULT_CAPS) -> int:
     caps.check("max_point_entries", p * len(hs))
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    row = [v % p for v in hs] or [0]  # h = () is the zero polynomial
-    return int(_row_root_counts(np.array([row], dtype=np.int64), p)[0])
+    row = np.array([[v % p for v in hs] or [0]], dtype=np.int64)  # h = () is 0
+    return int(_root_counts(row, p)[0, (row[0, -1] + (p - 1) // 2) % p])
 
 
 def hua_wang_double_sum(h, p: int, caps: Caps = DEFAULT_CAPS) -> ExpSumValue:
@@ -218,8 +209,8 @@ class WeilCheckReport:
 
 
 class _PhaseSums:
-    """sums(h_rows) -> |sum_n e(h.y_n/M)| for each row h, and sums.slabs(d) ->
-    the sums themselves over the slabs of C_d(M); see the module doc."""
+    """sums.slabs(d) -> the sums sum_n e(h.y_n/M) over the slabs of C_d(M),
+    and sums.values -> their magnitudes at chosen h; see the module doc."""
 
     def __init__(self, points: np.ndarray, m: int):
         n, d = points.shape
@@ -247,10 +238,15 @@ class _PhaseSums:
             out += self._rows(t, c)
         return out
 
-    def __call__(self, h_rows: np.ndarray) -> np.ndarray:
-        pos = (h_rows + self.off) % self.m
-        return np.abs(np.concatenate([np.take(self.roots, self.head(pos[lo:lo + self.step]))
-                                      .sum(axis=-1) for lo in range(0, len(pos), self.step)]))
+    def values(self, head: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """|S| at the flat positions at of a chunk's (k, M) slabs, from the
+        chunk's (k, n) head phases plus the last axis's rows, step at a time."""
+        out = np.empty(len(at))
+        for i in range(0, len(at), self.step):
+            j = at[i:i + self.step]
+            phase = head[j // self.m] + self._rows(self.tables[-1], j % self.m)
+            out[i:i + self.step] = np.abs(np.take(self.roots, phase).sum(axis=-1))
+        return out
 
     def slabs(self, d: int):
         """Yield (lo, heads, sums) for each chunk of _heads: sums[i, j] is the
@@ -269,21 +265,16 @@ class _PhaseSums:
             yield lo, heads, out
 
 
-def _vectors(pos: np.ndarray, m: int, d: int) -> np.ndarray:
-    """The vectors of C_d(M) at flat positions pos of the sweep order."""
-    out = np.empty((len(pos), d), dtype=np.int64)
-    for j in range(d - 1, -1, -1):
-        pos, out[:, j] = np.divmod(pos, m)
-    return out - (m - 1) // 2
-
-
 def _heads(m: int, d: int, per: int):
     """Yield (lo, heads): the heads lo, lo+1, ... of C_d(M), per at a time, in
     sweep order, as (k, d) int64 vectors with last entry 0."""
     n_heads = m ** (d - 1)
     for lo in range(0, n_heads, per):
         pos = np.arange(lo, min(lo + per, n_heads)) * m + (m - 1) // 2
-        yield lo, _vectors(pos, m, d)
+        heads = np.empty((len(pos), d), dtype=np.int64)
+        for j in range(d - 1, -1, -1):  # the base-M digits of pos
+            pos, heads[:, j] = np.divmod(pos, m)
+        yield lo, heads - (m - 1) // 2
 
 
 def _screen_eps(n: int, m: int) -> float:
@@ -329,50 +320,56 @@ def _screen_eps(n: int, m: int) -> float:
     return 2 * n * rho + 2 * sigma + fft + u * (2 * size + fft)
 
 
-def _slab_dft(sums: _PhaseSums, last: np.ndarray, d: int):
-    """Yield (lo, heads, mags) for each chunk of _heads, as sums.slabs(d)
-    does, with the magnitudes of the sums.  last is the points' last column.
+def _slab_dft(sums: _PhaseSums, last: np.ndarray, chunks):
+    """Yield (heads, mags, value) for each chunk of heads, (k, d) vectors with
+    last entry 0: mags[i, j] is |S| at heads[i] + c*e_d for the j-th c of
+    C(M), and value is sums.values on the chunk's head phases.  last is the
+    points' last column.
 
     Each slab is one length-M transform:
     S(head + c*e_d) = sum_b G[b] e(c*b/M), where G[b] sums the head's roots
-    over the points whose last column is b.  _screen_eps bounds the
-    difference to the magnitudes of sums.slabs(d).
+    over the points whose last column is b.  _screen_eps bounds how far mags
+    lie from value's magnitudes.
     """
     m, off = sums.m, sums.off
     order = np.argsort(last, kind="stable")
     bins, starts = np.unique(last[order], return_index=True)
     read = np.arange(-off, m - off) % m  # transform entries in C(M) order
-    for lo, heads in _heads(m, d, sums.per):
+    for heads in chunks:
+        head = sums.head(heads[:, :-1] + off)
         g = np.zeros((len(heads), m), dtype=np.complex128)
-        roots = np.take(sums.roots, sums.head(heads[:, :-1] + off)[:, order])
-        g[:, bins] = np.add.reduceat(roots, starts, axis=1)
-        yield lo, heads, np.abs(np.fft.ifft(g, axis=1, norm="forward")[:, read])
+        g[:, bins] = np.add.reduceat(np.take(sums.roots, head[:, order]), starts, axis=1)
+        mags = np.abs(np.fft.ifft(g, axis=1, norm="forward")[:, read])
+        yield heads, mags, partial(sums.values, head)
 
 
-def _screen(slabs, p: int, threshold: float, eps: float, recompute=None):
-    """The exhaustive Weil sweep: slabs yields (lo, heads, mags) for each chunk
-    of _heads, every magnitude within eps of the exact one.  For each chunk
-    yield (candidates, their magnitudes, v): the admissible h, in sweep order,
-    above the maximum before them less 2*eps or within eps of threshold, valued
-    again by recompute if given, and v, the number of the other admissible h
-    above threshold.  No other h can attain the maximum magnitude, be the
-    first h attaining the maximum ratio, or lie on the other side of threshold
-    than the screen says.  h is inadmissible when p divides every entry."""
+def _screen(slabs, p: int, threshold: float, eps: float):
+    """The Weil sweep: slabs yields (heads, mags, value) as _slab_dft does,
+    every magnitude within eps of the exact one, or with value None when mags
+    are exact.  For each chunk yield (candidates, their magnitudes, v, n): the
+    admissible h, in sweep order, above the maximum before them less 2*eps or
+    within eps of threshold, valued by value(at) at their flat positions at;
+    v, the number of the other admissible h above threshold; and n, the
+    chunk's admissible h.  No other h can attain the maximum magnitude, be
+    the first h attaining the maximum ratio, or lie on the other side of
+    threshold than the screen says.  h is inadmissible when p divides every
+    entry."""
     top = -np.inf  # running maximum of the screened magnitudes
-    for lo, heads, mags in slabs:
-        m, d = mags.shape[1], heads.shape[1]
+    for heads, mags, value in slabs:
+        m = mags.shape[1]
         zero = np.all(heads % p == 0, axis=1)
         if zero.any():
             mags[zero[:, None] & (np.array(c_values(m)) % p == 0)] = -np.inf
         mags = mags.ravel()
+        ok = mags > -np.inf
         run = np.maximum.accumulate(np.concatenate(([top], mags)))
         top = run[-1]  # run[i] is the maximum before mags[i]
-        keep = (mags > run[:-1] - 2 * eps) | (np.abs(mags - threshold) <= eps)
-        keep &= mags > -np.inf
+        keep = ok & ((mags > run[:-1] - 2 * eps) | (np.abs(mags - threshold) <= eps))
         rest = int((mags[~keep] > threshold).sum())
         at = np.flatnonzero(keep)
-        cand = _vectors(lo * m + at, m, d)
-        yield cand, recompute(cand) if recompute and len(at) else mags[at], rest
+        cand = heads[at // m]
+        cand[:, -1] = at % m - (m - 1) // 2
+        yield cand, mags[at] if value is None else value(at), rest, int(ok.sum())
 
 
 def weil_bound_check(lemma: int, p: int, s: int, caps: Caps = DEFAULT_CAPS,
@@ -383,15 +380,18 @@ def weil_bound_check(lemma: int, p: int, s: int, caps: Caps = DEFAULT_CAPS,
     lemma 5: |korobov_sum(h, p, 2)| <= (s-1)*p for h in C_s*(p^2), p not| some h_j;
     lemma 6: |hua_wang_double_sum(h, p)| <= (s-1)*p for h in C_s*(p).
 
-    Exhaustive when the admissible count is within caps.max_freq_vectors,
-    otherwise a seeded uniform sample of that many vectors (see the module
-    doc).  Reports the worst magnitude/bound ratio and the first h attaining
-    it in enumeration order.  eps = _screen_eps(N, M) bounds one direct
-    sum's rounding too, so it is the tolerance throughout: an h violates the
-    bound when its magnitude exceeds bound + eps, and a maximum magnitude
-    within eps of 0 is no nonzero sum and is reported as 0.0 (at s = 1 every
-    admissible S(h) is exactly 0, and the bound is 0 too).  M*s, the entries
-    of the power table, must fit caps.max_point_entries.
+    One sweep path (see the module doc): exhaustive when the admissible count
+    is within cap = caps.max_freq_vectors, otherwise over the slabs of
+    cap // M heads drawn uniformly with the seed, at most cap vectors, a
+    vector drawn twice counted twice; a cap below M raises BudgetError.
+    n_checked counts the admissible vectors swept.  Reports the worst
+    magnitude/bound ratio and the first h attaining it in sweep order.
+    eps = _screen_eps(N, M) bounds one direct sum's rounding too, so it is
+    the tolerance throughout: an h violates the bound when its magnitude
+    exceeds bound + eps, and a maximum magnitude within eps of 0 is no
+    nonzero sum and is reported as 0.0 (at s = 1 every admissible S(h) is
+    exactly 0, and the bound is 0 too).  M*s, the entries of the power
+    table, must fit caps.max_point_entries.
     """
     if lemma not in (3, 5, 6):
         raise ValueError(f"lemma must be 3, 5 or 6, got {lemma}")
@@ -406,35 +406,28 @@ def weil_bound_check(lemma: int, p: int, s: int, caps: Caps = DEFAULT_CAPS,
     admissible = m ** s - (p ** s if lemma == 5 else 1)
     exhaustive = admissible <= cap
     eps = _screen_eps(m, m)  # M terms: n < M, or a < p for lemma 6
+    per = max(1, _GATHER_BYTES // (16 * m))  # heads per chunk, as _PhaseSums'
+    if exhaustive:
+        chunks = (heads for _, heads in _heads(m, s, per))
+    else:  # floor(cap/M) seeded heads, _BLOCK per draw
+        caps.check("max_freq_vectors", m)
+        rng, n_heads = np.random.default_rng(seed), cap // m
+        draws = (np.pad(rng.integers(-((m - 1) // 2), m // 2 + 1, dtype=np.int64,
+                                     size=(min(_BLOCK, n_heads - lo), s - 1)), ((0, 0), (0, 1)))
+                 for lo in range(0, n_heads, _BLOCK))
+        chunks = (d[i:i + per] for d in draws for i in range(0, len(d), per))
     if lemma == 6:  # p per root a of h_1 + h_2 a + ... + h_s a^(s-1) mod p
-        per = max(1, _GATHER_BYTES // (16 * p))
-        slabs = ((lo, heads, _root_counts(heads, p) * float(p))
-                 for lo, heads in _heads(p, s, per))
-        band, recompute = 0.0, None  # exact counts
-
-        def value(rows):
-            return p * _row_root_counts(rows, p)
+        slabs = ((heads, _root_counts(heads, p) * float(p), None) for heads in chunks)
+        band = 0.0  # exact counts
     else:  # columns n, n^2, ..., n^s
         points = power_table(m, s, first_power=1)
-        value = recompute = _PhaseSums(points, m)
-        slabs = _slab_dft(value, points[:, -1], s)
+        slabs = _slab_dft(_PhaseSums(points, m), points[:, -1], chunks)
         band = eps
-    if exhaustive:
-        swept = _screen(slabs, p, bound + eps, band, recompute)
-    else:  # seeded rows, _BLOCK per draw, the inadmissible ones dropped
-        rng = np.random.default_rng(seed)
-        rows = (rng.integers(-((m - 1) // 2), m // 2 + 1,
-                             size=(min(_BLOCK, cap - lo), s), dtype=np.int64)
-                for lo in range(0, cap, _BLOCK))
-        rows = (r[~np.all(r % p == 0, axis=1)] for r in rows)
-        swept = ((r, value(r), 0) for r in rows if len(r))
 
-    max_ratio, worst, max_mag, violations = -1.0, (), 0.0, 0
-    n_checked = admissible if exhaustive else 0
-    for block, mags, screened in swept:
+    max_ratio, worst, max_mag, violations, n_checked = -1.0, (), 0.0, 0, 0
+    for block, mags, screened, admitted in _screen(slabs, p, bound + eps, band):
         violations += screened + int((mags > bound + eps).sum())
-        if not exhaustive:
-            n_checked += len(block)
+        n_checked += admitted
         if not len(block):
             continue
         max_mag = max(max_mag, float(mags.max()))

@@ -1,4 +1,4 @@
-"""Deterministic primality, prime search and tables of modular powers."""
+"""Primality, prime search and tables of modular powers."""
 from __future__ import annotations
 
 import numpy as np
@@ -32,7 +32,9 @@ def _witness_says_composite(n: int, d: int, r: int, a: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Primality test, deterministic for all n < 3.317e24 (incl. 64-bit)."""
+    """Primality test: Miller-Rabin with the 13 prime bases up to 41, proven
+    for n < 3.317e24 (Sorenson and Webster, 2017); past that a strong
+    probable-prime test to the 44 prime bases up to 193, unproven."""
     if n < 2:
         return False
     for p in _DETERMINISTIC_WITNESSES:  # trial division by the primes up to 41

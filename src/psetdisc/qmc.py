@@ -29,8 +29,10 @@ class ProductIntegrand:
     coefficients: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients",
-                           tuple(float(c) for c in self.coefficients))
+        coeffs = tuple(float(c) for c in self.coefficients)
+        if not all(map(math.isfinite, coeffs)):
+            raise ValueError(f"integrand coefficients must be finite, got {coeffs}")
+        object.__setattr__(self, "coefficients", coeffs)
 
     @property
     def dim(self) -> int:

@@ -195,7 +195,8 @@ def gamma_tail_sum(w: ProductWeights, k: int, t: float = 1.0) -> float:
     """Tail norm Gamma_{k,t} = (sum_{j>k} gamma_j**t)**(1/t); Gamma_k at t=1.
 
     Exact closed form for zero/geometric tails; certified truncation for
-    powerlaw tails (requires exponent*t > 1, else DivergenceError).
+    powerlaw tails (requires exponent*t > 1, else DivergenceError); a t too
+    small for the float closed form raises ValueError.
     """
     if not isinstance(w, ProductWeights):
         raise TypeError("tail sums are defined for product weights only")
@@ -211,6 +212,8 @@ def gamma_tail_sum(w: ProductWeights, k: int, t: float = 1.0) -> float:
         anchor = w.gammas[-1] if w.gammas else 1.0
         if anchor > 0:
             rt = tail.ratio ** t
+            if rt == 1.0:
+                raise ValueError(f"t={t} is too small: the tail ratio**t rounds to 1")
             total += anchor ** t * tail.ratio ** (t * (start - kpre)) / (1.0 - rt)
     elif isinstance(tail, PowerLawTail):
         q = tail.exponent * t
@@ -218,7 +221,11 @@ def gamma_tail_sum(w: ProductWeights, k: int, t: float = 1.0) -> float:
             raise DivergenceError(
                 f"sum of gamma_j**t diverges: exponent*t = {q} <= 1")
         total += tail.scale ** t * _power_series_tail(q, start)
-    return total ** (1.0 / t)
+    try:
+        return total ** (1.0 / t)
+    except OverflowError:  # float ** float; a k past a float raises above, for thm2_params
+        raise ValueError(f"t={t} is too small: the tail sum to the power 1/t "
+                         f"does not fit a float") from None
 
 
 def parse_weights(text: str) -> Weights:

@@ -316,6 +316,8 @@ def _raising(exc):
     return scan
 
 
+_TINY_T = ("error: t={} is too small: the tail sum to the power 1/t does not fit "
+           "a float")
 _OVERFLOW = "error: the envelope constant at k0=11370 (power 11371) does not fit a float"
 
 # argv, PSET_DISC_MAX_OPS or None, what disc's exact scan raises or None,
@@ -361,6 +363,27 @@ EXIT_PATHS = {
     "thm2-composite": (["bound", "--thm", "2", "--kind", "P", "--p", "4", "--s", "2",
                         "--weights", GEO_FILE, "--delta", "0.25"], None, None, 1,
                        "error: p must be prime, got 4"),
+    # ratio**t of the geometric tail is 1 - 7e-6, then (1.4e5)**(1/t) overflows
+    "t-tiny-bound": (["bound", "--thm", "2", "--kind", "P", "--p", "3", "--s", "2",
+                      "--weights", GEO_FILE, "--delta", "0.25", "--t", "1e-5"], None, None, 1,
+                     _TINY_T.format("1e-05")),
+    "t-tinier-bound": (["bound", "--thm", "2", "--kind", "P", "--p", "3", "--s", "2",
+                        "--weights", GEO_FILE, "--delta", "0.25", "--t", "1e-10"], None, None,
+                       1, _TINY_T.format("1e-10")),
+    "t-tiny-nmin": (["nmin", "--kind", "P", "--eps", "0.1", "--s", "2",
+                     "--weights", GEO_FILE, "--delta", "0.25", "--t", "1e-5"], None, None, 1,
+                    _TINY_T.format("1e-05")),
+    # ratio**t rounds to 1: the closed form would divide by 0
+    "t-tiniest-bound": (["bound", "--thm", "2", "--kind", "P", "--p", "3", "--s", "2",
+                         "--weights", GEO_FILE, "--delta", "0.25", "--t", "1e-300"], None,
+                        None, 1, "error: t=1e-300 is too small: the tail ratio**t rounds to 1"),
+    "t-tiniest-chain": (["chain", "--kind", "P", "--p", "3", "--s", "2",
+                         "--weights", GEO_FILE, "--delta", "0.25", "--t", "1e-300"], None,
+                        None, 1, "error: t=1e-300 is too small: the tail ratio**t rounds to 1"),
+    "coeffs-nan": (["integrate", "--kind", "P", "--s", "1", "--primes", "2", "--coeffs", "nan"],
+                   None, None, 1, "error: integrand coefficients must be finite, got (nan,)"),
+    "coeffs-inf": (["integrate", "--kind", "P", "--s", "1", "--primes", "2", "--coeffs", "inf"],
+                   None, None, 1, "error: integrand coefficients must be finite, got (inf,)"),
     "bound-inf": (["bound", "--thm", "2", "--kind", "Q", "--p", "5", "--s", str(10**300),
                    "--weights", POW_FILE, "--delta", "0.25", "--t", "2"], None, None, 1,
                   "error: the envelope bound does not fit a float"),

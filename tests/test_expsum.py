@@ -13,9 +13,9 @@ from psetdisc.config import BudgetError, Caps
 from psetdisc.discrepancy import star_discrepancy_exact, weighted_star_discrepancy_exact
 from psetdisc.expsum import (_heads, _PhaseSums, _rhs_sum_term, _root_counts,
                              _roots_of_unity, _screen, _screen_eps,
-                             _slab_dft, _vectors, c_values,
+                             _slab_dft, c_values,
                              hua_wang_double_sum, hua_wang_root_count,
-                             korobov_sum, niederreiter_rhs,
+                             korobov_sum, niederreiter_rhs, WeilCheckReport,
                              weighted_niederreiter_rhs, weil_bound_check)
 from psetdisc.numtheory import is_prime, power_table
 from psetdisc.pointset import PSetKind, RationalPointSet, generate
@@ -356,24 +356,22 @@ _SCREENED = [(lemma, p, s) for lemma in (3, 5) for p in (2, 3, 5, 7, 11, 13)
 _SCREENED += [(3, 53, 3), (3, 101, 2), (3, 101, 3), (3, 211, 2)]
 
 
-def _reference_report(lemma, p, s):
-    """weil_bound_check's direct loop: every h through sums.slabs.  Returns
-    the report and the largest |screen - direct| of _slab_dft's magnitudes."""
+def _weil_setup(lemma, p, s):
+    """(M, bound, eps) of one Weil sweep."""
     m = p * p if lemma == 5 else p
     bound = (s - 1) * math.sqrt(p) if lemma == 3 else float((s - 1) * p)
-    points = power_table(m, s, first_power=1)
-    sums = _PhaseSums(points, m)
-    eps = _screen_eps(m, m)  # the m points n = 0..m-1
+    return m, bound, _screen_eps(m, m)  # the m points n = 0..m-1, or a < p
+
+
+def _direct_report(p, bound, eps, swept):
+    """weil_bound_check's report by a plain loop: swept yields (h, |S(h)|)
+    for runs of vectors in sweep order, the inadmissible ones included."""
     max_ratio, worst, max_mag, n_checked, violations = -1.0, (), 0.0, 0, 0
-    screen_err = 0.0
-    for (_, _, screened), (_, heads, out) in zip(_slab_dft(sums, points[:, -1], s),
-                                                 sums.slabs(s)):
-        screen_err = max(screen_err, float(np.abs(screened - np.abs(out)).max()))
-        block = _slab_vectors(heads, m)
+    for block, mags in swept:
         keep = ~np.all(block % p == 0, axis=1)
         if not keep.any():
             continue
-        block, mags = block[keep], np.abs(out.ravel()[keep])
+        block, mags = block[keep], mags[keep]
         n_checked += len(block)
         violations += int((mags > bound + eps).sum())
         max_mag = max(max_mag, float(mags.max()))
@@ -387,7 +385,24 @@ def _reference_report(lemma, p, s):
     if max_mag <= eps:  # no nonzero sum is this small
         max_mag = 0.0
     return dict(max_ratio=max_ratio, worst_h=worst, max_magnitude=max_mag,
-                n_checked=n_checked, violations=violations), screen_err
+                n_checked=n_checked, violations=violations)
+
+
+def _reference_report(lemma, p, s):
+    """The exhaustive lemma 3/5 report with every h through sums.slabs, and
+    the largest |screen - direct| of _slab_dft's magnitudes."""
+    m, bound, eps = _weil_setup(lemma, p, s)
+    points = power_table(m, s, first_power=1)
+    sums = _PhaseSums(points, m)
+    chunks = (heads for _, heads in _heads(m, s, sums.per))
+    screen_err = [0.0]
+
+    def swept():
+        for (_, screened, _), (_, heads, out) in zip(_slab_dft(sums, points[:, -1], chunks),
+                                                     sums.slabs(s)):
+            screen_err[0] = max(screen_err[0], float(np.abs(screened - np.abs(out)).max()))
+            yield _slab_vectors(heads, m), np.abs(out.ravel())
+    return _direct_report(p, bound, eps, swept()), screen_err[0]
 
 
 @pytest.mark.parametrize("lemma,p,s", _SCREENED)
@@ -428,12 +443,57 @@ def test_weil_screen_band_decides_ties_at_threshold():
     m, threshold = 25, 5.0
     points = power_table(m, 3, first_power=1)
     sums = _PhaseSums(points, m)
-    swept = _screen(_slab_dft(sums, points[:, -1], 3), 5, threshold, _screen_eps(m, m), sums)
-    got = sum(rest + int((mags > threshold).sum()) for _, mags, rest in swept)
+    slabs = _slab_dft(sums, points[:, -1], (h for _, h in _heads(m, 3, sums.per)))
+    swept = _screen(slabs, 5, threshold, _screen_eps(m, m))
+    got = sum(rest + int((mags > threshold).sum()) for _, mags, rest, _ in swept)
     want = sum(int((np.abs(out.ravel()[~np.all(_slab_vectors(heads, m) % 5 == 0, axis=1)])
                     > threshold).sum())
                for _, heads, out in sums.slabs(3))
     assert got == want
+
+
+# the four sampled golden cases (check_weil_sampled_*), then p = 2 and 3 with
+# zero heads, and 4,100 heads in two draws of 4096 and 4
+_SAMPLED = [(3, 13, 3, 500, 0), (6, 13, 3, 500, 0), (5, 2, 3, 40, 0), (5, 3, 2, 40, 4),
+            (3, 2, 4, 10, 1), (3, 3, 3, 20, 5), (5, 3, 3, 200, 1), (6, 2, 4, 9, 3),
+            (6, 3, 3, 20, 2), (3, 2, 14, 8200, 0)]
+
+
+def _sampled_reference(lemma, p, s, cap, seed):
+    """The sampled report by a direct sweep of its seeded slabs: cap // M
+    heads of C_{s-1}(M), 4096 per draw, each with last entry 0."""
+    m, bound, eps = _weil_setup(lemma, p, s)
+    rng, n_heads = np.random.default_rng(seed), cap // m
+    heads = np.concatenate([rng.integers(-((m - 1) // 2), m // 2 + 1, dtype=np.int64,
+                                         size=(min(4096, n_heads - lo), s - 1))
+                            for lo in range(0, n_heads, 4096)])
+    h = _slab_vectors(np.hstack([heads, np.zeros((n_heads, 1), dtype=np.int64)]), m)
+    if lemma == 6:  # p per root a of h_1 + h_2 a + ... + h_s a^(s-1) mod p
+        mags = p * (h @ power_table(p, s, first_power=0).T % p == 0).sum(1).astype(float)
+    else:
+        mags = _reference_magnitudes(power_table(m, s, first_power=1), m, h)
+    report = _direct_report(p, bound, eps, [(h, mags)])
+    return WeilCheckReport(lemma=lemma, p=p, s=s, bound=bound, exhaustive=False,
+                           seed=seed, **report)
+
+
+@pytest.mark.parametrize("lemma,p,s,cap,seed", _SAMPLED)
+def test_weil_sampled_report_is_the_direct_sweep_of_its_slabs(lemma, p, s, cap, seed):
+    # every field, in one head per chunk and at the default budget
+    want = _sampled_reference(lemma, p, s, cap, seed)
+    assert want.n_checked <= cap
+    for budget in (1, expsum._GATHER_BYTES):
+        with mock.patch.object(expsum, "_GATHER_BYTES", budget):
+            assert weil_bound_check(lemma, p, s, Caps(max_freq_vectors=cap), seed) == want
+
+
+@pytest.mark.parametrize("lemma,p,s,cap", [(3, 13, 3, 12), (5, 5, 3, 24), (6, 1009, 3, 1000)])
+def test_weil_sampled_refuses_a_cap_below_one_slab(lemma, p, s, cap):
+    m = p * p if lemma == 5 else p
+    with pytest.raises(BudgetError, match=f"^max_freq_vectors: requested {m}, limit {cap}$"):
+        weil_bound_check(lemma, p, s, caps=Caps(max_freq_vectors=cap))
+    rep = weil_bound_check(lemma, p, s, caps=Caps(max_freq_vectors=m))  # one slab
+    assert not rep.exhaustive and 0 < rep.n_checked <= m
 
 
 # ---------------------------------------------------------------- phase kernel
@@ -465,16 +525,22 @@ def _rational_sets(draw):
 
 @given(_rational_sets(), st.integers(0, 2**32 - 1), st.sampled_from(_BUDGETS))
 @settings(max_examples=60, deadline=None)
-def test_phase_sums_bit_identical_to_direct_formula(ps, seed, budget):
-    m, y = ps.modulus, ps.numerators
+def test_candidate_values_bit_identical_to_direct_formula(ps, seed, budget):
+    # _slab_dft's value at every flat position of the first and last chunks
+    # of _heads and of seeded heads, from the head phases and last-axis rows
+    m, y, d = ps.modulus, ps.numerators, ps.dim
+    rng = np.random.default_rng(seed)
+    drawn = rng.integers(-((m - 1) // 2), m // 2 + 1, size=(7, d))
+    drawn[:, -1] = 0
     with mock.patch.object(expsum, "_GATHER_BYTES", _budget(budget, len(y))):
         sums = _PhaseSums(y, m)
-    total = m ** ps.dim
-    first, last = np.arange(min(4096, total)), np.arange(max(0, total - 4096), total)
-    sampled = np.random.default_rng(seed).integers(-2 * m, 2 * m + 1,
-                                                   size=(50, ps.dim))
-    for h in (_vectors(first, m, ps.dim), _vectors(last, m, ps.dim), sampled):
-        assert np.array_equal(sums(h), _reference_magnitudes(y, m, h))
+        chunks = [heads for _, heads in _heads(m, d, sums.per)]
+    for heads, _, value in _slab_dft(sums, y[:, -1], [chunks[0], chunks[-1], drawn]):
+        at = np.arange(len(heads) * m)
+        h = _slab_vectors(heads, m)
+        assert np.array_equal(value(at), _reference_magnitudes(y, m, h))
+        some = np.sort(rng.choice(at, size=min(len(at), 5), replace=False))
+        assert np.array_equal(value(some), _reference_magnitudes(y, m, h[some]))
 
 
 @given(_rational_sets(), st.sampled_from(_BUDGETS))
@@ -532,7 +598,7 @@ def _lemma6_reference(p, s):
 @pytest.mark.parametrize("budget", _BUDGETS)
 def test_lemma6_sweep_counts_hua_wang_roots(budget):
     # exhaustive sweeps in one, three or many heads per chunk, and the sampled
-    # mode's rows cut the same way: p per root of the coefficient polynomial
+    # mode's heads cut the same way: p per root of the coefficient polynomial
     pairs = ((2, 3), (3, 3), (5, 2), (7, 3), (2, 5), (3, 5), (11, 1), (31, 2))
     with mock.patch.object(expsum, "_GATHER_BYTES", _budget(budget, 13)):
         reports = [weil_bound_check(6, p, s) for p, s in pairs]
@@ -542,15 +608,15 @@ def test_lemma6_sweep_counts_hua_wang_roots(budget):
         assert {k: getattr(rep, k) for k in _lemma6_reference(p, s)} == _lemma6_reference(p, s)
         assert direct_double_sum(rep.worst_h, p) == pytest.approx(rep.max_magnitude, abs=1e-9)
     assert sampled == weil_bound_check(6, 13, 3, caps=Caps(max_freq_vectors=500), seed=7)
-    assert not sampled.exhaustive and sampled.n_checked == 500
+    assert not sampled.exhaustive and sampled.n_checked == 13 * 38 - 1  # h = 0 in one of 38 slabs
     assert 13 * hua_wang_root_count(sampled.worst_h, 13) == sampled.max_magnitude
 
 
-@pytest.mark.parametrize("p,s,cap", [(23, 4, None), (211, 2, None), (1009, 3, 1000)])
+@pytest.mark.parametrize("p,s,cap", [(23, 4, None), (211, 2, None), (1009, 3, 5 * 1009)])
 def test_lemma6_memory_follows_budget(p, s, cap):
-    # a chunk's counts and screen, or a sampled block's rows, stay within a
-    # small multiple of _GATHER_BYTES at the default and an 8th of it; the
-    # exhaustive sweep forms vectors only for its few candidates
+    # a chunk's counts and screen, exhaustive or of sampled heads, stay within
+    # a small multiple of _GATHER_BYTES at the default and an 8th of it; the
+    # sweep forms vectors only for its few candidates
     caps = Caps() if cap is None else Caps(max_freq_vectors=cap)
     limit = 5 if (p, s) == (23, 4) else 10
     want = weil_bound_check(6, p, s, caps=caps)

@@ -67,7 +67,7 @@ CASES = {
     # k0 = 11370: the envelope constant does not fit a float, exit 1
     "nmin_envelope_overflow": ("nmin --kind P --eps 0.1 --s 3 --weights overflow.txt "
                                "--delta 0.25", None),
-    # 13^3 - 1 vectors past the cap of 500: the seeded sampled lemma 6 mode
+    # 13^3 - 1 vectors past the cap of 500: the sampled lemma 6 mode, 38 heads
     "check_weil_sampled_p13_s3_lemma6": ("check-weil --p 13 --s 3 --lemma 6", "500"),
     "check_weil_p2_s3_lemma6": ("check-weil --p 2 --s 3 --lemma 6", None),
     # at s = 1 the polynomial is the constant h_1: a = 0 counts like any a
@@ -76,7 +76,9 @@ CASES = {
     "sum_double_11_3_large_h": ("sum --p 11 --s 3 --h=13,-25,100 --double", None),
     # every entry a multiple of p: the polynomial is 0 mod p, p roots
     "sum_double_5_3_zero_poly": ("sum --p 5 --s 3 --h=10,-5,25 --double", None),
-    # the sampled lemma 5 mode: 5 of the 40 drawn rows are multiples of p
+    # the sampled lemma 5 mode: 10 seeded heads of 4 vectors, no head a
+    # multiple of p; at p = 3, 4 heads of 9, two of them multiples of p, so
+    # 6 of the 36 vectors are inadmissible
     "check_weil_sampled_p2_s3_lemma5": ("check-weil --p 2 --s 3 --lemma 5", "40"),
     "check_weil_sampled_p3_s2_lemma5_seed4": ("check-weil --p 3 --s 2 --lemma 5 "
                                               "--seed 4", "40"),

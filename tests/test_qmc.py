@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -83,6 +84,12 @@ def test_integrand_refuses_points_of_another_dimension(point):
     # the coordinates lie on the last axis of any array
     x = np.random.default_rng(0).random((3, 4, 2))
     assert f(x).tolist() == [[f(p) for p in row] for row in x.tolist()]
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+def test_integrand_refuses_non_finite_coefficients(c):
+    with pytest.raises(ValueError, match="integrand coefficients must be finite"):
+        ProductIntegrand(coefficients=(1.0, c))
 
 
 def test_hk_variation_examples():
