@@ -11,7 +11,11 @@ of `weighted_star_discrepancy_exact`.  Last, for the transference bounds of
 the spectrum benchmark's rhs sets and one set whose M*N phase table is past
 the kernel's gather budget (R 101/s2), it prints the repr of
 `niederreiter_rhs` and of `weighted_niederreiter_rhs` (gamma_j = 2^-j) and
-the least CPU time of each.  Then, for the Weil sweeps of the spectrum
+the least CPU time of each.  Then, for weighted rhs cases where one sweep
+serves several maximal subsets (general weights on {1,2}, {2,3}, {1,3}, on
+P 97/s3) or many subsets (gamma_j = 2^-j on P 2/s12, 4,095 subsets), it
+prints the repr of the whole `weighted_niederreiter_rhs` result and its
+least CPU time.  Then, for the Weil sweeps of the spectrum
 benchmark's `check-weil` jobs, a saturated lemma 5 sweep (p 17/s2, where
 every h is a candidate) and three sweeps past the default frequency cap (the
 sampled mode), it prints every field of `weil_bound_check`'s report and its
@@ -27,7 +31,7 @@ import time
 from psetdisc.discrepancy import star_discrepancy_exact, weighted_star_discrepancy_exact
 from psetdisc.expsum import niederreiter_rhs, weighted_niederreiter_rhs, weil_bound_check
 from psetdisc.pointset import PSetKind, generate
-from psetdisc.weights import GeometricTail, ProductWeights, _enumerate_subsets
+from psetdisc.weights import GeneralWeights, GeometricTail, ProductWeights, _enumerate_subsets
 
 SETS = (("P", 199, 3), ("P", 401, 3), ("Q", 19, 3), ("Q", 23, 3),
         ("P", 23, 5), ("P", 61, 4))
@@ -37,6 +41,8 @@ RHS_SETS = (("P", 97, 3), ("R", 23, 3), ("R", 31, 3), ("Q", 19, 2), ("R", 101, 2
 WEIL_SWEEPS = ((3, 23, 4), (5, 7, 3), (5, 11, 3), (6, 23, 4), (5, 2, 2),
                (5, 17, 2), (3, 101, 4), (5, 17, 3), (6, 101, 4))
 HALVING = ProductWeights(tail=GeometricTail(0.5))  # gamma_j = 2^-j
+PAIRS = GeneralWeights(entries={(1, 2): 1.0, (2, 3): 0.5, (1, 3): 0.25})
+WEIGHTED_RHS = ((("P", 97, 3), "pairs", PAIRS), (("P", 2, 12), "halving", HALVING))
 
 
 def parse_args():
@@ -82,6 +88,11 @@ def main():
         print(f"{kind} {p}/s{s},niederreiter,{value!r},{best:.4f}")
         res, best = timed(lambda: weighted_niederreiter_rhs(ps, HALVING), args.repeat)
         print(f"{kind} {p}/s{s},weighted,{res.value!r},{best:.4f}")
+    print("wrhs set,weights,result,cpu_s")
+    for (kind, p, s), name, w in WEIGHTED_RHS:
+        ps = generate(PSetKind(kind), p, s)
+        res, best = timed(lambda: weighted_niederreiter_rhs(ps, w), args.repeat)
+        print(f"{kind} {p}/s{s},{name},{res!r},{best:.4f}")
     print("weil lemma,p,s,bound,max_ratio,worst_h,max_magnitude,n_checked,mode,violations,cpu_s")
     for lemma, p, s in WEIL_SWEEPS:
         rep, best = timed(lambda: weil_bound_check(lemma, p, s), args.repeat)

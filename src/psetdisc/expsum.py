@@ -26,6 +26,18 @@ one does; both are implemented verbatim and the discrepancy between them is
 deliberate (the weighted form is the one the closed-form bounds are derived
 from, and dropping the 1/2 only weakens it).
 
+A projection's spectrum is the full spectrum at the h that are zero off u,
+so the weighted rhs sweeps each maximal positive-weight subset U once and
+reads every smaller subset's sum term from that sweep, bit for bit.  For h
+zero off u (u within U), the head phase adds the zero rows of the tables off
+u, so the phase integers, the roots they index and the pairwise row sum over
+the same N points in the same order are those of u's own sweep, and r(h),
+an integer product with a factor 1 off u, is too.  Lexicographic order
+restricted to those h is the projection's own sweep order.  So the terms
+come in the same order with the same bits, and each subset re-cuts them into
+its own _BLOCK floats.  Each subset is filed under the first maximal subset
+that holds it, in enumeration order.
+
 Every exhaustive sweep walks C_d(M) in one order, that of
 itertools.product(C(M), repeat=d).  It comes in slabs: runs of M vectors that
 share their first d-1 entries, the head, while the last entry runs over C(M).
@@ -45,10 +57,14 @@ below d*M and index the roots of unity tiled d times.
 Each row gets the same numpy pairwise row sum of roots[h.y mod M], so every
 magnitude is bit-identical to the direct h @ y.T % M formula.
 
-_BLOCK has two readers.  The rhs adds one float per 4096 consecutive h of
-C_d*(M), re-cutting the chunks' terms into those blocks, so _BLOCK fixes the
-rhs's last printed digit.  The sampled Weil mode draws its seeded heads
-4096 at a time, so the draws do not depend on _GATHER_BYTES.
+_BLOCK has two readers.  _rhs_sum_terms forms each chunk's terms
+|S(h)|/(N r(h)) once and, for each subset u of the swept axes, picks in
+sweep order the terms whose h is zero off u, h = 0 left out: whole slabs of
+the heads zero off u when u holds the last axis, else their c = 0 entry.  It
+adds one float per 4096 consecutive terms of each u, keeping a running total
+and a rest of fewer than 4096 terms per u, so _BLOCK fixes the rhs's last
+printed digit.  The sampled Weil mode draws its seeded heads 4096 at a time,
+so the draws do not depend on _GATHER_BYTES.
 
 Memory follows _GATHER_BYTES, B.  A chunk holds k heads, so that
 16*k*max(N, M) bytes fit B: a complex gather of its head rows, its (k, M)
@@ -446,25 +462,36 @@ def weil_bound_check(lemma: int, p: int, s: int, caps: Caps = DEFAULT_CAPS,
                            violations=violations)
 
 
-def _rhs_sum_term(numerators: np.ndarray, m: int) -> float:
-    """sum over h in C_d*(M) of |N^-1 sum_n e(2 pi i h.y_n / M)| / r(h), one
-    float per _BLOCK consecutive terms in sweep order."""
+def _rhs_sum_terms(numerators: np.ndarray, m: int, masks) -> list[float]:
+    """For each mask, a set u of the axes (bit j for axis j): the sum over the
+    h in C_d*(M) that are zero off u of |N^-1 sum_n e(2 pi i h.y_n / M)| / r(h),
+    one float per _BLOCK consecutive terms in sweep order, from one sweep."""
     n_pts, d = numerators.shape
-    sums = _PhaseSums(numerators, m)
+    off = (m - 1) // 2
     r_last = np.maximum(1, np.abs(np.array(c_values(m))))
-    zero = (m - 1) // 2 * ((m ** d - 1) // (m - 1))  # flat position of h = 0
-    total, rest = 0.0, np.empty(0)
-    for lo, heads, out in sums.slabs(d):
-        r = np.multiply.outer(np.prod(np.maximum(1, np.abs(heads)), axis=1), r_last)
-        terms = (np.abs(out) / n_pts / r).ravel()
-        if 0 <= zero - lo * m < terms.size:
-            terms = np.delete(terms, zero - lo * m)
-        terms = np.concatenate((rest, terms))
-        cut = len(terms) - len(terms) % _BLOCK
-        for i in range(0, cut, _BLOCK):
-            total += float(terms[i:i + _BLOCK].sum())
-        rest = terms[cut:]
-    return total + float(rest.sum())
+    zero = off * ((m ** d - 1) // (m - 1))  # flat position of h = 0
+    away = [~u % (1 << (d - 1)) for u in masks]  # u's complement among the head axes
+    # a slab's entries whose h is zero off u: all if u holds the last axis
+    cols = [np.full(m, True) if u >> (d - 1) & 1 else np.arange(m) == off for u in masks]
+    bits = 1 << np.arange(d - 1)
+    totals, rests, live = [0.0] * len(masks), [np.empty(0)] * len(masks), {}
+    for lo, heads, out in _PhaseSums(numerators, m).slabs(d):
+        r = np.prod(np.maximum(1, np.abs(heads)), axis=1)
+        terms = (np.abs(out) / n_pts / np.multiply.outer(r, r_last)).ravel()
+        real = np.arange(terms.size) != zero - lo * m  # h = 0 is no term
+        support = ((heads[:, :-1] != 0) * bits).sum(axis=1)  # each head's nonzero axes
+        kinds = frozenset(support.tolist())
+        if kinds not in live:  # the masks with a head here that is zero off u
+            live[kinds] = [i for i, a in enumerate(away) if not all(v & a for v in kinds)]
+        for i in live[kinds]:
+            pick = ((support & away[i] == 0)[:, None] & cols[i]).ravel() & real
+            sel = np.concatenate((rests[i], terms[pick]))
+            cut = len(sel) - len(sel) % _BLOCK
+            for j in range(0, cut, _BLOCK):
+                totals[i] += float(sel[j:j + _BLOCK].sum())
+            rests[i] = sel[cut:]
+        del terms, real  # not held while slabs forms the next chunk
+    return [t + float(rest.sum()) for t, rest in zip(totals, rests)]
 
 
 def niederreiter_rhs(ps: RationalPointSet, caps: Caps = DEFAULT_CAPS) -> float:
@@ -473,7 +500,7 @@ def niederreiter_rhs(ps: RationalPointSet, caps: Caps = DEFAULT_CAPS) -> float:
     if m < 2:
         raise ValueError("modulus must be >= 2 for the frequency spectrum")
     caps.check("max_freq_vectors", m ** s - 1)
-    return s / m + 0.5 * _rhs_sum_term(ps.numerators, m)
+    return s / m + 0.5 * _rhs_sum_terms(ps.numerators, m, [(1 << s) - 1])[0]
 
 
 @dataclass(frozen=True)
@@ -490,21 +517,39 @@ def weighted_niederreiter_rhs(ps: RationalPointSet, w: Weights,
     """Weighted transference bound over coordinate projections.
 
     value = max_u gamma_u |u|/M + max_u gamma_u sum_{h in C_|u|*(M)} |S_u(h)|/(N r(h));
-    the two maxima may be attained at different subsets, both are reported.
-    Zero-weight subsets are skipped.
+    the two maxima may be attained at different subsets, both are reported,
+    each the first in enumeration order to attain it.  Zero-weight subsets
+    are skipped.  The projection on each maximal positive-weight subset is
+    swept once, and every subset filed under it reads its sum term from that
+    sweep, bit for bit (see the module doc).  caps.max_freq_vectors is
+    charged sum_u (M^|u| - 1) over the positive-weight u all the same.
     """
     m = ps.modulus
     if m < 2:
         raise ValueError("modulus must be >= 2 for the frequency spectrum")
     subsets = _enumerate_subsets(ps.dim, w, caps)
     caps.check("max_freq_vectors", sum(m ** len(u) - 1 for u, _ in subsets))
+    masks = [sum(1 << (j - 1) for j in u) for u, _ in subsets]
+    tops = []  # the maximal subsets: no subset with more axes holds them
+    for b in sorted(masks, key=int.bit_count, reverse=True):
+        if all(b & t != b for t in tops):
+            tops.append(b)
+    filed = {t: [] for t in masks if t in tops}  # in enumeration order
+    for b in masks:
+        filed[next(t for t in filed if b & t == b)].append(b)
+    term = {}
+    for t, mine in filed.items():  # one sweep of the projection on t
+        axes = [j for j in range(ps.dim) if t >> j & 1]
+        local = [sum(1 << k for k, j in enumerate(axes) if b >> j & 1) for b in mine]
+        sweep = project(ps, [j + 1 for j in axes]).numerators
+        term.update(zip(mine, _rhs_sum_terms(sweep, m, local)))
     point_term, point_subset = 0.0, ()
     sum_term, sum_subset = 0.0, ()
-    for u, g in subsets:
+    for (u, g), b in zip(subsets, masks):
         v1 = g * len(u) / m
         if v1 > point_term:
             point_term, point_subset = v1, u
-        v2 = g * _rhs_sum_term(project(ps, u).numerators, m)
+        v2 = g * term[b]
         if v2 > sum_term:
             sum_term, sum_subset = v2, u
     return WeightedRhsResult(value=point_term + sum_term,

@@ -11,15 +11,17 @@ from hypothesis import strategies as st
 from psetdisc import expsum
 from psetdisc.config import BudgetError, Caps
 from psetdisc.discrepancy import star_discrepancy_exact, weighted_star_discrepancy_exact
-from psetdisc.expsum import (_heads, _PhaseSums, _rhs_sum_term, _root_counts,
+from psetdisc.expsum import (_heads, _PhaseSums, _rhs_sum_terms, _root_counts,
                              _roots_of_unity, _screen, _screen_eps,
                              _slab_dft, c_values,
                              hua_wang_double_sum, hua_wang_root_count,
                              korobov_sum, niederreiter_rhs, WeilCheckReport,
-                             weighted_niederreiter_rhs, weil_bound_check)
+                             WeightedRhsResult, weighted_niederreiter_rhs,
+                             weil_bound_check)
 from psetdisc.numtheory import is_prime, power_table
 from psetdisc.pointset import PSetKind, RationalPointSet, generate
-from psetdisc.weights import GeneralWeights, GeometricTail, ProductWeights
+from psetdisc.weights import (GeneralWeights, GeometricTail, ProductWeights,
+                              _enumerate_subsets)
 
 from oracles import (c_star, direct_double_sum, direct_korobov_sum,
                      naive_lemma1_rhs, naive_lemma2_rhs)
@@ -576,13 +578,16 @@ def _reference_rhs_sum_term(y, m):
 @example(_point_set(7, [[0, 1, 2, 3, 4], [6, 6, 0, 1, 5], [3, 3, 3, 3, 3]]))  # 7 not| 4096
 @settings(max_examples=15, deadline=None)
 def test_rhs_sum_term_adds_blocks_of_the_direct_formula(ps):
-    # chunks of slabs re-cut into the blocks of C_d*(M): the same floats,
-    # added in the same order, whatever the chunk edges
-    m, y = ps.modulus, ps.numerators
-    want = _reference_rhs_sum_term(y, m)
+    # one sweep, its chunks' terms picked per subset u and re-cut into the
+    # blocks of C_|u|*(M): the floats of u's own direct sweep, added in the
+    # same order, whatever the chunk edges
+    m, y, d = ps.modulus, ps.numerators, ps.dim
+    masks = list(range(1, 1 << d))
+    want = [_reference_rhs_sum_term(y[:, [j for j in range(d) if u >> j & 1]], m)
+            for u in masks]
     for budget in _BUDGETS:
         with mock.patch.object(expsum, "_GATHER_BYTES", _budget(budget, len(y))):
-            assert _rhs_sum_term(y, m) == want, budget
+            assert _rhs_sum_terms(y, m, masks) == want, budget
 
 
 def _lemma6_reference(p, s):
@@ -743,6 +748,50 @@ def test_weighted_rhs_dominates_weighted_exact(kind, p, s):
     rhs = weighted_niederreiter_rhs(ps, HALVING).value
     exact = weighted_star_discrepancy_exact(ps, HALVING).value
     assert exact <= rhs + 1e-12
+
+
+def _reference_weighted_rhs(ps, w):
+    """The lemma 2 rhs with one direct sweep per positive-weight projection:
+    the first subset in enumeration order wins a tie."""
+    m = ps.modulus
+    point, point_u, best, best_u = 0.0, (), 0.0, ()
+    for u, g in _enumerate_subsets(ps.dim, w):
+        if g * len(u) / m > point:
+            point, point_u = g * len(u) / m, u
+        term = g * _reference_rhs_sum_term(ps.numerators[:, [j - 1 for j in u]], m)
+        if term > best:
+            best, best_u = term, u
+    return WeightedRhsResult(value=point + best, point_term=point, point_subset=point_u,
+                             sum_term=best, sum_subset=best_u)
+
+
+_TWIN = _point_set(5, [(0, 0, 1), (1, 1, 4), (3, 3, 3), (3, 3, 0), (4, 4, 2), (1, 1, 4)])
+
+
+@pytest.mark.parametrize("ps,entries,tops,winner", [
+    # overlapping maximal subsets, singletons filed under the first that holds them
+    (generate(PSetKind.KOROBOV_P, 5, 3),
+     {(1, 2): 1.0, (2, 3): 0.7, (1, 3): 0.5, (1,): 2.0, (3,): 0.4}, 3, None),
+    # a zero-weight subset inside the maximal one is skipped, not swept
+    (generate(PSetKind.HUA_WANG_R, 3, 3),
+     {(1, 2, 3): 0.25, (1, 2): 0.0, (2,): 1.0, (3,): 0.5}, 1, None),
+    # maximal subsets of one axis each
+    (generate(PSetKind.KOROBOV_Q, 3, 3), {(1,): 1.0, (3,): 0.5}, 2, None),
+    # columns 1 and 2 agree: u = (1, 3) and (2, 3), in two sweeps, tie exactly
+    (_TWIN, {(1, 3): 1.0, (2, 3): 1.0, (3,): 0.1}, 2, (1, 3)),
+    # and so do (1,) and (2,) in one sweep
+    (_TWIN, {(1, 2): 0.01, (1,): 1.0, (2,): 1.0}, 1, (1,)),
+], ids=["overlapping", "zero weight inside", "one axis each", "tie across sweeps",
+        "tie in one sweep"])
+def test_weighted_rhs_matches_one_sweep_per_projection(ps, entries, tops, winner):
+    # bit for bit, from one sweep per maximal positive-weight subset
+    w = GeneralWeights(entries=entries)
+    with mock.patch.object(expsum, "_PhaseSums", wraps=expsum._PhaseSums) as sweeps:
+        got = weighted_niederreiter_rhs(ps, w)
+    assert got == _reference_weighted_rhs(ps, w)
+    assert sweeps.call_count == tops
+    if winner is not None:
+        assert got.sum_subset == winner
 
 
 def test_weighted_rhs_budget():
