@@ -13,14 +13,16 @@ the kernel's gather budget (R 101/s2), it prints the repr of
 `niederreiter_rhs` and of `weighted_niederreiter_rhs` (gamma_j = 2^-j) and
 the least CPU time of each.  Then, for weighted rhs cases where one sweep
 serves several maximal subsets (general weights on {1,2}, {2,3}, {1,3}, on
-P 97/s3) or many subsets (gamma_j = 2^-j on P 2/s12, 4,095 subsets), it
-prints the repr of the whole `weighted_niederreiter_rhs` result and its
-least CPU time.  Then, for the Weil sweeps of the spectrum
-benchmark's `check-weil` jobs, a saturated lemma 5 sweep (p 17/s2, where
-every h is a candidate) and three sweeps past the default frequency cap (the
-sampled mode), it prints every field of `weil_bound_check`'s report and its
-least CPU time.  Two checkouts print the same results when they agree, so the
-output of one can be compared with the other's line by line.
+P 97/s3), many subsets (gamma_j = 2^-j on P 2/s12, 4,095 subsets) or the
+small sets of the `chain` jobs (gamma_j = 2^-j on P 7/s3, R 7/s3 and Q 7/s2,
+where the work per subset, not the sweep, dominates), it prints the repr of
+the whole `weighted_niederreiter_rhs` result and its least CPU time.  Then,
+for the Weil sweeps of the spectrum benchmark's `check-weil` jobs, a
+saturated lemma 5 sweep (p 17/s2, where every h is a candidate) and three
+sweeps past the default frequency cap (the sampled mode), it prints every
+field of `weil_bound_check`'s report and its least CPU time.  Two checkouts
+print the same results when they agree, so the output of one can be compared
+with the other's line by line.
 
 Example:
     PYTHONPATH=src python scripts/scan_timing.py --repeat 5
@@ -42,7 +44,9 @@ WEIL_SWEEPS = ((3, 23, 4), (5, 7, 3), (5, 11, 3), (6, 23, 4), (5, 2, 2),
                (5, 17, 2), (3, 101, 4), (5, 17, 3), (6, 101, 4))
 HALVING = ProductWeights(tail=GeometricTail(0.5))  # gamma_j = 2^-j
 PAIRS = GeneralWeights(entries={(1, 2): 1.0, (2, 3): 0.5, (1, 3): 0.25})
-WEIGHTED_RHS = ((("P", 97, 3), "pairs", PAIRS), (("P", 2, 12), "halving", HALVING))
+WEIGHTED_RHS = ((("P", 97, 3), "pairs", PAIRS), (("P", 2, 12), "halving", HALVING),
+                (("P", 7, 3), "halving", HALVING), (("R", 7, 3), "halving", HALVING),
+                (("Q", 7, 2), "halving", HALVING))
 
 
 def parse_args():
@@ -92,7 +96,7 @@ def main():
     for (kind, p, s), name, w in WEIGHTED_RHS:
         ps = generate(PSetKind(kind), p, s)
         res, best = timed(lambda: weighted_niederreiter_rhs(ps, w), args.repeat)
-        print(f"{kind} {p}/s{s},{name},{res!r},{best:.4f}")
+        print(f"{kind} {p}/s{s},{name},{res!r},{best:.6f}")  # chain-size rows take < 1 ms
     print("weil lemma,p,s,bound,max_ratio,worst_h,max_magnitude,n_checked,mode,violations,cpu_s")
     for lemma, p, s in WEIL_SWEEPS:
         rep, best = timed(lambda: weil_bound_check(lemma, p, s), args.repeat)

@@ -35,8 +35,8 @@ the same N points in the same order are those of u's own sweep, and r(h),
 an integer product with a factor 1 off u, is too.  Lexicographic order
 restricted to those h is the projection's own sweep order.  So the terms
 come in the same order with the same bits, and each subset re-cuts them into
-its own _BLOCK floats.  Each subset is filed under the first maximal subset
-that holds it, in enumeration order.
+its own _BLOCK floats.  Walked largest first, a subset no earlier sweep
+serves is maximal, and its sweep serves every subset it holds not yet served.
 
 Every exhaustive sweep walks C_d(M) in one order, that of
 itertools.product(C(M), repeat=d).  It comes in slabs: runs of M vectors that
@@ -46,7 +46,7 @@ report the first worst h in this order, and the rhs leaves h = 0 out.
 
 One kernel, _PhaseSums, serves the rhs and the lemma 3 and 5 sweeps
 (y_n = (n, ..., n^s)).  Axis j has a table T_j whose rows c*y_j mod M run
-over c in C(M) order.  sums.slabs(d) yields each chunk's (k, M) sums: it
+over c in C(M) order.  sums.slabs() yields each chunk's (k, M) sums: it
 forms each head's phase row once, T_0[h_0] + ... + T_{d-2}[h_{d-2}] (the
 last entry is 0, its row all zeros), and fetches each block of rows of
 T_{d-1} once and adds it to every head of the chunk in a broadcast add.
@@ -58,11 +58,12 @@ Each row gets the same numpy pairwise row sum of roots[h.y mod M], so every
 magnitude is bit-identical to the direct h @ y.T % M formula.
 
 _BLOCK has two readers.  _rhs_sum_terms forms each chunk's terms
-|S(h)|/(N r(h)) once and, for each subset u of the swept axes, picks in
-sweep order the terms whose h is zero off u, h = 0 left out: whole slabs of
-the heads zero off u when u holds the last axis, else their c = 0 entry.  It
-adds one float per 4096 consecutive terms of each u, keeping a running total
-and a rest of fewer than 4096 terms per u, so _BLOCK fixes the rhs's last
+|S(h)|/(N r(h)) once, and each head's support, the bits of its nonzero axes.
+For each subset u of the swept axes it takes, in sweep order, the terms of
+the heads whose support lies in u: whole slabs when u holds the last axis,
+else their c = 0 entry, h = 0 left out at the head of support 0.  It adds
+one float per 4096 consecutive terms of each u, keeping a running total and
+a rest of fewer than 4096 terms per u, so _BLOCK fixes the rhs's last
 printed digit.  The sampled Weil mode draws its seeded heads 4096 at a time,
 so the draws do not depend on _GATHER_BYTES.
 
@@ -110,7 +111,7 @@ import numpy as np
 
 from .config import DEFAULT_CAPS, Caps
 from .numtheory import is_prime, power_table
-from .pointset import RationalPointSet, project
+from .pointset import RationalPointSet
 from .weights import Weights, _enumerate_subsets
 
 _BLOCK = 4096  # rhs terms per float sum; sampled Weil heads per draw
@@ -156,7 +157,7 @@ def korobov_sum(h, p: int, modulus_power: int = 1,
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     m = p ** modulus_power
-    caps.check("max_point_entries", m * len(hs))
+    caps.check("max_point_entries", m * max(1, len(hs)))  # h = () sums M terms too
     z = np.empty(m, dtype=np.complex128)
     step = max(1, _GATHER_BYTES // 16)  # values of n per Horner pass
     for lo in range(0, m, step):
@@ -191,9 +192,9 @@ def _root_counts(heads: np.ndarray, p: int) -> np.ndarray:
 
 def hua_wang_root_count(h, p: int, caps: Caps = DEFAULT_CAPS) -> int:
     """#{a in [0,p): h_1 + h_2 a + ... + h_s a^(s-1) == 0 mod p}, p prime.
-    p * len(h) must fit caps.max_point_entries."""
+    p * max(1, len(h)) must fit caps.max_point_entries."""
     hs = [int(v) for v in h]
-    caps.check("max_point_entries", p * len(hs))
+    caps.check("max_point_entries", p * max(1, len(hs)))
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     row = np.array([[v % p for v in hs] or [0]], dtype=np.int64)  # h = () is 0
@@ -264,13 +265,13 @@ class _PhaseSums:
             out[i:i + self.step] = np.abs(np.take(self.roots, phase).sum(axis=-1))
         return out
 
-    def slabs(self, d: int):
-        """Yield (lo, heads, sums) for each chunk of _heads: sums[i, j] is the
+    def slabs(self):
+        """Yield (heads, sums) for each chunk of _heads: sums[i, j] is the
         sum at heads[i] + c*e_d for the j-th c of C(M)."""
         m = self.m
         t = min(m, max(1, self.step // 2))  # last-axis rows per block
         k = max(1, self.step // 2 // t)  # heads per gather
-        for lo, heads in _heads(m, d, self.per):
+        for heads in _heads(m, len(self.tables), self.per):
             head = self.head(heads[:, :-1] + self.off)  # the last entry is 0
             out = np.empty((len(heads), m), dtype=np.complex128)
             for c0 in range(0, m, t):
@@ -278,19 +279,19 @@ class _PhaseSums:
                 for i in range(0, len(head), k):
                     phase = head[i:i + k, None] + last
                     out[i:i + k, c0:c0 + t] = np.take(self.roots, phase).sum(axis=-1)
-            yield lo, heads, out
+            yield heads, out
 
 
 def _heads(m: int, d: int, per: int):
-    """Yield (lo, heads): the heads lo, lo+1, ... of C_d(M), per at a time, in
-    sweep order, as (k, d) int64 vectors with last entry 0."""
+    """Yield the heads of C_d(M), per at a time, in sweep order, as (k, d)
+    int64 vectors with last entry 0."""
     n_heads = m ** (d - 1)
     for lo in range(0, n_heads, per):
         pos = np.arange(lo, min(lo + per, n_heads)) * m + (m - 1) // 2
         heads = np.empty((len(pos), d), dtype=np.int64)
         for j in range(d - 1, -1, -1):  # the base-M digits of pos
             pos, heads[:, j] = np.divmod(pos, m)
-        yield lo, heads - (m - 1) // 2
+        yield heads - (m - 1) // 2
 
 
 def _screen_eps(n: int, m: int) -> float:
@@ -424,7 +425,7 @@ def weil_bound_check(lemma: int, p: int, s: int, caps: Caps = DEFAULT_CAPS,
     eps = _screen_eps(m, m)  # M terms: n < M, or a < p for lemma 6
     per = max(1, _GATHER_BYTES // (16 * m))  # heads per chunk, as _PhaseSums'
     if exhaustive:
-        chunks = (heads for _, heads in _heads(m, s, per))
+        chunks = _heads(m, s, per)
     else:  # floor(cap/M) seeded heads, _BLOCK per draw
         caps.check("max_freq_vectors", m)
         rng, n_heads = np.random.default_rng(seed), cap // m
@@ -469,28 +470,26 @@ def _rhs_sum_terms(numerators: np.ndarray, m: int, masks) -> list[float]:
     n_pts, d = numerators.shape
     off = (m - 1) // 2
     r_last = np.maximum(1, np.abs(np.array(c_values(m))))
-    zero = off * ((m ** d - 1) // (m - 1))  # flat position of h = 0
-    away = [~u % (1 << (d - 1)) for u in masks]  # u's complement among the head axes
-    # a slab's entries whose h is zero off u: all if u holds the last axis
-    cols = [np.full(m, True) if u >> (d - 1) & 1 else np.arange(m) == off for u in masks]
     bits = 1 << np.arange(d - 1)
-    totals, rests, live = [0.0] * len(masks), [np.empty(0)] * len(masks), {}
-    for lo, heads, out in _PhaseSums(numerators, m).slabs(d):
+    totals, rests = [0.0] * len(masks), [np.empty(0)] * len(masks)
+    for heads, out in _PhaseSums(numerators, m).slabs():
         r = np.prod(np.maximum(1, np.abs(heads)), axis=1)
-        terms = (np.abs(out) / n_pts / np.multiply.outer(r, r_last)).ravel()
-        real = np.arange(terms.size) != zero - lo * m  # h = 0 is no term
+        terms = np.abs(out) / n_pts / np.multiply.outer(r, r_last)
         support = ((heads[:, :-1] != 0) * bits).sum(axis=1)  # each head's nonzero axes
-        kinds = frozenset(support.tolist())
-        if kinds not in live:  # the masks with a head here that is zero off u
-            live[kinds] = [i for i, a in enumerate(away) if not all(v & a for v in kinds)]
-        for i in live[kinds]:
-            pick = ((support & away[i] == 0)[:, None] & cols[i]).ravel() & real
-            sel = np.concatenate((rests[i], terms[pick]))
+        zero = np.flatnonzero(support == 0)  # the head of h = 0, if in this chunk
+        for i, u in enumerate(masks):
+            mine = support & ~u == 0  # the heads zero off u
+            whole = u >> (d - 1) & 1  # u holds the last axis: whole slabs
+            sel = terms[mine].ravel() if whole else terms[mine, off]
+            if len(zero):  # h = 0 is no term: the zero head's c = 0 entry
+                at = np.count_nonzero(mine[:zero[0]])  # the heads of u before it
+                sel = np.delete(sel, at * m + off if whole else at)
+            sel = np.concatenate((rests[i], sel))
             cut = len(sel) - len(sel) % _BLOCK
             for j in range(0, cut, _BLOCK):
                 totals[i] += float(sel[j:j + _BLOCK].sum())
             rests[i] = sel[cut:]
-        del terms, real  # not held while slabs forms the next chunk
+        del terms  # not held while slabs forms the next chunk
     return [t + float(rest.sum()) for t, rest in zip(totals, rests)]
 
 
@@ -519,10 +518,11 @@ def weighted_niederreiter_rhs(ps: RationalPointSet, w: Weights,
     value = max_u gamma_u |u|/M + max_u gamma_u sum_{h in C_|u|*(M)} |S_u(h)|/(N r(h));
     the two maxima may be attained at different subsets, both are reported,
     each the first in enumeration order to attain it.  Zero-weight subsets
-    are skipped.  The projection on each maximal positive-weight subset is
-    swept once, and every subset filed under it reads its sum term from that
-    sweep, bit for bit (see the module doc).  caps.max_freq_vectors is
-    charged sum_u (M^|u| - 1) over the positive-weight u all the same.
+    are skipped.  Largest first, each positive-weight subset that no earlier
+    sweep holds is maximal: its projection is swept once, and every subset it
+    holds that no earlier sweep holds reads its sum term from that sweep, bit
+    for bit (see the module doc).  caps.max_freq_vectors is charged
+    sum_u (M^|u| - 1) over the positive-weight u all the same.
     """
     m = ps.modulus
     if m < 2:
@@ -530,19 +530,14 @@ def weighted_niederreiter_rhs(ps: RationalPointSet, w: Weights,
     subsets = _enumerate_subsets(ps.dim, w, caps)
     caps.check("max_freq_vectors", sum(m ** len(u) - 1 for u, _ in subsets))
     masks = [sum(1 << (j - 1) for j in u) for u, _ in subsets]
-    tops = []  # the maximal subsets: no subset with more axes holds them
-    for b in sorted(masks, key=int.bit_count, reverse=True):
-        if all(b & t != b for t in tops):
-            tops.append(b)
-    filed = {t: [] for t in masks if t in tops}  # in enumeration order
-    for b in masks:
-        filed[next(t for t in filed if b & t == b)].append(b)
-    term = {}
-    for t, mine in filed.items():  # one sweep of the projection on t
+    term = {}  # each sum term, from the first sweep (largest first) that holds its subset
+    for t in sorted(masks, key=int.bit_count, reverse=True):
+        if t in term:
+            continue
+        held = [b for b in masks if b & t == b and b not in term]  # t is maximal
         axes = [j for j in range(ps.dim) if t >> j & 1]
-        local = [sum(1 << k for k, j in enumerate(axes) if b >> j & 1) for b in mine]
-        sweep = project(ps, [j + 1 for j in axes]).numerators
-        term.update(zip(mine, _rhs_sum_terms(sweep, m, local)))
+        local = [sum(1 << k for k, j in enumerate(axes) if b >> j & 1) for b in held]
+        term.update(zip(held, _rhs_sum_terms(ps.numerators[:, axes], m, local)))
     point_term, point_subset = 0.0, ()
     sum_term, sum_subset = 0.0, ()
     for (u, g), b in zip(subsets, masks):

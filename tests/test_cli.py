@@ -332,6 +332,8 @@ EXIT_PATHS = {
                    "error: sum of gamma_j**t diverges: exponent*t = 1.0 <= 1"),
     "budget": (["disc", "--kind", "P", "--p", "13", "--s", "3"], "100", None, 2,
                "cap exceeded: max_corners: requested 672, limit 100"),
+    "budget-empty-h": (["sum", "--p", "101", "--s", "0", "--h="], "10", None, 2,
+                       "cap exceeded: max_point_entries: requested 101, limit 10"),
     "memory": (["disc", "--kind", "P", "--p", "5", "--s", "1"], None,
                MemoryError("table too large"), 2, "out of memory: table too large"),
     "invariant": (["disc", "--kind", "P", "--p", "5", "--s", "1"], None,

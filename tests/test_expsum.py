@@ -157,6 +157,14 @@ def test_korobov_sum_point_entry_cap():
         korobov_sum((1, 1), 7, modulus_power=2, caps=Caps(max_point_entries=97))
 
 
+@pytest.mark.parametrize("count", [korobov_sum, hua_wang_root_count, hua_wang_double_sum])
+def test_empty_h_is_charged_p_entries(count):
+    # h = () still sums or counts over all p values of n or a
+    count((), 101, caps=Caps(max_point_entries=101))
+    with pytest.raises(BudgetError, match="requested 101, limit 100"):
+        count((), 101, caps=Caps(max_point_entries=100))
+
+
 # ---------------------------------------------------------------- hua-wang
 
 
@@ -334,8 +342,8 @@ def test_freq_blocks_enumerate_c_star(m, d):
     want = [list(h) for h in itertools.product(c_values(m), repeat=d)]
     for per in (1, 3, 100):
         walk = []
-        for lo, heads in _heads(m, d, per):
-            assert lo * m == len(walk) and 0 < len(heads) <= per
+        for heads in _heads(m, d, per):
+            assert 0 < len(heads) <= per
             assert heads.dtype == np.int64 and not heads[:, -1].any()
             walk += _slab_vectors(heads, m).tolist()
         assert walk == want, per
@@ -396,12 +404,12 @@ def _reference_report(lemma, p, s):
     m, bound, eps = _weil_setup(lemma, p, s)
     points = power_table(m, s, first_power=1)
     sums = _PhaseSums(points, m)
-    chunks = (heads for _, heads in _heads(m, s, sums.per))
+    chunks = _heads(m, s, sums.per)
     screen_err = [0.0]
 
     def swept():
-        for (_, screened, _), (_, heads, out) in zip(_slab_dft(sums, points[:, -1], chunks),
-                                                     sums.slabs(s)):
+        for (_, screened, _), (heads, out) in zip(_slab_dft(sums, points[:, -1], chunks),
+                                                  sums.slabs()):
             screen_err[0] = max(screen_err[0], float(np.abs(screened - np.abs(out)).max()))
             yield _slab_vectors(heads, m), np.abs(out.ravel())
     return _direct_report(p, bound, eps, swept()), screen_err[0]
@@ -445,12 +453,12 @@ def test_weil_screen_band_decides_ties_at_threshold():
     m, threshold = 25, 5.0
     points = power_table(m, 3, first_power=1)
     sums = _PhaseSums(points, m)
-    slabs = _slab_dft(sums, points[:, -1], (h for _, h in _heads(m, 3, sums.per)))
+    slabs = _slab_dft(sums, points[:, -1], _heads(m, 3, sums.per))
     swept = _screen(slabs, 5, threshold, _screen_eps(m, m))
     got = sum(rest + int((mags > threshold).sum()) for _, mags, rest, _ in swept)
     want = sum(int((np.abs(out.ravel()[~np.all(_slab_vectors(heads, m) % 5 == 0, axis=1)])
                     > threshold).sum())
-               for _, heads, out in sums.slabs(3))
+               for heads, out in sums.slabs())
     assert got == want
 
 
@@ -536,7 +544,7 @@ def test_candidate_values_bit_identical_to_direct_formula(ps, seed, budget):
     drawn[:, -1] = 0
     with mock.patch.object(expsum, "_GATHER_BYTES", _budget(budget, len(y))):
         sums = _PhaseSums(y, m)
-        chunks = [heads for _, heads in _heads(m, d, sums.per)]
+        chunks = list(_heads(m, d, sums.per))
     for heads, _, value in _slab_dft(sums, y[:, -1], [chunks[0], chunks[-1], drawn]):
         at = np.arange(len(heads) * m)
         h = _slab_vectors(heads, m)
@@ -553,12 +561,10 @@ def test_sweep_every_block_bit_identical(ps, budget):
     # slabs split across chunks and gathers: every chunk, not only the ends
     m, y = ps.modulus, ps.numerators
     with mock.patch.object(expsum, "_GATHER_BYTES", _budget(budget, len(y))):
-        swept = list(_PhaseSums(y, m).slabs(ps.dim))
-    sizes = [len(heads) for _, heads, _ in swept]
-    assert [lo for lo, _, _ in swept] == np.cumsum([0] + sizes[:-1]).tolist()
-    assert sum(sizes) == m ** (ps.dim - 1)
-    h = _slab_vectors(np.concatenate([heads for _, heads, _ in swept]), m)
-    got = np.concatenate([out.ravel() for _, _, out in swept])
+        swept = list(_PhaseSums(y, m).slabs())
+    assert sum(len(heads) for heads, _ in swept) == m ** (ps.dim - 1)
+    h = _slab_vectors(np.concatenate([heads for heads, _ in swept]), m)
+    got = np.concatenate([out.ravel() for _, out in swept])
     assert np.array_equal(np.abs(got), _reference_magnitudes(y, m, h))
 
 
@@ -766,6 +772,9 @@ def _reference_weighted_rhs(ps, w):
 
 
 _TWIN = _point_set(5, [(0, 0, 1), (1, 1, 4), (3, 3, 3), (3, 3, 0), (4, 4, 2), (1, 1, 4)])
+# every nonempty subset of 5 axes, each with its own weight
+_ALL_OF_FIVE = {u: 1.0 / (i + 2) for i, u in enumerate(
+    u for r in range(1, 6) for u in itertools.combinations(range(1, 6), r))}
 
 
 @pytest.mark.parametrize("ps,entries,tops,winner", [
@@ -781,8 +790,12 @@ _TWIN = _point_set(5, [(0, 0, 1), (1, 1, 4), (3, 3, 3), (3, 3, 0), (4, 4, 2), (1
     (_TWIN, {(1, 3): 1.0, (2, 3): 1.0, (3,): 0.1}, 2, (1, 3)),
     # and so do (1,) and (2,) in one sweep
     (_TWIN, {(1, 2): 0.01, (1,): 1.0, (2,): 1.0}, 1, (1,)),
+    # (1,) lies in (1, 2), first in enumeration order, and in (1, 3, 4), first by size
+    (generate(PSetKind.KOROBOV_P, 5, 4), {(1, 2): 1.0, (1, 3, 4): 0.5, (1,): 2.0}, 2, None),
+    # all 31 subsets from one sweep
+    (generate(PSetKind.HUA_WANG_R, 3, 5), _ALL_OF_FIVE, 1, None),
 ], ids=["overlapping", "zero weight inside", "one axis each", "tie across sweeps",
-        "tie in one sweep"])
+        "tie in one sweep", "held by two sizes", "all of five"])
 def test_weighted_rhs_matches_one_sweep_per_projection(ps, entries, tops, winner):
     # bit for bit, from one sweep per maximal positive-weight subset
     w = GeneralWeights(entries=entries)
