@@ -7,7 +7,11 @@ the side), and the least process CPU time of `star_discrepancy_exact` over
 --repeat runs.  Then, for the weighted star discrepancy with gamma_j = 2^-j,
 it prints the value, the winning subset, the witness numerators, the side,
 the subsets scanned out of the positive-weight subsets, and the least CPU time
-of `weighted_star_discrepancy_exact`.  Last, for the transference bounds of
+of `weighted_star_discrepancy_exact`.  Then, for the small grids the `chain`
+jobs scan (every positive-weight projection, gamma_j = 2^-j, of P/Q/R with
+p <= 13 and s = 2, 3 whose corners fit one count table), it prints the number
+of scans, a digest of their exact results and witnesses, and the least CPU
+time of all of them together.  Last, for the transference bounds of
 the spectrum benchmark's rhs sets and one set whose M*N phase table is past
 the kernel's gather budget (R 101/s2), it prints the repr of
 `niederreiter_rhs` and of `weighted_niederreiter_rhs` (gamma_j = 2^-j) and
@@ -28,11 +32,14 @@ Example:
     PYTHONPATH=src python scripts/scan_timing.py --repeat 5
 """
 import argparse
+import hashlib
+import math
 import time
 
-from psetdisc.discrepancy import star_discrepancy_exact, weighted_star_discrepancy_exact
+from psetdisc.discrepancy import (_TABLE_CORNERS, _grids, star_discrepancy_exact,
+                                  weighted_star_discrepancy_exact)
 from psetdisc.expsum import niederreiter_rhs, weighted_niederreiter_rhs, weil_bound_check
-from psetdisc.pointset import PSetKind, generate
+from psetdisc.pointset import PSetKind, generate, project
 from psetdisc.weights import GeneralWeights, GeometricTail, ProductWeights, _enumerate_subsets
 
 SETS = (("P", 199, 3), ("P", 401, 3), ("Q", 19, 3), ("Q", 23, 3),
@@ -69,6 +76,20 @@ def numerators(ps, witness):
     return ":".join(str(int(c * ps.modulus)) for c in witness)
 
 
+def one_table_projections():
+    """The chain sets' projections whose grid corners fit one count table."""
+    out = []
+    for kind in "PQR":
+        for p in (2, 3, 5, 7, 11, 13):
+            for s in (2, 3):
+                ps = generate(PSetKind(kind), p, s)
+                for u, _ in _enumerate_subsets(s, HALVING):
+                    proj = project(ps, u)
+                    if math.prod(len(g) for g in _grids(proj)) <= _TABLE_CORNERS:
+                        out.append(proj)
+    return out
+
+
 def main():
     args = parse_args()
     print("set,corners,exact,witness,side,cpu_s")
@@ -85,6 +106,12 @@ def main():
         scanned = f"{len(res.per_subset)}/{len(_enumerate_subsets(s, HALVING))}"
         print(f"{kind} {p}/s{s},{res.value!r},{subset},{numerators(ps, res.witness)},"
               f"{res.side},{scanned},{best:.4f}")
+    print("one-table scans,count,digest,cpu_s")
+    small = one_table_projections()
+    results, best = timed(lambda: [star_discrepancy_exact(ps) for ps in small], args.repeat)
+    digest = hashlib.sha256("\n".join(f"{r.exact},{numerators(ps, r.witness)},{r.side}"
+                                      for ps, r in zip(small, results)).encode())
+    print(f"chain sets,{len(small)},{digest.hexdigest()[:16]},{best:.4f}")
     print("rhs set,bound,value,cpu_s")
     for kind, p, s in RHS_SETS:
         ps = generate(PSetKind(kind), p, s)

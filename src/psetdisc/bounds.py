@@ -60,10 +60,6 @@ class BoundReport:
     constants: dict[str, float] = field(default_factory=dict)
 
 
-def _subset_term(u: tuple[int, ...], gamma_u: float, logc_logp: float) -> float:
-    return gamma_u * u[-1] * logc_logp ** len(u)
-
-
 def thm1_bound(kind: PSetKind, p: int, s: int, w: Weights) -> BoundReport:
     """Closed-form bound prefactor/p^e * max_u gamma_u (max u) (c log p)^|u|.
 
@@ -103,7 +99,7 @@ def thm1_bound(kind: PSetKind, p: int, s: int, w: Weights) -> BoundReport:
                 running *= fac
     elif isinstance(w, GeneralWeights):
         for u, g in _enumerate_subsets(s, w):
-            term = _subset_term(u, g, c)
+            term = g * u[-1] * c ** len(u)
             if term > best_term:
                 best_term, best_u = term, u
     else:

@@ -187,12 +187,13 @@ def _cmd_integrate(args, caps):
 
 def _cmd_chain(args, caps):
     kind = PSetKind(args.kind)
+    # Theorem 2's input first, then the rhs, which checks its cap before any work
+    params = thm2_params(args.weights, args.delta, args.t)
     ps = _points(args, caps)
-    # the rhs first: it checks its frequency cap before doing any work
     rhs = weighted_niederreiter_rhs(ps, args.weights, caps=caps).value
     exact = weighted_star_discrepancy_exact(ps, args.weights, caps=caps).value
     t1 = thm1_bound(kind, args.p, args.s, args.weights).value
-    t2 = thm2_bound(kind, args.p, args.s, thm2_params(args.weights, args.delta, args.t))
+    t2 = thm2_bound(kind, args.p, args.s, params)
     chain = [exact, rhs, t1, t2]
     ok = all(a <= b + _DOMINANCE_SLACK for a, b in zip(chain, chain[1:]))
     return ["# log: natural",

@@ -134,15 +134,15 @@ def star_discrepancy_exact(ps: RationalPointSet,
     n_corners = math.prod(len(g) for g in grids)
     caps.check("max_corners", n_corners)
     ms = ps.modulus ** ps.dim
-    num, corner, side = _scan(ps, grids, ms)
-    exact = Fraction(num, ps.n * ms)
-    witness = tuple(Fraction(c, ps.modulus) for c in corner)
+    top, at, side = _scan(ps, grids, ms)
+    exact = Fraction(-top, ps.n * ms)
+    witness = tuple(Fraction(int(g[i]), ps.modulus) for g, i in zip(grids, at))
     return DiscrepancyResult(value=float(exact), exact=exact, witness=witness,
-                             side=side, corners_scanned=n_corners)
+                             side=("closed", "open")[side], corners_scanned=n_corners)
 
 
 def _scan(ps, grids, ms):
-    """Best corner numerator over N*M^s, its corner and its side."""
+    """The best corner's key: (-numerator over N*M^s, indices, 0 closed or 1 open)."""
     n_pts, s = ps.n, ps.dim
     dtype, vals, rank = _ranked(ps, grids, ms)
     # a table holds the bytes of _TABLE_CORNERS int64 corners per branch
@@ -170,12 +170,14 @@ def _scan(ps, grids, ms):
         at = np.unravel_index(-i, shape[1:])
         return value, (-int(top), tuple(int(c[k]) for c, k in zip(cuts, at)), -side)
 
+    if math.prod(sizes) <= limit:  # every corner in one table, before any box is set up
+        return table([np.arange(n) for n in sizes])[1]
     parts = max(1, _TABLE_CORNERS // 16)  # boxes scored at once; 2 bitset counts each
     batch = max(1, parts >> s if s <= _HALVED_AXES else parts // 2)
     # levels 0..n (hi + 1 is one); a block's AND of 2 counts a part fits _SAMPLE_ELEMENTS
     bits = _rank_bits(keys[1:, :n_pts], [n + 1 for n in sizes],
                       max(64, _SAMPLE_ELEMENTS // (2 * parts) * 8 // 64 * 64))
-    best = (1, (), 0)  # (-numerator, corner indices, side): the least key wins
+    best = (1, (), 0)
     stack = [np.array([[[0] * s, [n - 1 for n in sizes]]])]  # boxes (lo, hi)
     while stack:
         boxes = stack.pop()
@@ -184,12 +186,9 @@ def _scan(ps, grids, ms):
         if len(boxes) > batch:
             stack.append(boxes[:-batch])
         lo, hi = boxes[-batch:, 0], boxes[-batch:, 1]
-        if len(lo) == 1:
-            spans = [np.arange(a, b + 1) for a, b in zip(lo[0], hi[0])]
-        else:
-            spans = [np.flatnonzero(np.cumsum(np.bincount(lo[:, j], minlength=n + 1)
-                                              - np.bincount(hi[:, j] + 1, minlength=n + 1)))
-                     for j, n in enumerate(sizes)]
+        spans = [np.flatnonzero(np.cumsum(np.bincount(lo[:, j], minlength=n + 1)
+                                          - np.bincount(hi[:, j] + 1, minlength=n + 1)))
+                 for j, n in enumerate(sizes)]
         if math.prod(len(c) for c in spans) <= limit:  # one table reads every corner
             best = min(best, table(spans)[1])
             continue
@@ -234,7 +233,7 @@ def _scan(ps, grids, ms):
         keep = (np.maximum(closed, opened) + (vol_hi - vol_lo) >= -best[0]) & ~done
         if keep.any():
             stack.append(np.stack((lo[keep], hi[keep]), axis=1))
-    return -best[0], tuple(int(g[i]) for g, i in zip(grids, best[1])), ("closed", "open")[best[2]]
+    return best
 
 
 def _lattice_counts(at, shape):

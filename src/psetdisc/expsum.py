@@ -288,10 +288,7 @@ def _heads(m: int, d: int, per: int):
     n_heads = m ** (d - 1)
     for lo in range(0, n_heads, per):
         pos = np.arange(lo, min(lo + per, n_heads)) * m + (m - 1) // 2
-        heads = np.empty((len(pos), d), dtype=np.int64)
-        for j in range(d - 1, -1, -1):  # the base-M digits of pos
-            pos, heads[:, j] = np.divmod(pos, m)
-        yield heads - (m - 1) // 2
+        yield np.stack(np.unravel_index(pos, (m,) * d), axis=1) - (m - 1) // 2
 
 
 def _screen_eps(n: int, m: int) -> float:

@@ -52,13 +52,8 @@ class ProductIntegrand:
 
 def hk_variation(f: ProductIntegrand) -> float:
     """Closed-form variation prod(1 + 3|c|/2) - prod(1 + |c|/2)."""
-    full = 1.0
-    half = 1.0
-    for c in f.coefficients:
-        a = abs(c)
-        full *= 1.0 + a + a / 2.0
-        half *= 1.0 + a / 2.0
-    return full - half
+    return (math.prod((1.0 + abs(c) + abs(c) / 2.0 for c in f.coefficients), start=1.0)
+            - math.prod((1.0 + abs(c) / 2.0 for c in f.coefficients), start=1.0))
 
 
 def qmc_integrate(ps: RationalPointSet, f: ProductIntegrand) -> tuple[float, float]:

@@ -104,13 +104,9 @@ class ProductWeights:
 
     def is_non_increasing(self) -> bool:
         """gamma_1 >= gamma_2 >= ... over the prefix and across the junction."""
-        gs = self.gammas
-        if any(gs[i] < gs[i + 1] for i in range(len(gs) - 1)):
-            return False
-        if len(gs) == 0:
-            return True
-        # geometric and powerlaw tails are intrinsically decreasing
-        return gs[-1] >= self.gamma(len(gs) + 1)
+        # every tail rule is non-increasing, so gamma_1..gamma_{k+1} decide (one if k = 0)
+        gs = self.gammas + (self.gamma(len(self.gammas) + 1),)
+        return all(a >= b for a, b in zip(gs, gs[1:]))
 
 
 @dataclass(frozen=True)
@@ -238,36 +234,39 @@ def parse_weights(text: str) -> Weights:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if mode is None:
-            if line not in ("product", "general"):
-                raise WeightFormatError(line_no, f"expected 'product' or 'general', got {line!r}")
-            mode = line
-            continue
         parts = line.split()
-        if mode == "product":
-            if parts[0] == "tail":
+        try:  # every check raises a ValueError; it is reported with the line number
+            if mode is None:
+                if line not in ("product", "general"):
+                    raise ValueError(f"expected 'product' or 'general', got {line!r}")
+                mode = line
+            elif mode == "general":
+                if len(parts) != 2:
+                    raise ValueError(f"expected '<i1,i2,...> <gamma>', got {line!r}")
+                idx = tuple(map(_parse_int, parts[0].split(",")))
+                if list(idx) != sorted(set(idx)) or idx[0] < 1:
+                    raise ValueError(f"indices must be 1-based, sorted, distinct: {parts[0]!r}")
+                if idx in gen_entries:
+                    raise ValueError(f"duplicate subset {parts[0]}")
+                gen_entries[idx] = _weight(parts[1])
+            elif parts[0] == "tail":
                 if prod_tail is not None:
-                    raise WeightFormatError(line_no, "duplicate tail rule")
-                prod_tail = _parse_tail(line_no, parts[1:])
-                continue
-            if prod_tail is not None:
-                raise WeightFormatError(line_no, "tail rule must be the final line")
-            if len(parts) != 2:
-                raise WeightFormatError(line_no, f"expected '<j> <gamma>', got {line!r}")
-            j = _parse_int(line_no, parts[0])
-            if j != len(prod_gammas) + 1:
-                raise WeightFormatError(
-                    line_no, f"indices must be consecutive from 1, expected {len(prod_gammas) + 1}, got {j}")
-            prod_gammas.append(_parse_weight(line_no, parts[1]))
-        else:
-            if len(parts) != 2:
-                raise WeightFormatError(line_no, f"expected '<i1,i2,...> <gamma>', got {line!r}")
-            idx = tuple(_parse_int(line_no, tok) for tok in parts[0].split(","))
-            if list(idx) != sorted(set(idx)) or (idx and idx[0] < 1):
-                raise WeightFormatError(line_no, f"indices must be 1-based, sorted, distinct: {parts[0]!r}")
-            if idx in gen_entries:
-                raise WeightFormatError(line_no, f"duplicate subset {parts[0]}")
-            gen_entries[idx] = _parse_weight(line_no, parts[1])
+                    raise ValueError("duplicate tail rule")
+                rule = _TAILS.get(parts[1]) if len(parts) > 1 else None
+                if rule is None or len(parts) - 2 != len(fields(rule)):
+                    raise ValueError(f"bad tail rule: {' '.join(parts[1:])!r}")
+                prod_tail = rule(*map(float, parts[2:]))
+            elif prod_tail is not None:
+                raise ValueError("tail rule must be the final line")
+            elif len(parts) != 2:
+                raise ValueError(f"expected '<j> <gamma>', got {line!r}")
+            elif (j := _parse_int(parts[0])) != len(prod_gammas) + 1:
+                raise ValueError(f"indices must be consecutive from 1, "
+                                 f"expected {len(prod_gammas) + 1}, got {j}")
+            else:
+                prod_gammas.append(_weight(parts[1]))
+        except ValueError as exc:
+            raise WeightFormatError(line_no, str(exc)) from None
     if mode is None:
         raise WeightFormatError(1, "empty weight file")
     if mode == "product":
@@ -275,28 +274,11 @@ def parse_weights(text: str) -> Weights:
     return GeneralWeights(entries=gen_entries)
 
 
-def _parse_tail(line_no: int, parts: list[str]) -> TailRule:
-    rule = _TAILS.get(parts[0]) if parts else None
-    if rule is None or len(parts) - 1 != len(fields(rule)):
-        raise WeightFormatError(line_no, f"bad tail rule: {' '.join(parts)!r}")
-    try:
-        return rule(*map(float, parts[1:]))
-    except ValueError as exc:
-        raise WeightFormatError(line_no, str(exc)) from None
-
-
-def _parse_int(line_no: int, tok: str) -> int:
+def _parse_int(tok: str) -> int:
     try:
         return int(tok)
     except ValueError:
-        raise WeightFormatError(line_no, f"expected integer, got {tok!r}") from None
-
-
-def _parse_weight(line_no: int, tok: str) -> float:
-    try:
-        return _weight(tok)
-    except ValueError as exc:
-        raise WeightFormatError(line_no, str(exc)) from None
+        raise ValueError(f"expected integer, got {tok!r}") from None
 
 
 def serialize_weights(w: Weights) -> str:

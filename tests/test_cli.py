@@ -211,6 +211,24 @@ def test_chain_refuses_before_exact_scan(capsys, monkeypatch, weights_file):
     assert captured.err.startswith("cap exceeded:")
 
 
+@pytest.mark.parametrize("weights,flags,line", [
+    (GEO_FILE, ["--delta", "0.75"], "error: delta must be in (0, 1/2), got 0.75"),
+    (str(Path(__file__).parent / "golden" / "general.txt"), ["--delta", "0.25"],
+     "error: envelope constants are defined for product weights"),
+    (GEO_FILE, ["--delta", "0.25", "--t", "1e-5"],
+     "error: t=1e-05 is too small: the tail sum to the power 1/t does not fit a float"),
+], ids=["delta", "general", "t-tiny"])
+def test_chain_refuses_theorem2_input_first(capsys, monkeypatch, weights, flags, line):
+    # P 97/s3 would spend a third of a CPU second on the rhs before thm2_params
+    def never(*args, **kwargs):
+        raise AssertionError("the rhs ran before the Theorem 2 input was checked")
+
+    monkeypatch.setattr(cli, "weighted_niederreiter_rhs", never)
+    rc = main(["chain", "--kind", "P", "--p", "97", "--s", "3", "--weights", weights, *flags])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (1, "", line + "\n")
+
+
 def test_out_file(capsys, tmp_path, weights_file):
     target = tmp_path / "points.csv"
     rc, out = run_cli(capsys, "gen", "--kind", "P", "--p", "3", "--s", "1",

@@ -316,6 +316,28 @@ def test_exact_scan_reads_few_corners(kind, p, s, corners, exact, witness, side,
     assert sum(read) < share * corners
 
 
+@pytest.mark.parametrize("ps", [generate(PSetKind.KOROBOV_P, 13, 3),  # 14^3 corners
+                                _point_set(2**64 + 13, [(5, 2**62), (2**63 - 1, 7), (5, 7)])],
+                         ids=["int64", "object"])
+def test_one_table_grid_is_read_before_any_box(ps):
+    # a grid whose corners fit one table is one count table: no bitsets, no boxes
+    shapes = []
+    lattice_counts = discrepancy._lattice_counts
+
+    def counted_lattice(at, shape):
+        shapes.append(shape)
+        return lattice_counts(at, shape)
+
+    def no_bits(*args):
+        raise AssertionError("bitsets set up for a one-table grid")
+
+    with (mock.patch.object(discrepancy, "_lattice_counts", counted_lattice),
+          mock.patch.object(discrepancy, "_rank_bits", no_bits)):
+        got = _result_triple(ps)
+    assert shapes == [(2,) + tuple(len(g) for g in discrepancy._grids(ps))]
+    assert got == naive_dstar_witness(ps.rows(), ps.modulus)
+
+
 def test_exact_scan_memory_holds_tables_and_batches_to_budget():
     # 68,656,200 grid corners: the scan holds one count table, one batch of
     # parts with its bitset buffers, and the boxes still to cut

@@ -149,6 +149,23 @@ def test_is_non_increasing():
     assert not bad.is_non_increasing()
 
 
+@pytest.mark.parametrize("tail", [ZeroTail(), GeometricTail(0.5),
+                                  PowerLawTail(exponent=2.0, scale=3.0)],
+                         ids=["zero", "geometric", "powerlaw"])
+def test_is_non_increasing_empty_prefix(tail):
+    assert ProductWeights(tail=tail).is_non_increasing()
+
+
+def test_is_non_increasing_at_the_junction():
+    # equal values at the junction: gamma_2 = 1 * 2**-2 = gamma_1, and 0 after 0
+    assert ProductWeights(gammas=(0.25,), tail=PowerLawTail(2.0, 1.0)).is_non_increasing()
+    assert ProductWeights(gammas=(0.5, 0.0)).is_non_increasing()
+    # the power-law tail's first value gamma_3 = 1/9 exceeds the last listed 0.1
+    rising = ProductWeights(gammas=(0.5, 0.1), tail=PowerLawTail(2.0, 1.0))
+    assert not rising.is_non_increasing()
+    assert ProductWeights(gammas=(0.5, 0.125), tail=PowerLawTail(2.0, 1.0)).is_non_increasing()
+
+
 def test_parse_product_example():
     w = parse_weights("product\n1 0.5\n2 0.25\ntail geometric 0.5")
     assert w == HALVING
@@ -164,36 +181,44 @@ def test_parse_comments_and_blanks():
     assert w == ProductWeights(gammas=(1.0,))
 
 
-@pytest.mark.parametrize("text,line", [
-    ("product\n1 -0.5", 2),
-    ("general\n1 1.0\n1 2.0", 3),
-    ("product\n2 0.5", 2),
-    ("general\n2,1 0.5", 2),
-    ("product\n1 abc", 2),
-    ("bogus\n1 1.0", 1),
-    ("", 1),
-    ("product\ntail geometric 1.5", 2),
-    ("product\ntail zero\ntail zero", 3),  # duplicate tail
-    ("product\ntail zero\n1 0.5", 3),  # tail rule not last
-    ("product\n1 0.5 0.25", 2),  # field count
-    ("general\n1", 2),
-    ("general\n1 -1.0", 2),  # negative weight
-    ("product\ntail", 2),  # missing tail kind
-    ("product\ntail cubic 2", 2),  # unknown tail kind
-    ("product\ntail geometric", 2),  # tail arity
-    ("product\ntail powerlaw 2", 2),
-    ("general\n1,x 0.5", 2),  # non-integer index
-    ("general\n1, 0.5", 2),  # empty index
-    ("product\n1 nan", 2),  # non-finite weight
-    ("product\n1 1e400", 2),
-    ("general\n1 inf", 2),
-    ("product\ntail powerlaw inf 1", 2),
-    ("product\ntail powerlaw 2 nan", 2),
-])
-def test_parse_rejects_malformed(text, line):
+# (text, line number, message): the messages as the parser has always printed them
+MALFORMED = [
+    ("product\n1 -0.5", 2, "line 2: weight must be finite and nonnegative, got -0.5"),
+    ("general\n1 1.0\n1 2.0", 3, "line 3: duplicate subset 1"),
+    ("product\n2 0.5", 2, "line 2: indices must be consecutive from 1, expected 1, got 2"),
+    ("general\n2,1 0.5", 2, "line 2: indices must be 1-based, sorted, distinct: '2,1'"),
+    ("product\n1 abc", 2, "line 2: could not convert string to float: 'abc'"),
+    ("bogus\n1 1.0", 1, "line 1: expected 'product' or 'general', got 'bogus'"),
+    ("", 1, "line 1: empty weight file"),
+    ("product\ntail geometric 1.5", 2, "line 2: geometric ratio must be in (0,1), got 1.5"),
+    ("product\ntail zero\ntail zero", 3, "line 3: duplicate tail rule"),
+    ("product\ntail zero\n1 0.5", 3, "line 3: tail rule must be the final line"),
+    ("product\n1 0.5 0.25", 2, "line 2: expected '<j> <gamma>', got '1 0.5 0.25'"),
+    ("general\n1", 2, "line 2: expected '<i1,i2,...> <gamma>', got '1'"),
+    ("general\n1 -1.0", 2, "line 2: weight must be finite and nonnegative, got -1.0"),
+    ("product\ntail", 2, "line 2: bad tail rule: ''"),  # missing tail kind
+    ("product\ntail cubic 2", 2, "line 2: bad tail rule: 'cubic 2'"),  # unknown tail kind
+    ("product\ntail geometric", 2, "line 2: bad tail rule: 'geometric'"),  # tail arity
+    ("product\ntail powerlaw 2", 2, "line 2: bad tail rule: 'powerlaw 2'"),
+    ("general\n1,x 0.5", 2, "line 2: expected integer, got 'x'"),  # non-integer index
+    ("general\n1, 0.5", 2, "line 2: expected integer, got ''"),  # empty index
+    ("product\n1 nan", 2, "line 2: weight must be finite and nonnegative, got nan"),
+    ("product\n1 1e400", 2, "line 2: weight must be finite and nonnegative, got inf"),
+    ("general\n1 inf", 2, "line 2: weight must be finite and nonnegative, got inf"),
+    ("product\ntail powerlaw inf 1", 2,
+     "line 2: powerlaw tail needs finite exponent > 0 and scale > 0"),
+    ("product\ntail powerlaw 2 nan", 2,
+     "line 2: powerlaw tail needs finite exponent > 0 and scale > 0"),
+]
+
+
+@pytest.mark.parametrize("text,line,message", MALFORMED,
+                         ids=[f"{text}-{line}" for text, line, _ in MALFORMED])
+def test_parse_rejects_malformed(text, line, message):
     with pytest.raises(WeightFormatError) as err:
         parse_weights(text)
     assert err.value.line_no == line
+    assert str(err.value) == message
 
 
 def test_serialize_tail_lines():
