@@ -24,7 +24,10 @@ the whole `weighted_niederreiter_rhs` result and its least CPU time.  Then,
 for the Weil sweeps of the spectrum benchmark's `check-weil` jobs, a
 saturated lemma 5 sweep (p 17/s2, where every h is a candidate) and three
 sweeps past the default frequency cap (the sampled mode), it prints every
-field of `weil_bound_check`'s report and its least CPU time.  Two checkouts
+field of `weil_bound_check`'s report and its least CPU time.  Last, for
+Korobov sums of the sizes the spectrum benchmark's `sum` jobs take (h = (1, 2,
+3); p = 1009 mod p^2 and p = 100,003 mod p), it prints the value, its least
+CPU time and the tracemalloc peak of one more call in MB.  Two checkouts
 print the same results when they agree, so the output of one can be compared
 with the other's line by line.
 
@@ -35,10 +38,13 @@ import argparse
 import hashlib
 import math
 import time
+import tracemalloc
+from functools import partial
 
 from psetdisc.discrepancy import (_TABLE_CORNERS, _grids, star_discrepancy_exact,
                                   weighted_star_discrepancy_exact)
-from psetdisc.expsum import niederreiter_rhs, weighted_niederreiter_rhs, weil_bound_check
+from psetdisc.expsum import (korobov_sum, niederreiter_rhs, weighted_niederreiter_rhs,
+                             weil_bound_check)
 from psetdisc.pointset import PSetKind, generate, project
 from psetdisc.weights import GeneralWeights, GeometricTail, ProductWeights, _enumerate_subsets
 
@@ -49,6 +55,7 @@ RHS_SETS = (("P", 97, 3), ("R", 23, 3), ("R", 31, 3), ("Q", 19, 2), ("R", 101, 2
 # (lemma, p, s): the spectrum jobs, saturated lemma 5, three sampled sweeps
 WEIL_SWEEPS = ((3, 23, 4), (5, 7, 3), (5, 11, 3), (6, 23, 4), (5, 2, 2),
                (5, 17, 2), (3, 101, 4), (5, 17, 3), (6, 101, 4))
+KOROBOV_SUMS = ((1009, 2), (100003, 1))  # (p, modulus power)
 HALVING = ProductWeights(tail=GeometricTail(0.5))  # gamma_j = 2^-j
 PAIRS = GeneralWeights(entries={(1, 2): 1.0, (2, 3): 0.5, (1, 3): 0.25})
 WEIGHTED_RHS = ((("P", 97, 3), "pairs", PAIRS), (("P", 2, 12), "halving", HALVING),
@@ -70,6 +77,16 @@ def timed(fn, repeat):
         res = fn()
         best = min(best, time.process_time() - t0)
     return res, best
+
+
+def peak_mb(fn):
+    """The tracemalloc peak of one call of fn, in MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def numerators(ps, witness):
@@ -131,6 +148,11 @@ def main():
         print(f"{lemma},{p},{s},{rep.bound!r},{rep.max_ratio!r},"
               f"{':'.join(map(str, rep.worst_h))},{rep.max_magnitude!r},{rep.n_checked},"
               f"{mode},{rep.violations},{best:.4f}")
+    print("korobov p,power,value,cpu_s,peak_mb")
+    for p, power in KOROBOV_SUMS:
+        call = partial(korobov_sum, (1, 2, 3), p, power)
+        val, best = timed(call, args.repeat)
+        print(f"{p},{power},{val.value!r},{best:.4f},{peak_mb(call):.3f}")
     return 0
 
 

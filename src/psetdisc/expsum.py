@@ -67,7 +67,11 @@ a rest of fewer than 4096 terms per u, so _BLOCK fixes the rhs's last
 printed digit.  The sampled Weil mode draws its seeded heads 4096 at a time,
 so the draws do not depend on _GATHER_BYTES.
 
-Memory follows _GATHER_BYTES, B.  A chunk holds k heads, so that
+Memory follows _GATHER_BYTES, B.  korobov_sum holds one leaf of B/32 terms,
+at least 64, at a time: _pairwise_sum copies the split of numpy's pairwise
+complex128 sum (pairwise_sum in its loops, which never splits 64 terms or
+fewer), so the leaves' numpy sums add up to the bits of one sum over all M
+terms.  For the sweeps, a chunk holds k heads, so that
 16*k*max(N, M) bytes fit B: a complex gather of its head rows, its (k, M)
 sums, or the screen's bins and transforms.  slabs keeps the chunk's int64
 head phases, B/2 at most, and takes the last axis t rows at a time, gathering
@@ -141,15 +145,29 @@ def _roots_of_unity(m: int) -> np.ndarray:
     return np.exp(z, out=z)
 
 
+def _pairwise_sum(part, lo: int, hi: int, leaf: int):
+    """part(lo, hi), the sum of terms lo..hi-1, added up as numpy 2.x sums a
+    contiguous complex128 array of them: a node of n > 64 terms (128 doubles)
+    splits after (n - n % 8) // 2 terms and its halves' sums are added; a node
+    of at most leaf >= 64 terms is part's own numpy sum."""
+    n = hi - lo
+    if n <= leaf:
+        return part(lo, hi)
+    mid = lo + (n - n % 8) // 2
+    return _pairwise_sum(part, lo, mid, leaf) + _pairwise_sum(part, mid, hi, leaf)
+
+
 def korobov_sum(h, p: int, modulus_power: int = 1,
                 caps: Caps = DEFAULT_CAPS) -> ExpSumValue:
     """sum_{n=0}^{M-1} e(2*pi*i (h_1 n + h_2 n^2 + ... + h_s n^s)/M), M = p^power.
 
-    The phase polynomial mod M is evaluated by Horner's rule, in chunks of n,
-    straight into one complex array of M entries, which is then divided by M,
-    exponentiated in place and summed.  These are _roots_of_unity's
-    element-wise operations on the same integers, so every term, and the
-    pairwise sum, has the bits of _roots_of_unity(M)[phase].sum().
+    The M terms are summed in numpy's pairwise split by _pairwise_sum, one
+    leaf of at most _GATHER_BYTES/32 terms at a time (its int64 n and phases
+    and its complex terms).  A leaf's phase polynomial mod M is evaluated by
+    Horner's rule, multiplied by 2*pi*i, divided by M, exponentiated in place
+    and summed: _roots_of_unity's element-wise operations on the same
+    integers.  So every term, and every addition, has the bits of
+    _roots_of_unity(M)[phase].sum().
     """
     hs = [int(v) for v in h]
     if modulus_power not in (1, 2):
@@ -158,19 +176,20 @@ def korobov_sum(h, p: int, modulus_power: int = 1,
         raise ValueError(f"p must be prime, got {p}")
     m = p ** modulus_power
     caps.check("max_point_entries", m * max(1, len(hs)))  # h = () sums M terms too
-    z = np.empty(m, dtype=np.complex128)
-    step = max(1, _GATHER_BYTES // 16)  # values of n per Horner pass
-    for lo in range(0, m, step):
-        n = np.arange(lo, min(lo + step, m), dtype=np.int64)
-        phase = np.zeros(len(n), dtype=np.int64)
+
+    def part(lo, hi):
+        n = np.arange(lo, hi, dtype=np.int64)
+        phase = np.zeros(hi - lo, dtype=np.int64)
         for hj in reversed(hs):  # below 2*M^2 before each reduction
             phase += hj % m
             phase *= n
             phase %= m
-        np.multiply(2j * np.pi, phase, out=z[lo:lo + len(n)])
-    z /= m
-    np.exp(z, out=z)
-    return ExpSumValue(value=complex(z.sum()), terms=m)
+        z = 2j * np.pi * phase
+        z /= m
+        return np.exp(z, out=z).sum()
+
+    value = _pairwise_sum(part, 0, m, max(64, _GATHER_BYTES // 32))
+    return ExpSumValue(value=complex(value), terms=m)
 
 
 def _root_counts(heads: np.ndarray, p: int) -> np.ndarray:
@@ -194,9 +213,9 @@ def hua_wang_root_count(h, p: int, caps: Caps = DEFAULT_CAPS) -> int:
     """#{a in [0,p): h_1 + h_2 a + ... + h_s a^(s-1) == 0 mod p}, p prime.
     p * max(1, len(h)) must fit caps.max_point_entries."""
     hs = [int(v) for v in h]
-    caps.check("max_point_entries", p * max(1, len(hs)))
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
+    caps.check("max_point_entries", p * max(1, len(hs)))
     row = np.array([[v % p for v in hs] or [0]], dtype=np.int64)  # h = () is 0
     return int(_root_counts(row, p)[0, (row[0, -1] + (p - 1) // 2) % p])
 

@@ -306,6 +306,16 @@ def test_sum_honours_env_cap(capsys, monkeypatch):
         assert captured.err == "cap exceeded: max_point_entries: requested 303, limit 100\n"
 
 
+def test_sum_reports_composite_p_before_the_cap(capsys, monkeypatch):
+    # an invalid p exits 1 on both paths, although 100 terms exceed the cap
+    monkeypatch.setenv("PSET_DISC_MAX_OPS", "10")
+    for extra in ([], ["--double"]):
+        assert main(["sum", "--p", "100", "--s", "1", "--h=1"] + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "p must be prime, got 100" in captured.err
+
+
 def test_check_weil_honours_env_cap(capsys, monkeypatch):
     # a 101 x 3 power table against 100 point entries, refused before any sweep
     monkeypatch.setenv("PSET_DISC_MAX_OPS", "100")

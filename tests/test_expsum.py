@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from psetdisc import expsum
 from psetdisc.config import BudgetError, Caps
 from psetdisc.discrepancy import star_discrepancy_exact, weighted_star_discrepancy_exact
-from psetdisc.expsum import (_heads, _PhaseSums, _rhs_sum_terms, _root_counts,
-                             _roots_of_unity, _screen, _screen_eps,
+from psetdisc.expsum import (_heads, _pairwise_sum, _PhaseSums, _rhs_sum_terms,
+                             _root_counts, _roots_of_unity, _screen, _screen_eps,
                              _slab_dft, c_values,
                              hua_wang_double_sum, hua_wang_root_count,
                              korobov_sum, niederreiter_rhs, WeilCheckReport,
@@ -113,33 +113,52 @@ def test_mod_p2_subsum_periodicity():
             assert big == pytest.approx(p * small, abs=1e-9)
 
 
-@pytest.mark.parametrize("p", [q for q in range(2, 50) if is_prime(q)])
+def test_pairwise_sum_follows_numpy_split():
+    # numpy's own sum of a contiguous complex128 array, rebuilt from leaf
+    # sums: if numpy changes its summation order, this fails first
+    for length in [*range(1, 601), 4097, 100_003, 1009 ** 2]:
+        x = np.random.default_rng(length).standard_normal((length, 2)) @ [1, 1j]
+        for leaf in (64, 100):
+            got = _pairwise_sum(lambda lo, hi: x[lo:hi].sum(), 0, length, leaf)
+            assert np.complex128(got).tobytes() == x.sum().tobytes(), (length, leaf)
+
+
+@pytest.mark.parametrize("p", [q for q in range(2, 50) if is_prime(q)] + [1009])
 def test_korobov_sum_bit_identical_to_root_gather(p):
-    # Horner phases written straight into the exponentiated array: the same
-    # element-wise operations as _roots_of_unity, so the same bits
+    # each leaf's Horner phases go through _roots_of_unity's element-wise
+    # operations, and the leaves add up in numpy's pairwise split, so the same
+    # bits; budgets 16 and 2048 cut a sum into many leaves of 64 terms
     rng = np.random.default_rng(p)
+    budgets = (16, 2048, expsum._GATHER_BYTES) if p < 50 else (expsum._GATHER_BYTES,)
     for power in (1, 2):
         m = p ** power
         table = power_table(m, 3, first_power=1)
-        # entries all negative, all >= M, and mixed
-        for lo, hi in ((-3 * m, 0), (m, 3 * m), (-3 * m, 3 * m)):
-            for h in rng.integers(lo, hi, size=(3, 3)).tolist():
+        # entries all negative, all >= M, and mixed; one mixed h at p = 1009
+        ranges = ((-3 * m, 0), (m, 3 * m), (-3 * m, 3 * m))
+        for lo, hi in ranges if p < 50 else ranges[-1:]:
+            for h in rng.integers(lo, hi, size=(3 if p < 50 else 1, 3)).tolist():
                 for s in (1, 2, 3):
                     phase = table[:, :s] @ np.array(h[:s], dtype=np.int64) % m
                     want = complex(_roots_of_unity(m)[phase].sum())
-                    got = korobov_sum(h[:s], p, modulus_power=power).value
-                    assert got == want, (p, power, h[:s])
+                    for budget in budgets:
+                        with mock.patch.object(expsum, "_GATHER_BYTES", budget):
+                            got = korobov_sum(h[:s], p, modulus_power=power).value
+                        assert got == want, (p, power, h[:s], budget)
 
 
-def test_korobov_sum_memory_is_one_complex_array():
-    m = 1009 ** 2
-    tracemalloc.start()
-    try:
-        korobov_sum((1, 2, 3), 1009, modulus_power=2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 16 * m + 2**20, peak
+@pytest.mark.parametrize("p,power", [(1009, 2), (100_003, 1)])
+@pytest.mark.parametrize("eighth", [False, True], ids=["default", "eighth"])
+def test_korobov_sum_memory_follows_budget(p, power, eighth):
+    budget = expsum._GATHER_BYTES // 8 if eighth else expsum._GATHER_BYTES
+    with mock.patch.object(expsum, "_GATHER_BYTES", budget):
+        tracemalloc.start()
+        try:
+            korobov_sum((1, 2, 3), p, modulus_power=power)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # one leaf's int64 n and phases and complex terms, plus small arrays
+    assert peak < 2 * budget + 64 * 1024, peak
 
 
 def test_korobov_sum_validation():
@@ -155,6 +174,12 @@ def test_korobov_sum_point_entry_cap():
                        caps=Caps(max_point_entries=98)).terms == 49
     with pytest.raises(BudgetError):
         korobov_sum((1, 1), 7, modulus_power=2, caps=Caps(max_point_entries=97))
+
+
+@pytest.mark.parametrize("count", [korobov_sum, hua_wang_root_count, hua_wang_double_sum])
+def test_composite_p_refused_before_the_cap(count):
+    with pytest.raises(ValueError, match="p must be prime, got 100"):
+        count((1,), 100, caps=Caps(max_point_entries=10))
 
 
 @pytest.mark.parametrize("count", [korobov_sum, hua_wang_root_count, hua_wang_double_sum])
