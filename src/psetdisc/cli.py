@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import __version__
 from .bounds import n_min_from_bound, thm1_bound, thm2_bound, thm2_params
-from .config import BudgetError, Caps, DivergenceError, InvariantError
+from .config import DEFAULT_CAPS, BudgetError, Caps, DivergenceError, InvariantError
 from .discrepancy import star_discrepancy_exact, weighted_star_discrepancy_exact
 from .expsum import (hua_wang_double_sum, korobov_sum, niederreiter_rhs,
                      weighted_niederreiter_rhs, weil_bound_check)
@@ -185,23 +185,24 @@ def _cmd_integrate(args, caps):
         f"{_fmt(r.dstar)},{_fmt(r.kh_bound)},{r.bound_source}" for r in rows]
 
 
+def dominance_chain(kind: PSetKind, p: int, s: int, w, delta: float, t=None, caps=DEFAULT_CAPS):
+    """(exact, Lemma 2 rhs, Theorem 1, Theorem 2) for one p-set, and whether each is at most
+    the next plus _DOMINANCE_SLACK.  Theorem 2's input is checked first, then the rhs's cap."""
+    params = thm2_params(w, delta, t)
+    ps = generate(kind, p, s, caps=caps)
+    rhs = weighted_niederreiter_rhs(ps, w, caps=caps).value
+    chain = (weighted_star_discrepancy_exact(ps, w, caps=caps).value, rhs,
+             thm1_bound(kind, p, s, w).value, thm2_bound(kind, p, s, params))
+    return chain, all(a <= b + _DOMINANCE_SLACK for a, b in zip(chain, chain[1:]))
+
+
 def _cmd_chain(args, caps):
-    kind = PSetKind(args.kind)
-    # Theorem 2's input first, then the rhs, which checks its cap before any work
-    params = thm2_params(args.weights, args.delta, args.t)
-    ps = _points(args, caps)
-    rhs = weighted_niederreiter_rhs(ps, args.weights, caps=caps).value
-    exact = weighted_star_discrepancy_exact(ps, args.weights, caps=caps).value
-    t1 = thm1_bound(kind, args.p, args.s, args.weights).value
-    t2 = thm2_bound(kind, args.p, args.s, params)
-    chain = [exact, rhs, t1, t2]
-    ok = all(a <= b + _DOMINANCE_SLACK for a, b in zip(chain, chain[1:]))
-    return ["# log: natural",
-            f"# dominance_slack: {_DOMINANCE_SLACK}",
+    chain, ok = dominance_chain(PSetKind(args.kind), args.p, args.s, args.weights,
+                                args.delta, args.t, caps)
+    return ["# log: natural", f"# dominance_slack: {_DOMINANCE_SLACK}",
             "kind,p,s,delta,wdisc_exact,lemma2_rhs,thm1_bound,thm2_bound,dominance",
-            f"{args.kind},{args.p},{args.s},{_fmt(args.delta)},"
-            f"{_fmt(exact)},{_fmt(rhs)},{_fmt(t1)},{_fmt(t2)},"
-            f"{'PASS' if ok else 'FAIL'}"]
+            ",".join([args.kind, str(args.p), str(args.s), *map(_fmt, (args.delta, *chain)),
+                      "PASS" if ok else "FAIL"])]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from psetdisc import bounds
 from psetdisc.bounds import (envelope_constant, n_min_from_bound, thm1_bound,
                              thm2_bound, thm2_params)
+from psetdisc.cli import dominance_chain
 from psetdisc.config import DivergenceError
 from psetdisc.discrepancy import weighted_star_discrepancy_exact
 from psetdisc.expsum import weighted_niederreiter_rhs
@@ -419,3 +420,5 @@ def test_dominance_chain_instance(p, s):
     t1 = thm1_bound(PSetKind.KOROBOV_P, p, s, HALVING).value
     t2 = thm2_bound(PSetKind.KOROBOV_P, p, s, thm2_params(HALVING, 0.25))
     assert exact <= rhs + 1e-12 <= t1 + 1e-12 <= t2 + 1e-12
+    # `pset-disc chain` and scripts/chain_sweep.py print this one composition
+    assert dominance_chain(PSetKind.KOROBOV_P, p, s, HALVING, 0.25) == ((exact, rhs, t1, t2), True)

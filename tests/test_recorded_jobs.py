@@ -1,12 +1,13 @@
 """Replay the benchmark's recorded CLI jobs through cli.main.
 
 perfbench/expected.json holds the exit code and stdout of every fixed-flag
-CLI job of the benchmark.  Its `check-weil` and `sum` jobs, and its
-`bound --thm 1|2`, `nmin`, `gen` and `integrate` jobs, must come out byte for
-byte, criterion 04's known-red `check-weil --p 2 --s 2 --lemma 5`
-(violations=4) included.  The record and perfbench/workloads.py are only read
-here; the weight files are written to a temporary working directory, under the
-relative path the recorded `# cmd:` lines name.
+CLI job of the benchmark.  Its `check-weil` and `sum` jobs, its
+`bound --thm 1|2`, `nmin`, `gen` and `integrate` jobs, and the exact `disc`
+and `wdisc` jobs of the exact-disc workload must come out byte for byte,
+criterion 04's known-red `check-weil --p 2 --s 2 --lemma 5` (violations=4)
+included.  The record and perfbench/workloads.py are only read here; the
+weight files are written to a temporary working directory, under the relative
+path the recorded `# cmd:` lines name.
 """
 import importlib.util
 import json
@@ -30,7 +31,7 @@ def _group(argv):
 
 
 GROUP_SIZES = {"check-weil": 5, "sum": 24, "bound --thm 1": 9, "bound --thm 2": 12,
-               "nmin": 12, "gen": 6, "integrate": 3}
+               "nmin": 12, "gen": 6, "integrate": 3, "disc": 5, "wdisc": 3}
 JOBS = {name: job for name, job in json.loads(RECORD.read_text(encoding="utf-8"))["jobs"].items()
         if _group(job["argv"]) in GROUP_SIZES}
 
@@ -40,7 +41,7 @@ def test_record_holds_the_exponential_sum_jobs():
     assert sum(job["argv"][0] == "sum" for job in JOBS.values()) == 24
 
 
-def test_record_holds_the_bound_nmin_gen_and_integrate_jobs():
+def test_record_holds_every_replayed_group():
     groups = [_group(job["argv"]) for job in JOBS.values()]
     assert {g: groups.count(g) for g in GROUP_SIZES} == GROUP_SIZES
 
