@@ -1,4 +1,4 @@
-"""Computational caps and shared error types.
+"""Computational caps, the working-set budget and shared error types.
 
 Every potentially explosive enumeration (corner grids, frequency-vector
 sweeps, point-set materialization, the terms of one Korobov sum) is guarded
@@ -7,6 +7,16 @@ so each refusal names the cap, the requested amount and the limit.  The
 environment variable PSET_DISC_MAX_OPS replaces all three operation-count
 caps with a single value; the subset-dimension guard is a structural limit
 and stays fixed.
+
+Memory is one working-set budget, WORK_BYTES = B, read at call time.  Each
+engine holds its working arrays to a multiple of B: a korobov_sum leaf of B/32
+terms (B); a phase sweep's chunk of k heads, 16*k*max(N, M) <= B, whose gather,
+sums, bins and transform take B each and lemma 6's counts B/2; the exact scan's
+count tables of B/(2*item bytes) corners a branch, B/256 boxes scored at once
+and the sampled bound's batches of B/64 corners; the bitset counter of both,
+4*B.  What does not shrink with B: the point set, its ranks and the power
+tables; a phase sweep's axis table, kept while its M*N entries fit B, so up to
+8*B bytes; and one slab row, never split, about 40*N + 16*M bytes.
 """
 from __future__ import annotations
 
@@ -26,6 +36,9 @@ class DivergenceError(ValueError):
 
 class InvariantError(RuntimeError):
     """An internal consistency check failed; indicates a bug, not bad input."""
+
+
+WORK_BYTES = 1 << 19  # the working-set budget B of every engine; see above
 
 
 @dataclass(frozen=True)

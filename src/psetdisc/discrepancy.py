@@ -47,6 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import config
 from .config import DEFAULT_CAPS, Caps
 from .pointset import RationalPointSet, project
 from .weights import Weights, _enumerate_subsets
@@ -55,14 +56,7 @@ from .weights import Weights, _enumerate_subsets
 Box = Sequence
 
 _INT64_SAFE = 2**62
-# Corners in one count table, 256 KB per branch in int64; a dtype=object
-# table, whose corners hold Python integers, takes as many as fit those bytes.
-_TABLE_CORNERS = 2**15
 _HALVED_AXES = 6  # up to s = 6 a box is cut in two on every axis, past it on its widest
-# Elements the bitset counts work on at once: thresholds x points in one
-# block's masks, corners x bytes in each buffer of one block's AND (the result,
-# an axis's gather, the popcounts), corners x thresholds in one sampled batch.
-_SAMPLE_ELEMENTS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -145,8 +139,7 @@ def _scan(ps, grids, ms):
     """The best corner's key: (-numerator over N*M^s, indices, 0 closed or 1 open)."""
     n_pts, s = ps.n, ps.dim
     dtype, vals, rank = _ranked(ps, grids, ms)
-    # a table holds the bytes of _TABLE_CORNERS int64 corners per branch
-    limit = _TABLE_CORNERS * 8 // _item_bytes(dtype, n_pts * ms)
+    limit = config.WORK_BYTES // (2 * _item_bytes(dtype, n_pts * ms))  # corners a branch
     sizes = [len(g) for g in grids]
     # Row 0 of keys names the branch: a corner's closed count holds the points
     # of index <= it on every axis, its open count those of index + 1 <= it.
@@ -172,11 +165,9 @@ def _scan(ps, grids, ms):
 
     if math.prod(sizes) <= limit:  # every corner in one table, before any box is set up
         return table([np.arange(n) for n in sizes])[1]
-    parts = max(1, _TABLE_CORNERS // 16)  # boxes scored at once; 2 bitset counts each
+    parts = max(1, config.WORK_BYTES // 256)  # boxes scored at once; 2 bitset counts each
     batch = max(1, parts >> s if s <= _HALVED_AXES else parts // 2)
-    # levels 0..n (hi + 1 is one); a block's AND of 2 counts a part fits _SAMPLE_ELEMENTS
-    bits = _rank_bits(keys[1:, :n_pts], [n + 1 for n in sizes],
-                      max(64, _SAMPLE_ELEMENTS // (2 * parts) * 8 // 64 * 64))
+    count_below = _bit_counter(keys[1:, :n_pts], [n + 1 for n in sizes])  # hi + 1 is a level
     best = (1, (), 0)
     stack = [np.array([[[0] * s, [n - 1 for n in sizes]]])]  # boxes (lo, hi)
     while stack:
@@ -223,7 +214,7 @@ def _scan(ps, grids, ms):
             closed, opened = value[0][tuple(at_hi)], -value[1][tuple(at_lo)]
             done = np.all(at_hi - at_lo == (hi - lo).T, axis=0)  # every corner on the lattice
         else:
-            count = _count_below(np.concatenate((hi + 1, lo)).T, bits()).astype(dtype) * ms
+            count = count_below(np.concatenate((hi + 1, lo)).T).astype(dtype) * ms
             closed, opened = count[:len(lo)] - vol_hi, vol_lo - count[len(lo):]
             top = int(max(closed.max(), opened.max()))
             best = min(best, (-top, *min((tuple(end[i].tolist()), side) for side, end, v in
@@ -250,28 +241,31 @@ def _item_bytes(dtype, top):
     return np.dtype(dtype).itemsize + (sys.getsizeof(top) if dtype is object else 0)
 
 
-def _rank_bits(ranks, levels, block):
-    """Callable: per block of points, per-axis uint64-packed bitsets, row l < levels[j]
-    the points of rank < l; built once if all fit _SAMPLE_ELEMENTS bytes, else per call."""
+def _bit_counter(ranks, levels):
+    """count(at): for each column i of at, the points of rank below at[j, i] <
+    levels[j] on every axis j, by one AND of per-axis uint64-packed bitsets (row
+    l the points of rank < l) and a popcount, in 4*config.WORK_BYTES: blocks of
+    points whose masks fit, bitsets built once if all fit, columns whose AND fits."""
+    budget, n_pts = 4 * config.WORK_BYTES, len(ranks[0])
+    block = max(64, budget // sum(levels) // 64 * 64)  # points per bitset table
+    cols = max(1, budget // (24 * -(-min(n_pts, block) // 64)))  # result, gather, popcounts
     def build(lo):
         return [np.pad(bits, ((0, 0), (0, -bits.shape[1] % 8))).view(np.uint64)
                 for bits in (np.packbits(np.arange(n)[:, None] > r[lo:lo + block], axis=1)
                              for n, r in zip(levels, ranks))]
-    blocks = functools.partial(map, build, range(0, len(ranks[0]), block))
-    if sum(levels) * len(ranks[0]) // 8 <= _SAMPLE_ELEMENTS:
-        return functools.cache(lambda: list(blocks()))
-    return blocks
+    tables = functools.partial(map, build, range(0, n_pts, block))
+    if sum(levels) * n_pts // 8 <= budget:
+        tables = functools.cache(lambda: list(map(build, range(0, n_pts, block))))
 
-
-def _count_below(at, blocks):
-    """For each column i of at, the points whose rank on every axis j is below
-    at[j, i]: one AND of per-axis rank-prefix bitsets and a popcount."""
-    count = np.zeros(at.shape[1], dtype=np.int64)
-    for bits in blocks:
-        hit = bits[0][at[0]]
-        for j in range(1, len(bits)):
-            hit &= bits[j][at[j]]
-        count += np.bitwise_count(hit).sum(axis=1, dtype=np.int64)
+    def count(at):
+        out = np.zeros(at.shape[1], dtype=np.int64)
+        for bits in tables():
+            for lo in range(0, at.shape[1], cols):
+                hit = bits[0][at[0, lo:lo + cols]]
+                for j in range(1, len(bits)):
+                    hit &= bits[j][at[j, lo:lo + cols]]
+                out[lo:lo + cols] += np.bitwise_count(hit).sum(axis=1, dtype=np.int64)
+        return out
     return count
 
 
@@ -296,12 +290,10 @@ def star_discrepancy_sampled_lb(ps: RationalPointSet, trials: int,
     # at > 0) and the open count at grid[at], where the last grid value is M.
     dtype, vals, rank = _ranked(ps, grids, ms)
     width = sum(len(g) for g in grids)
-    block = max(8, _SAMPLE_ELEMENTS // width // 8 * 8)  # points per bitset table
-    # Corners per batch: 8*width/s corners' ANDs of s/8 bytes a point pay for a
-    # block's tables; scores take an int64's bytes a corner, more on dtype=object.
-    batch = min(max(_SAMPLE_ELEMENTS // width, 8 * width // s),
-                _SAMPLE_ELEMENTS // (3 * -(-min(n_pts, block) // 8)))
-    batch = max(1, batch * 8 // _item_bytes(dtype, n_pts * ms))
+    # Corners per batch: a 64th of the budget (an 8th in each int64 array), or
+    # 8*width/s, whose ANDs of s/8 bytes a point pay for a block's bitsets.
+    batch = max(config.WORK_BYTES // 64, 8 * width // s)
+    batch = max(1, batch * 8 // _item_bytes(dtype, n_pts * ms))  # fewer on dtype=object
 
     def corners():
         """Batches of rank vectors with the branches to score: 1 closed, 0 open."""
@@ -317,10 +309,10 @@ def star_discrepancy_sampled_lb(ps: RationalPointSet, trials: int,
             yield points[:, lo:lo + batch] + 1, (1,)  # closed at the point
             yield points[:, lo:lo + batch], (0,)  # open at the point
 
-    bits = _rank_bits(rank, [len(g) for g in grids], block)
+    count_below = _bit_counter(rank, [len(g) for g in grids])
     best = 0  # numerator over n_pts * ms
     for at, branches in corners():
-        count = _count_below(at, bits()).astype(dtype) * ms
+        count = count_below(at).astype(dtype) * ms
         for closed in branches:
             # a closed corner with some at = 0 holds no point and wraps to M on
             # that axis, so its numerator is at most 0 and never raises best

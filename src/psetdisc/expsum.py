@@ -65,21 +65,12 @@ else their c = 0 entry, h = 0 left out at the head of support 0.  It adds
 one float per 4096 consecutive terms of each u, keeping a running total and
 a rest of fewer than 4096 terms per u, so _BLOCK fixes the rhs's last
 printed digit.  The sampled Weil mode draws its seeded heads 4096 at a time,
-so the draws do not depend on _GATHER_BYTES.
+so the draws do not depend on the memory budget.
 
-Memory follows _GATHER_BYTES, B.  korobov_sum holds one leaf of B/32 terms,
-at least 64, at a time: _pairwise_sum copies the split of numpy's pairwise
-complex128 sum (pairwise_sum in its loops, which never splits 64 terms or
-fewer), so the leaves' numpy sums add up to the bits of one sum over all M
-terms.  For the sweeps, a chunk holds k heads, so that
-16*k*max(N, M) bytes fit B: a complex gather of its head rows, its (k, M)
-sums, or the screen's bins and transforms.  slabs keeps the chunk's int64
-head phases, B/2 at most, and takes the last axis t rows at a time, gathering
-k' heads by those rows: 16*k'*t*N bytes within B/2, or one row when B holds
-fewer than two.  The t rows and the gather's int64 phases take half the
-gather each.  A row is never split, and a longer slab is split along its
-last axis.  An axis whose M*N table entries exceed B keeps only its column,
-and _rows forms c*y_j mod M from it, the same integers.
+Memory follows config.WORK_BYTES, B.  slabs gathers k' heads by t last-axis
+rows, 16*k'*t*N bytes within B/2 (one row when B holds fewer than two), so a
+longer slab is split along its last axis.  An axis whose M*N table entries
+exceed B keeps only its column, from which _rows forms the same c*y_j mod M.
 
 A slab is a length-M DFT along the last axis: _slab_dft bins each head's
 roots by the points' last column and takes one FFT per head.  An FFT adds the
@@ -113,13 +104,13 @@ from functools import partial
 
 import numpy as np
 
+from . import config
 from .config import DEFAULT_CAPS, Caps
 from .numtheory import is_prime, power_table
 from .pointset import RationalPointSet
 from .weights import Weights, _enumerate_subsets
 
 _BLOCK = 4096  # rhs terms per float sum; sampled Weil heads per draw
-_GATHER_BYTES = 1 << 19  # one chunk's complex gather; entries of one axis table
 
 
 def c_values(modulus: int) -> range:
@@ -162,7 +153,7 @@ def korobov_sum(h, p: int, modulus_power: int = 1,
     """sum_{n=0}^{M-1} e(2*pi*i (h_1 n + h_2 n^2 + ... + h_s n^s)/M), M = p^power.
 
     The M terms are summed in numpy's pairwise split by _pairwise_sum, one
-    leaf of at most _GATHER_BYTES/32 terms at a time (its int64 n and phases
+    leaf of at most config.WORK_BYTES/32 terms at a time (its int64 n and phases
     and its complex terms).  A leaf's phase polynomial mod M is evaluated by
     Horner's rule, multiplied by 2*pi*i, divided by M, exponentiated in place
     and summed: _roots_of_unity's element-wise operations on the same
@@ -188,7 +179,7 @@ def korobov_sum(h, p: int, modulus_power: int = 1,
         z /= m
         return np.exp(z, out=z).sum()
 
-    value = _pairwise_sum(part, 0, m, max(64, _GATHER_BYTES // 32))
+    value = _pairwise_sum(part, 0, m, max(64, config.WORK_BYTES // 32))
     return ExpSumValue(value=complex(value), terms=m)
 
 
@@ -255,9 +246,9 @@ class _PhaseSums:
         self.roots = np.tile(_roots_of_unity(m), d)
         # axis tables in C(M) order: row i holds (i - off)*y mod M
         self.tables = [np.outer(np.arange(-self.off, m - self.off), y) % m
-                       if m * n <= _GATHER_BYTES else y for y in points.T]
-        self.step = max(1, _GATHER_BYTES // (16 * n))  # rows per complex gather
-        self.per = max(1, _GATHER_BYTES // (16 * max(n, m)))  # heads per chunk
+                       if m * n <= config.WORK_BYTES else y for y in points.T]
+        self.step = max(1, config.WORK_BYTES // (16 * n))  # rows per complex gather
+        self.per = _chunk_heads(n, m)
 
     def _rows(self, t, c):
         """(len(c), n) phases c*y mod M of one axis at C(M) positions c."""
@@ -299,6 +290,10 @@ class _PhaseSums:
                     phase = head[i:i + k, None] + last
                     out[i:i + k, c0:c0 + t] = np.take(self.roots, phase).sum(axis=-1)
             yield heads, out
+
+
+def _chunk_heads(n: int, m: int) -> int:  # 16*k*max(n, M) bytes fit B, k heads
+    return max(1, config.WORK_BYTES // (16 * max(n, m)))
 
 
 def _heads(m: int, d: int, per: int):
@@ -439,7 +434,7 @@ def weil_bound_check(lemma: int, p: int, s: int, caps: Caps = DEFAULT_CAPS,
     admissible = m ** s - (p ** s if lemma == 5 else 1)
     exhaustive = admissible <= cap
     eps = _screen_eps(m, m)  # M terms: n < M, or a < p for lemma 6
-    per = max(1, _GATHER_BYTES // (16 * m))  # heads per chunk, as _PhaseSums'
+    per = _chunk_heads(m, m)  # as _PhaseSums' over the M points n < M
     if exhaustive:
         chunks = _heads(m, s, per)
     else:  # floor(cap/M) seeded heads, _BLOCK per draw

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from psetdisc import discrepancy
+from psetdisc import config, discrepancy
 from psetdisc.config import BudgetError, Caps
 from psetdisc.discrepancy import (box_counts, local_discrepancy,
                                   star_discrepancy_exact,
@@ -187,10 +187,11 @@ def test_modulus_past_int64():
     assert star_discrepancy_sampled_lb(ps, 1000, 3) <= star_discrepancy_exact(ps).value
 
 
-# Table budgets that split even these small grids into boxes: almost only
-# bitset counts (1, and dtype=object at 3 and 16), and lattices of a few parts'
-# ends (16, 64), whose bounds drop boxes before their corners are read.
-SPLIT_BUDGETS = (1, 3, 16, 64)
+# Working-set budgets whose count tables (B/16 int64 corners a branch) split
+# even these small grids into boxes: almost only bitset counts (16, and
+# dtype=object at 48 and 256), and lattices of a few parts' ends (256, 1024),
+# whose bounds drop boxes before their corners are read.
+SPLIT_BUDGETS = (16, 48, 256, 1024)
 
 
 def _assert_split_scans_match_oracles(ps):
@@ -198,7 +199,7 @@ def _assert_split_scans_match_oracles(ps):
     want = naive_dstar_witness(rows, ps.modulus)
     want_weighted = naive_weighted_dstar(rows, ps.modulus, lambda j: 2.0**-j)
     for budget in SPLIT_BUDGETS:
-        with mock.patch.object(discrepancy, "_TABLE_CORNERS", budget):
+        with mock.patch.object(config, "WORK_BYTES", budget):
             assert _result_triple(ps) == want
             got = weighted_star_discrepancy_exact(ps, HALVING).value
         assert got == pytest.approx(want_weighted, abs=1e-12)
@@ -267,7 +268,7 @@ def test_split_scan_past_halved_axes_matches_oracle(rows):
     ps = _point_set(2, rows)
     want = naive_dstar_witness(ps.rows(), ps.modulus)
     for budget in SPLIT_BUDGETS:
-        with mock.patch.object(discrepancy, "_TABLE_CORNERS", budget):
+        with mock.patch.object(config, "WORK_BYTES", budget):
             assert _result_triple(ps) == want
 
 
@@ -278,11 +279,10 @@ def test_tie_heavy_sets_have_several_best_corners():
 
 
 def test_split_scan_over_bitset_blocks_matches_oracle():
-    # 150 points and a one-element bitset budget: the fallback counts run over
-    # blocks of 64 points, rebuilt at each call
+    # 150 points and a 64-byte bitset budget: the fallback counts run over
+    # blocks of 64 points, rebuilt at each call, two columns at a time
     ps = _point_set(12, np.random.default_rng(3).integers(0, 12, size=(150, 2)))
-    with (mock.patch.object(discrepancy, "_TABLE_CORNERS", 1),
-          mock.patch.object(discrepancy, "_SAMPLE_ELEMENTS", 1)):
+    with mock.patch.object(config, "WORK_BYTES", 16):
         assert _result_triple(ps) == naive_dstar_witness(ps.rows(), ps.modulus)
 
 
@@ -294,26 +294,57 @@ READ_FEW = [(PSetKind.KOROBOV_P, 23, 5, 2_336_256, Fraction(3155938, 6436343),
             (PSetKind.KOROBOV_P, 2, 12, 531_441, Fraction(4095, 4096), (1,) * 12, "closed", 0.2)]
 
 
+def _reads(ps):
+    """The scan's result, and the corners it read: one entry per count table
+    (its corners), then the columns of every bitset count."""
+    tables, bits = [], []
+    lattice_counts, bit_counter = discrepancy._lattice_counts, discrepancy._bit_counter
+
+    def counted_lattice(at, shape):
+        tables.append(math.prod(shape[1:]))
+        return lattice_counts(at, shape)
+
+    def counted_counter(ranks, levels):
+        count = bit_counter(ranks, levels)
+
+        def counted(at):
+            bits.append(at.shape[1])
+            return count(at)
+        return counted
+
+    with (mock.patch.object(discrepancy, "_lattice_counts", counted_lattice),
+          mock.patch.object(discrepancy, "_bit_counter", counted_counter)):
+        res = star_discrepancy_exact(ps)
+    return res, tables, bits
+
+
 @pytest.mark.parametrize("kind,p,s,corners,exact,witness,side,share", READ_FEW)
 def test_exact_scan_reads_few_corners(kind, p, s, corners, exact, witness, side, share):
     # the box bound drops most grid corners unread
-    read = []
-    lattice_counts, count_below = discrepancy._lattice_counts, discrepancy._count_below
-
-    def counted_lattice(at, shape):
-        read.append(math.prod(shape[1:]))
-        return lattice_counts(at, shape)
-
-    def counted_below(at, blocks):
-        read.append(at.shape[1])
-        return count_below(at, blocks)
-
-    with (mock.patch.object(discrepancy, "_lattice_counts", counted_lattice),
-          mock.patch.object(discrepancy, "_count_below", counted_below)):
-        res = star_discrepancy_exact(generate(kind, p, s))
+    res, tables, bits = _reads(generate(kind, p, s))
     assert (res.exact, res.side, res.corners_scanned) == (exact, side, corners)
     assert res.witness == tuple(Fraction(c, p) for c in witness)
-    assert sum(read) < share * corners
+    assert sum(tables) + sum(bits) < share * corners
+
+
+@pytest.mark.parametrize("ps,paths", [
+    (_point_set(31, np.random.default_rng(1).integers(0, 31, size=(20, 3))),
+     {16: "bits", 256: "lattices", 1024: "lattices"}),
+    (_point_set(2**64 + 13, [(5, 2**62, 1), (2**63 - 1, 7, 2), (5, 7, 3), (9, 9, 9)]),
+     {48: "bits", 256: "bits"}),
+], ids=["int64", "object"])
+def test_split_budgets_reach_their_paths(ps, paths):
+    # each split budget takes the path SPLIT_BUDGETS names: "bits", tables of
+    # at most two corners and most corners read by bitsets; "lattices", tables
+    # of several parts' ends that leave most grid corners unread
+    for budget, path in paths.items():
+        with mock.patch.object(config, "WORK_BYTES", budget):
+            res, tables, bits = _reads(ps)
+        assert (res.exact, res.witness, res.side) == _result_triple(ps)  # the default budget's
+        if path == "bits":
+            assert max(tables, default=0) <= 2 and sum(bits) > sum(tables), (budget, tables)
+        else:
+            assert max(tables) > 2 and sum(tables) + sum(bits) < res.corners_scanned / 2, budget
 
 
 @pytest.mark.parametrize("ps", [generate(PSetKind.KOROBOV_P, 13, 3),  # 14^3 corners
@@ -332,7 +363,7 @@ def test_one_table_grid_is_read_before_any_box(ps):
         raise AssertionError("bitsets set up for a one-table grid")
 
     with (mock.patch.object(discrepancy, "_lattice_counts", counted_lattice),
-          mock.patch.object(discrepancy, "_rank_bits", no_bits)):
+          mock.patch.object(discrepancy, "_bit_counter", no_bits)):
         got = _result_triple(ps)
     assert shapes == [(2,) + tuple(len(g) for g in discrepancy._grids(ps))]
     assert got == naive_dstar_witness(ps.rows(), ps.modulus)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from psetdisc import expsum
+from psetdisc import config, expsum
 from psetdisc.config import BudgetError, Caps
 from psetdisc.discrepancy import star_discrepancy_exact, weighted_star_discrepancy_exact
 from psetdisc.expsum import (_heads, _pairwise_sum, _PhaseSums, _rhs_sum_terms,
@@ -113,6 +113,40 @@ def test_mod_p2_subsum_periodicity():
             assert big == pytest.approx(p * small, abs=1e-9)
 
 
+def _stationary_eps(p):
+    """A bound on |direct S(h) - stationary S(h)| mod p^2: _screen_eps(M, M)
+    bounds the direct M-term sum's rounding; the stationary value is p times
+    a sum of at most p stored roots, each within rho = 24u (see _screen_eps),
+    added within sqrt(2)*gamma_{p-1}*p*(1 + rho) (Higham 4.2, per component),
+    and the product by p rounds once more."""
+    u = 2.0 ** -53
+    rho, gamma = 24 * u, (p - 1) * u / (1 - (p - 1) * u)
+    inner = p * rho + math.sqrt(2) * gamma * p * (1 + rho)
+    return _screen_eps(p * p, p * p) + p * inner + u * p * (p + inner)
+
+
+@pytest.mark.parametrize("p,s", [(p, s) for p in (2, 3, 5, 7) for s in (1, 2, 3)
+                                 if (p, s) != (7, 3)])  # 117,649 vectors: left out for time
+def test_mod_p2_sums_are_stationary_phase_sums(p, s):
+    # n = a + p*b: S(h) = p * sum over a < p with g'(a) = 0 mod p of
+    # e(g(a)/p^2), g(n) = h_1 n + ... + h_s n^s, so outside the failure set
+    # (p | j*h_j for every j) at most s - 1 roots remain; criterion 04's
+    # violations at p = 2 all lie inside it
+    m, eps = p * p, _stationary_eps(p)
+    roots = _roots_of_unity(m)
+    h = np.array(list(itertools.product(c_values(m), repeat=s)), dtype=np.int64)
+    powers = power_table(m, s, first_power=1)  # n, ..., n^s mod M
+    direct = roots[h @ powers.T % m].sum(axis=1)
+    stationary = (h * np.arange(1, s + 1)) @ power_table(p, s, first_power=0).T % p == 0
+    stationary = p * (stationary * roots[h @ powers[:p].T % m]).sum(axis=1)
+    assert np.abs(direct - stationary).max() <= eps
+    outside = ~np.all(h * np.arange(1, s + 1) % p == 0, axis=1)
+    assert np.abs(direct[outside]).max(initial=0.0) <= (s - 1) * p + eps
+    if s == 2:  # one stationary point or none
+        mags = np.abs(direct[outside])
+        assert np.all((mags <= eps) | (np.abs(mags - p) <= eps))
+
+
 def test_pairwise_sum_follows_numpy_split():
     # numpy's own sum of a contiguous complex128 array, rebuilt from leaf
     # sums: if numpy changes its summation order, this fails first
@@ -129,7 +163,7 @@ def test_korobov_sum_bit_identical_to_root_gather(p):
     # operations, and the leaves add up in numpy's pairwise split, so the same
     # bits; budgets 16 and 2048 cut a sum into many leaves of 64 terms
     rng = np.random.default_rng(p)
-    budgets = (16, 2048, expsum._GATHER_BYTES) if p < 50 else (expsum._GATHER_BYTES,)
+    budgets = (16, 2048, config.WORK_BYTES) if p < 50 else (config.WORK_BYTES,)
     for power in (1, 2):
         m = p ** power
         table = power_table(m, 3, first_power=1)
@@ -141,7 +175,7 @@ def test_korobov_sum_bit_identical_to_root_gather(p):
                     phase = table[:, :s] @ np.array(h[:s], dtype=np.int64) % m
                     want = complex(_roots_of_unity(m)[phase].sum())
                     for budget in budgets:
-                        with mock.patch.object(expsum, "_GATHER_BYTES", budget):
+                        with mock.patch.object(config, "WORK_BYTES", budget):
                             got = korobov_sum(h[:s], p, modulus_power=power).value
                         assert got == want, (p, power, h[:s], budget)
 
@@ -149,8 +183,8 @@ def test_korobov_sum_bit_identical_to_root_gather(p):
 @pytest.mark.parametrize("p,power", [(1009, 2), (100_003, 1)])
 @pytest.mark.parametrize("eighth", [False, True], ids=["default", "eighth"])
 def test_korobov_sum_memory_follows_budget(p, power, eighth):
-    budget = expsum._GATHER_BYTES // 8 if eighth else expsum._GATHER_BYTES
-    with mock.patch.object(expsum, "_GATHER_BYTES", budget):
+    budget = config.WORK_BYTES // 8 if eighth else config.WORK_BYTES
+    with mock.patch.object(config, "WORK_BYTES", budget):
         tracemalloc.start()
         try:
             korobov_sum((1, 2, 3), p, modulus_power=power)
@@ -454,7 +488,7 @@ def test_weil_screen_matches_direct_sweep(lemma, p, s):
 @pytest.mark.parametrize("lemma,p,s", [(3, 7, 3), (5, 3, 3), (5, 2, 3)])
 def test_weil_screen_running_max_across_chunks(lemma, p, s):
     # one head per chunk: the running maximum carries every candidate over
-    with mock.patch.object(expsum, "_GATHER_BYTES", 1):
+    with mock.patch.object(config, "WORK_BYTES", 1):
         rep = weil_bound_check(lemma, p, s)
     want = _reference_report(lemma, p, s)[0]
     assert {k: getattr(rep, k) for k in want} == want
@@ -469,7 +503,7 @@ def test_weil_screen_memory_follows_budget():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * expsum._GATHER_BYTES, peak
+    assert peak < 8 * config.WORK_BYTES, peak
 
 
 def test_weil_screen_band_decides_ties_at_threshold():
@@ -517,8 +551,8 @@ def test_weil_sampled_report_is_the_direct_sweep_of_its_slabs(lemma, p, s, cap, 
     # every field, in one head per chunk and at the default budget
     want = _sampled_reference(lemma, p, s, cap, seed)
     assert want.n_checked <= cap
-    for budget in (1, expsum._GATHER_BYTES):
-        with mock.patch.object(expsum, "_GATHER_BYTES", budget):
+    for budget in (1, config.WORK_BYTES):
+        with mock.patch.object(config, "WORK_BYTES", budget):
             assert weil_bound_check(lemma, p, s, Caps(max_freq_vectors=cap), seed) == want
 
 
@@ -539,7 +573,7 @@ _BUDGETS = ("one byte", "three rows", "default")
 
 def _budget(name, n_points):
     return {"one byte": 1, "three rows": 16 * n_points * 3,
-            "default": expsum._GATHER_BYTES}[name]
+            "default": config.WORK_BYTES}[name]
 
 
 def _reference_magnitudes(y, m, h):
@@ -567,7 +601,7 @@ def test_candidate_values_bit_identical_to_direct_formula(ps, seed, budget):
     rng = np.random.default_rng(seed)
     drawn = rng.integers(-((m - 1) // 2), m // 2 + 1, size=(7, d))
     drawn[:, -1] = 0
-    with mock.patch.object(expsum, "_GATHER_BYTES", _budget(budget, len(y))):
+    with mock.patch.object(config, "WORK_BYTES", _budget(budget, len(y))):
         sums = _PhaseSums(y, m)
         chunks = list(_heads(m, d, sums.per))
     for heads, _, value in _slab_dft(sums, y[:, -1], [chunks[0], chunks[-1], drawn]):
@@ -585,7 +619,7 @@ def test_candidate_values_bit_identical_to_direct_formula(ps, seed, budget):
 def test_sweep_every_block_bit_identical(ps, budget):
     # slabs split across chunks and gathers: every chunk, not only the ends
     m, y = ps.modulus, ps.numerators
-    with mock.patch.object(expsum, "_GATHER_BYTES", _budget(budget, len(y))):
+    with mock.patch.object(config, "WORK_BYTES", _budget(budget, len(y))):
         swept = list(_PhaseSums(y, m).slabs())
     assert sum(len(heads) for heads, _ in swept) == m ** (ps.dim - 1)
     h = _slab_vectors(np.concatenate([heads for heads, _ in swept]), m)
@@ -617,7 +651,7 @@ def test_rhs_sum_term_adds_blocks_of_the_direct_formula(ps):
     want = [_reference_rhs_sum_term(y[:, [j for j in range(d) if u >> j & 1]], m)
             for u in masks]
     for budget in _BUDGETS:
-        with mock.patch.object(expsum, "_GATHER_BYTES", _budget(budget, len(y))):
+        with mock.patch.object(config, "WORK_BYTES", _budget(budget, len(y))):
             assert _rhs_sum_terms(y, m, masks) == want, budget
 
 
@@ -636,7 +670,7 @@ def test_lemma6_sweep_counts_hua_wang_roots(budget):
     # exhaustive sweeps in one, three or many heads per chunk, and the sampled
     # mode's heads cut the same way: p per root of the coefficient polynomial
     pairs = ((2, 3), (3, 3), (5, 2), (7, 3), (2, 5), (3, 5), (11, 1), (31, 2))
-    with mock.patch.object(expsum, "_GATHER_BYTES", _budget(budget, 13)):
+    with mock.patch.object(config, "WORK_BYTES", _budget(budget, 13)):
         reports = [weil_bound_check(6, p, s) for p, s in pairs]
         sampled = weil_bound_check(6, 13, 3, caps=Caps(max_freq_vectors=500), seed=7)
     for (p, s), rep in zip(pairs, reports):
@@ -651,13 +685,13 @@ def test_lemma6_sweep_counts_hua_wang_roots(budget):
 @pytest.mark.parametrize("p,s,cap", [(23, 4, None), (211, 2, None), (1009, 3, 5 * 1009)])
 def test_lemma6_memory_follows_budget(p, s, cap):
     # a chunk's counts and screen, exhaustive or of sampled heads, stay within
-    # a small multiple of _GATHER_BYTES at the default and an 8th of it; the
+    # a small multiple of WORK_BYTES at the default and an 8th of it; the
     # sweep forms vectors only for its few candidates
     caps = Caps() if cap is None else Caps(max_freq_vectors=cap)
     limit = 5 if (p, s) == (23, 4) else 10
     want = weil_bound_check(6, p, s, caps=caps)
-    for budget in (expsum._GATHER_BYTES, expsum._GATHER_BYTES // 8):
-        with mock.patch.object(expsum, "_GATHER_BYTES", budget):
+    for budget in (config.WORK_BYTES, config.WORK_BYTES // 8):
+        with mock.patch.object(config, "WORK_BYTES", budget):
             tracemalloc.start()
             try:
                 got = weil_bound_check(6, p, s, caps=caps)
@@ -669,8 +703,8 @@ def test_lemma6_memory_follows_budget(p, s, cap):
 
 
 def _rhs_at_budget(ps, budget):
-    """niederreiter_rhs(ps) with _GATHER_BYTES = budget, and its traced peak."""
-    with mock.patch.object(expsum, "_GATHER_BYTES", budget):
+    """niederreiter_rhs(ps) with WORK_BYTES = budget, and its traced peak."""
+    with mock.patch.object(config, "WORK_BYTES", budget):
         tracemalloc.start()
         try:
             got = niederreiter_rhs(ps)
@@ -702,6 +736,17 @@ def test_phase_sums_memory_follows_budget_with_every_axis_a_column(ps):
     got, peak = _rhs_at_budget(ps, budget)
     assert got == niederreiter_rhs(ps)  # the default budget holds every table
     assert peak < 2 * budget + 64 * 1024, peak
+
+
+def test_phase_sums_memory_at_a_one_row_budget():
+    # below two rows a gather is one head by one row, never split: the
+    # chunk's head phases, the row, its int64 phases and its complex gather,
+    # about 40*N + 16*M bytes, the floor config states for any budget
+    ps = _point_set(17, np.random.default_rng(0).integers(0, 17, size=(4096, 3)))
+    n, m = len(ps.numerators), ps.modulus
+    got, peak = _rhs_at_budget(ps, 16 * n)
+    assert got == niederreiter_rhs(ps)
+    assert peak <= 40 * n + 16 * m + 64 * 1024, peak
 
 
 # ---------------------------------------------------------------- lemma 1 rhs
@@ -779,6 +824,61 @@ def test_weighted_rhs_dominates_weighted_exact(kind, p, s):
     rhs = weighted_niederreiter_rhs(ps, HALVING).value
     exact = weighted_star_discrepancy_exact(ps, HALVING).value
     assert exact <= rhs + 1e-12
+
+
+def _rhs_eps(n, m, d):
+    """A bound on |library - oracle| for one sum term, the sum over the
+    K = M^d - 1 vectors h of C_d*(M) of |S(h)|/(N r(h)), relative to its
+    weight mass R = sum_h 1/r(h).  With u = 2^-53 and gamma_k = k*u/(1 - k*u)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.):
+
+    * rho bounds one root e(phi/M): the oracle's angle 2*pi*phi/M, below
+      pi*d*M in magnitude, is formed in three roundings and the rounding of
+      pi, and exp adds under 2u; the library's stored roots are within 24u.
+    * An N-point sum errs by sqrt(2)*gamma_{N-1}*N*(1 + rho) (Higham 4.2, per
+      component), so a term |S|/(N r), after abs and two divisions, by
+      delta/r(h) with delta = rho + sqrt(2)*gamma_{N-1}*(1 + rho) + 4u.
+    * The K-term total, in any order, errs by gamma_{K-1} times the sum of
+      the computed terms, at most (1 + delta)*R.
+    Each computation lies that far from the exact term; the two, twice."""
+    u = 2.0 ** -53
+
+    def gamma(k):
+        return k * u / (1 - k * u)
+
+    rho = 4 * math.pi * d * m * u + 24 * u
+    delta = rho + math.sqrt(2) * gamma(n - 1) * (1 + rho) + 4 * u
+    mass = sum(1 / max(1, abs(c)) for c in c_values(m)) ** d - 1
+    return 2 * mass * (delta + gamma(m ** d - 2) * (1 + delta))
+
+
+@st.composite
+def _rhs_point_sets(draw):
+    m = draw(st.integers(2, 8))
+    s = draw(st.integers(1, 3))
+    pool = draw(st.lists(st.tuples(*[st.integers(0, m - 1)] * s), min_size=1, max_size=12))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    return _point_set(m, rows)  # rows drawn from a pool: duplicates are common
+
+
+@given(_rhs_point_sets(), st.lists(st.floats(0, 1), min_size=3, max_size=3))
+@example(_point_set(2, [(0, 1, 1), (0, 1, 1), (1, 0, 1)]), [1.0, 0.5, 0.25])  # M even
+@example(_point_set(7, [(3,)] * 5 + [(6,)]), [1.0, 1.0, 1.0])  # M odd, s = 1
+@settings(max_examples=60, deadline=None)
+def test_both_rhs_match_the_oracles_on_rational_multisets(ps, gammas):
+    # both rhs within the stated bound of tests/oracles.py: the sum terms by
+    # _rhs_eps, and the final roundings (s/M, the weight products, the
+    # products and sums of the two terms) within gamma_{s+2} of the value
+    m, n, s, u = ps.modulus, ps.n, ps.dim, 2.0 ** -53
+    rows, w = ps.rows(), ProductWeights(gammas=tuple(gammas))
+    rounding = 4 * (s + 2) * u / (1 - (s + 2) * u)
+    want = naive_lemma1_rhs(rows, m)
+    eps = 0.5 * _rhs_eps(n, m, s) + rounding * want
+    assert abs(niederreiter_rhs(ps) - want) <= eps
+    want = naive_lemma2_rhs(rows, m, w.gamma)
+    eps = max(gamma_u * _rhs_eps(n, m, len(u)) for u, gamma_u in
+              [((), 0.0)] + _enumerate_subsets(s, w)) + rounding * want
+    assert abs(weighted_niederreiter_rhs(ps, w).value - want) <= eps
 
 
 def _reference_weighted_rhs(ps, w):
