@@ -45,17 +45,22 @@ _heads yields the heads in chunks, and every sweep reads it: the Weil sweeps
 report the first worst h in this order, and the rhs leaves h = 0 out.
 
 One kernel, _PhaseSums, serves the rhs and the lemma 3 and 5 sweeps
-(y_n = (n, ..., n^s)).  Axis j has a table T_j whose rows c*y_j mod M run
-over c in C(M) order.  sums.slabs() yields each chunk's (k, M) sums: it
-forms each head's phase row once, T_0[h_0] + ... + T_{d-2}[h_{d-2}] (the
-last entry is 0, its row all zeros), and fetches each block of rows of
-T_{d-1} once and adds it to every head of the chunk in a broadcast add.
-sums.values(head, at) gives the magnitudes at flat positions of a chunk's
-slabs, each a row of the chunk's head phases plus a row of T_{d-1}, for the
-screen's candidates.  The phases need no matmul and no modulo: they stay
-below d*M and index the roots of unity tiled d times.
+(y_n = (n, ..., n^s)), and each caller walks its own chunks of heads.  For
+one chunk it answers three ways.  sums.sums(heads) gives the (k, M) sums of
+the chunk's slabs directly, sums.screen(heads) their magnitudes by one
+length-M FFT per head, and sums.values(head, at) the direct magnitudes at
+chosen flat positions of the chunk's slabs.  Axis j has a table T_j whose
+rows c*y_j mod M run over c in C(M) order.  A head's phase row is
+T_0[h_0] + ... + T_{d-2}[h_{d-2}] (the last entry is 0, its row all zeros),
+and a slab adds each row of T_{d-1} to it.  The phases need no matmul and no
+modulo: they stay below d*M and index the roots of unity tiled d times.
 Each row gets the same numpy pairwise row sum of roots[h.y mod M], so every
-magnitude is bit-identical to the direct h @ y.T % M formula.
+direct magnitude is bit-identical to the h @ y.T % M formula.  The screen
+bins each head's roots by the points' last column, with bins built at the
+first screen only.  An FFT adds the N terms of each S(h) in another order
+than the pairwise row sum, so its magnitudes move in their last bits;
+_screen_eps bounds how far.  The rhs sums every magnitude, so it stays
+direct: an FFT would move its last printed digit.
 
 _BLOCK has two readers.  _rhs_sum_terms forms each chunk's terms
 |S(h)|/(N r(h)) once, and each head's support, the bits of its nonzero axes.
@@ -67,16 +72,11 @@ a rest of fewer than 4096 terms per u, so _BLOCK fixes the rhs's last
 printed digit.  The sampled Weil mode draws its seeded heads 4096 at a time,
 so the draws do not depend on the memory budget.
 
-Memory follows config.WORK_BYTES, B.  slabs gathers k' heads by t last-axis
-rows, 16*k'*t*N bytes within B/2 (one row when B holds fewer than two), so a
-longer slab is split along its last axis.  An axis whose M*N table entries
-exceed B keeps only its column, from which _rows forms the same c*y_j mod M.
-
-A slab is a length-M DFT along the last axis: _slab_dft bins each head's
-roots by the points' last column and takes one FFT per head.  An FFT adds the
-N terms of each S(h) in another order than the pairwise row sum, so its
-magnitudes move in their last bits; _screen_eps bounds how far.  The rhs sums
-every magnitude, so it stays direct: an FFT would move its last printed digit.
+Memory follows config.WORK_BYTES, B.  A chunk holds _chunk_heads heads.
+sums gathers k' heads by t last-axis rows, 16*k'*t*N bytes within B/2 (one
+row when B holds fewer than two), so a longer slab is split along its last
+axis.  An axis whose M*N table entries exceed B keeps only its column, from
+which _rows forms the same c*y_j mod M.
 
 Lemma 6 sums no phases.  _root_counts(heads, p) gives, for each head and each
 last entry c of C(p), the number of roots a < p of the coefficient polynomial
@@ -86,21 +86,21 @@ product with the powers of b and one np.bincount count every c at once, at
 O(p) per head.  At s = 1 that is every a, each a root for c == 0 alone; at
 s > 1, a = 0 is a root for every c or for none, as p divides h_1 or not.
 
-weil_bound_check has one sweep path, fed chunks of heads.  The exhaustive
-mode takes _heads.  Past caps.max_freq_vectors, cap, the sampled mode takes
+weil_bound_check is one loop over chunks of heads.  The exhaustive mode
+takes _heads.  Past caps.max_freq_vectors, cap, the sampled mode takes
 cap // M seeded heads of C_{d-1}(M) with last entry 0: whole slabs, so a cap
-below M is refused.  Each lemma gives the magnitudes of whole slabs,
-_slab_dft's or p times _root_counts.  The report needs only counts, a maximum
-and the first h attaining it, so _screen passes on just the h whose slab
-magnitude could decide one of them and values those again by sums.values:
-the report is the direct sweep's over the same heads, bit for bit.  Exact
-counts need neither a band nor the second look.
+below M is refused.  Each chunk's magnitudes are sums.screen's, or p times
+_root_counts for lemma 6.  The report needs only counts, a maximum and the
+first h attaining it, so _screen keeps just the h whose magnitude could
+decide one of them, and the loop values those again by sums.values: the
+report is the direct sweep's over the same heads, bit for bit.  Exact counts
+need neither a band nor the second look.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property
 
 import numpy as np
 
@@ -130,8 +130,10 @@ class ExpSumValue:
         return abs(self.value)
 
 
-def _roots_of_unity(m: int) -> np.ndarray:
-    z = 2j * np.pi * np.arange(m)  # in place: the same bits as exp(2j pi k / m)
+def _roots(phase, m: int) -> np.ndarray:
+    """e(phase/M) for int64 phases: the product 2*pi*i*phase divided by M and
+    exponentiated in place, the same bits as exp(2j*pi*k/M)."""
+    z = 2j * np.pi * phase
     z /= m
     return np.exp(z, out=z)
 
@@ -155,10 +157,8 @@ def korobov_sum(h, p: int, modulus_power: int = 1,
     The M terms are summed in numpy's pairwise split by _pairwise_sum, one
     leaf of at most config.WORK_BYTES/32 terms at a time (its int64 n and phases
     and its complex terms).  A leaf's phase polynomial mod M is evaluated by
-    Horner's rule, multiplied by 2*pi*i, divided by M, exponentiated in place
-    and summed: _roots_of_unity's element-wise operations on the same
-    integers.  So every term, and every addition, has the bits of
-    _roots_of_unity(M)[phase].sum().
+    Horner's rule and its roots taken by _roots, so every term, and every
+    addition, has the bits of _roots(np.arange(M), M)[phase].sum().
     """
     hs = [int(v) for v in h]
     if modulus_power not in (1, 2):
@@ -175,9 +175,7 @@ def korobov_sum(h, p: int, modulus_power: int = 1,
             phase += hj % m
             phase *= n
             phase %= m
-        z = 2j * np.pi * phase
-        z /= m
-        return np.exp(z, out=z).sum()
+        return _roots(phase, m).sum()
 
     value = _pairwise_sum(part, 0, m, max(64, config.WORK_BYTES // 32))
     return ExpSumValue(value=complex(value), terms=m)
@@ -236,19 +234,20 @@ class WeilCheckReport:
 
 
 class _PhaseSums:
-    """sums.slabs(d) -> the sums sum_n e(h.y_n/M) over the slabs of C_d(M),
-    and sums.values -> their magnitudes at chosen h; see the module doc."""
+    """The sums sum_n e(h.y_n/M) of the points y over the slabs of one chunk
+    of heads at a time: sums.sums(heads) directly, sums.screen(heads) by one
+    FFT per head, and sums.values at chosen h; see the module doc."""
 
     def __init__(self, points: np.ndarray, m: int):
         n, d = points.shape
         self.m, self.n = m, n
         self.off = (m - 1) // 2  # C(M) position of c = 0
-        self.roots = np.tile(_roots_of_unity(m), d)
+        self.roots = np.tile(_roots(np.arange(m), m), d)
         # axis tables in C(M) order: row i holds (i - off)*y mod M
         self.tables = [np.outer(np.arange(-self.off, m - self.off), y) % m
                        if m * n <= config.WORK_BYTES else y for y in points.T]
         self.step = max(1, config.WORK_BYTES // (16 * n))  # rows per complex gather
-        self.per = _chunk_heads(n, m)
+        self.last = points[:, -1]
 
     def _rows(self, t, c):
         """(len(c), n) phases c*y mod M of one axis at C(M) positions c."""
@@ -258,10 +257,11 @@ class _PhaseSums:
         out %= self.m
         return out
 
-    def head(self, pos: np.ndarray) -> np.ndarray:
-        """(k, n) phases of the rows at C(M) positions pos, below M per axis."""
-        out = np.zeros((len(pos), self.n), dtype=np.int64)
-        for t, c in zip(self.tables, pos.T):
+    def head(self, heads: np.ndarray) -> np.ndarray:
+        """(k, n) phases of heads, (k, d) vectors with last entry 0, below M
+        per axis."""
+        out = np.zeros((len(heads), self.n), dtype=np.int64)
+        for t, c in zip(self.tables, heads[:, :-1].T + self.off):
             out += self._rows(t, c)
         return out
 
@@ -275,21 +275,41 @@ class _PhaseSums:
             out[i:i + self.step] = np.abs(np.take(self.roots, phase).sum(axis=-1))
         return out
 
-    def slabs(self):
-        """Yield (heads, sums) for each chunk of _heads: sums[i, j] is the
-        sum at heads[i] + c*e_d for the j-th c of C(M)."""
+    def sums(self, heads: np.ndarray) -> np.ndarray:
+        """(k, M) sums of a chunk of heads: [i, j] is the sum at
+        heads[i] + c*e_d for the j-th c of C(M)."""
         m = self.m
         t = min(m, max(1, self.step // 2))  # last-axis rows per block
         k = max(1, self.step // 2 // t)  # heads per gather
-        for heads in _heads(m, len(self.tables), self.per):
-            head = self.head(heads[:, :-1] + self.off)  # the last entry is 0
-            out = np.empty((len(heads), m), dtype=np.complex128)
-            for c0 in range(0, m, t):
-                last = self._rows(self.tables[-1], np.arange(c0, min(c0 + t, m)))
-                for i in range(0, len(head), k):
-                    phase = head[i:i + k, None] + last
-                    out[i:i + k, c0:c0 + t] = np.take(self.roots, phase).sum(axis=-1)
-            yield heads, out
+        head = self.head(heads)
+        out = np.empty((len(heads), m), dtype=np.complex128)
+        for c0 in range(0, m, t):
+            last = self._rows(self.tables[-1], np.arange(c0, min(c0 + t, m)))
+            for i in range(0, len(head), k):
+                phase = head[i:i + k, None] + last
+                out[i:i + k, c0:c0 + t] = np.take(self.roots, phase).sum(axis=-1)
+        return out
+
+    @cached_property
+    def _bins(self):  # the points by last column, and transform entries in C(M) order
+        order = np.argsort(self.last, kind="stable")
+        bins, starts = np.unique(self.last[order], return_index=True)
+        return order, bins, starts, np.arange(-self.off, self.m - self.off) % self.m
+
+    def screen(self, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(mags, head) for a chunk of heads: mags[i, j] is |S| at
+        heads[i] + c*e_d for the j-th c of C(M), within _screen_eps of the
+        magnitude of sums(heads)[i, j], and head is the chunk's head phases.
+
+        Each slab is one length-M transform:
+        S(head + c*e_d) = sum_b G[b] e(c*b/M), where G[b] sums the head's roots
+        over the points whose last column is b.
+        """
+        order, bins, starts, read = self._bins
+        head = self.head(heads)
+        g = np.zeros((len(heads), self.m), dtype=np.complex128)
+        g[:, bins] = np.add.reduceat(np.take(self.roots, head[:, order]), starts, axis=1)
+        return np.abs(np.fft.ifft(g, axis=1, norm="forward")[:, read]), head
 
 
 def _chunk_heads(n: int, m: int) -> int:  # 16*k*max(n, M) bytes fit B, k heads
@@ -348,56 +368,17 @@ def _screen_eps(n: int, m: int) -> float:
     return 2 * n * rho + 2 * sigma + fft + u * (2 * size + fft)
 
 
-def _slab_dft(sums: _PhaseSums, last: np.ndarray, chunks):
-    """Yield (heads, mags, value) for each chunk of heads, (k, d) vectors with
-    last entry 0: mags[i, j] is |S| at heads[i] + c*e_d for the j-th c of
-    C(M), and value is sums.values on the chunk's head phases.  last is the
-    points' last column.
-
-    Each slab is one length-M transform:
-    S(head + c*e_d) = sum_b G[b] e(c*b/M), where G[b] sums the head's roots
-    over the points whose last column is b.  _screen_eps bounds how far mags
-    lie from value's magnitudes.
-    """
-    m, off = sums.m, sums.off
-    order = np.argsort(last, kind="stable")
-    bins, starts = np.unique(last[order], return_index=True)
-    read = np.arange(-off, m - off) % m  # transform entries in C(M) order
-    for heads in chunks:
-        head = sums.head(heads[:, :-1] + off)
-        g = np.zeros((len(heads), m), dtype=np.complex128)
-        g[:, bins] = np.add.reduceat(np.take(sums.roots, head[:, order]), starts, axis=1)
-        mags = np.abs(np.fft.ifft(g, axis=1, norm="forward")[:, read])
-        yield heads, mags, partial(sums.values, head)
-
-
-def _screen(slabs, p: int, threshold: float, eps: float):
-    """The Weil sweep: slabs yields (heads, mags, value) as _slab_dft does,
-    every magnitude within eps of the exact one, or with value None when mags
-    are exact.  For each chunk yield (candidates, their magnitudes, v, n): the
-    admissible h, in sweep order, above the maximum before them less 2*eps or
-    within eps of threshold, valued by value(at) at their flat positions at;
-    v, the number of the other admissible h above threshold; and n, the
-    chunk's admissible h.  No other h can attain the maximum magnitude, be
-    the first h attaining the maximum ratio, or lie on the other side of
-    threshold than the screen says.  h is inadmissible when p divides every
-    entry."""
-    top = -np.inf  # running maximum of the screened magnitudes
-    for heads, mags, value in slabs:
-        m = mags.shape[1]
-        zero = np.all(heads % p == 0, axis=1)
-        if zero.any():
-            mags[zero[:, None] & (np.array(c_values(m)) % p == 0)] = -np.inf
-        mags = mags.ravel()
-        ok = mags > -np.inf
-        run = np.maximum.accumulate(np.concatenate(([top], mags)))
-        top = run[-1]  # run[i] is the maximum before mags[i]
-        keep = ok & ((mags > run[:-1] - 2 * eps) | (np.abs(mags - threshold) <= eps))
-        rest = int((mags[~keep] > threshold).sum())
-        at = np.flatnonzero(keep)
-        cand = heads[at // m]
-        cand[:, -1] = at % m - (m - 1) // 2
-        yield cand, mags[at] if value is None else value(at), rest, int(ok.sum())
+def _screen(mags: np.ndarray, top: float, threshold: float, band: float):
+    """Decide one chunk of the Weil sweep.  mags holds its magnitudes in sweep
+    order, each within band of the exact one, -inf at the inadmissible h; top
+    is the maximum before the chunk.  Returns (keep, top): keep marks the
+    admissible h above the maximum before them less 2*band or within band of
+    threshold, and top is the maximum through the chunk.  No other h can attain
+    the maximum magnitude, be the first h attaining the maximum ratio, or lie
+    on the other side of threshold than mags says."""
+    run = np.maximum.accumulate(np.concatenate(([top], mags)))  # run[i]: max before mags[i]
+    keep = (mags > -np.inf) & ((mags > run[:-1] - 2 * band) | (np.abs(mags - threshold) <= band))
+    return keep, run[-1]
 
 
 def weil_bound_check(lemma: int, p: int, s: int, caps: Caps = DEFAULT_CAPS,
@@ -434,7 +415,7 @@ def weil_bound_check(lemma: int, p: int, s: int, caps: Caps = DEFAULT_CAPS,
     admissible = m ** s - (p ** s if lemma == 5 else 1)
     exhaustive = admissible <= cap
     eps = _screen_eps(m, m)  # M terms: n < M, or a < p for lemma 6
-    per = _chunk_heads(m, m)  # as _PhaseSums' over the M points n < M
+    per = _chunk_heads(m, m)  # as the rhs's over the M points n < M
     if exhaustive:
         chunks = _heads(m, s, per)
     else:  # floor(cap/M) seeded heads, _BLOCK per draw
@@ -444,26 +425,35 @@ def weil_bound_check(lemma: int, p: int, s: int, caps: Caps = DEFAULT_CAPS,
                                      size=(min(_BLOCK, n_heads - lo), s - 1)), ((0, 0), (0, 1)))
                  for lo in range(0, n_heads, _BLOCK))
         chunks = (d[i:i + per] for d in draws for i in range(0, len(d), per))
-    if lemma == 6:  # p per root a of h_1 + h_2 a + ... + h_s a^(s-1) mod p
-        slabs = ((heads, _root_counts(heads, p) * float(p), None) for heads in chunks)
-        band = 0.0  # exact counts
+    if lemma == 6:
+        band = 0.0  # exact root counts
     else:  # columns n, n^2, ..., n^s
-        points = power_table(m, s, first_power=1)
-        slabs = _slab_dft(_PhaseSums(points, m), points[:, -1], chunks)
-        band = eps
+        sums, band = _PhaseSums(power_table(m, s, first_power=1), m), eps
+    last_zero = np.array(c_values(m)) % p == 0
+    off, top = (m - 1) // 2, -np.inf
 
     max_ratio, worst, max_mag, violations, n_checked = -1.0, (), 0.0, 0, 0
-    for block, mags, screened, admitted in _screen(slabs, p, bound + eps, band):
-        violations += screened + int((mags > bound + eps).sum())
-        n_checked += admitted
-        if not len(block):
+    for heads in chunks:
+        if lemma == 6:  # p per root a of h_1 + h_2 a + ... + h_s a^(s-1) mod p
+            mags = _root_counts(heads, p) * float(p)
+        else:
+            mags, head = sums.screen(heads)
+        mags[np.all(heads % p == 0, axis=1)[:, None] & last_zero] = -np.inf
+        mags = mags.ravel()
+        keep, top = _screen(mags, top, bound + eps, band)
+        n_checked += int((mags > -np.inf).sum())
+        violations += int((mags[~keep] > bound + eps).sum())
+        at = np.flatnonzero(keep)
+        if not len(at):
             continue
-        max_mag = max(max_mag, float(mags.max()))
-        ratios = mags / bound if bound > 0 else np.where(mags <= eps, 0.0, np.inf)
+        vals = mags[at] if lemma == 6 else sums.values(head, at)
+        violations += int((vals > bound + eps).sum())
+        max_mag = max(max_mag, float(vals.max()))
+        ratios = vals / bound if bound > 0 else np.where(vals <= eps, 0.0, np.inf)
         i = int(np.argmax(ratios))
         if float(ratios[i]) > max_ratio:
             max_ratio = float(ratios[i])
-            worst = tuple(int(v) for v in block[i])
+            worst = (*map(int, heads[at[i] // m, :-1]), int(at[i] % m) - off)
 
     if max_mag <= eps:
         max_mag = 0.0
@@ -483,9 +473,10 @@ def _rhs_sum_terms(numerators: np.ndarray, m: int, masks) -> list[float]:
     r_last = np.maximum(1, np.abs(np.array(c_values(m))))
     bits = 1 << np.arange(d - 1)
     totals, rests = [0.0] * len(masks), [np.empty(0)] * len(masks)
-    for heads, out in _PhaseSums(numerators, m).slabs():
+    sums = _PhaseSums(numerators, m)
+    for heads in _heads(m, d, _chunk_heads(n_pts, m)):
         r = np.prod(np.maximum(1, np.abs(heads)), axis=1)
-        terms = np.abs(out) / n_pts / np.multiply.outer(r, r_last)
+        terms = np.abs(sums.sums(heads)) / n_pts / np.multiply.outer(r, r_last)
         support = ((heads[:, :-1] != 0) * bits).sum(axis=1)  # each head's nonzero axes
         zero = np.flatnonzero(support == 0)  # the head of h = 0, if in this chunk
         for i, u in enumerate(masks):
@@ -500,7 +491,7 @@ def _rhs_sum_terms(numerators: np.ndarray, m: int, masks) -> list[float]:
             for j in range(0, cut, _BLOCK):
                 totals[i] += float(sel[j:j + _BLOCK].sum())
             rests[i] = sel[cut:]
-        del terms  # not held while slabs forms the next chunk
+        del terms  # not held while the next chunk's sums are formed
     return [t + float(rest.sum()) for t, rest in zip(totals, rests)]
 
 

@@ -18,11 +18,8 @@ def _odd_part(k: int) -> tuple[int, int]:
 
 
 def _witness_says_composite(n: int, a: int) -> bool:
-    """Miller-Rabin to base a: True when a proves odd n composite."""
+    """Miller-Rabin to base a: True when a proves odd n composite; 1 < a < n."""
     d, r = _odd_part(n - 1)
-    a %= n
-    if a == 0:
-        return False
     x = pow(a, d, n)
     if x == 1 or x == n - 1:
         return False

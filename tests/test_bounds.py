@@ -102,6 +102,8 @@ def test_thm1_validation():
         thm1_bound(PSetKind.KOROBOV_P, 1, 2, HALVING)
     with pytest.raises(ValueError):
         thm1_bound(PSetKind.KOROBOV_P, 5, 0, HALVING)
+    with pytest.raises(TypeError, match="^unsupported weight model dict$"):
+        thm1_bound(PSetKind.KOROBOV_P, 5, 2, {(1,): 1.0})
     for kind in PSetKind:  # p**exponent past the range of a float
         with pytest.raises(ValueError, match="does not fit a float"):
             thm1_bound(kind, 10**400 + 1, 2, HALVING)
@@ -172,6 +174,15 @@ def test_thm2_params_part2():
     if k0 > 0:
         assert math.sqrt(4.0 ** -(k0 - 1) / 3) > thr
     assert params.power == k0  # no +1 under part 2
+
+
+def test_thm2_params_part2_at_tail_index_0():
+    # a tail below the threshold from the start: k0 = 0, so the envelope's
+    # power is 0 and its supremum sits at x = log 2
+    params = thm2_params(ProductWeights(tail=PowerLawTail(2, 1e-4)), 0.25, t=2.0)
+    assert (params.part, params.k0, params.power) == (2, 0, 0)
+    assert params.envelope(PSetKind.KOROBOV_Q)[0] == 3 * math.exp(-0.25 * math.log(2) / 2)
+    assert params.envelope(PSetKind.KOROBOV_Q)[0] == 2.7510121296140135
 
 
 def test_thm2_params_validation():
@@ -387,6 +398,8 @@ def test_n_min_validation():
         n_min_from_bound(PSetKind.KOROBOV_P, 0.0, 2, HALVING, 0.25)
     with pytest.raises(ValueError):
         n_min_from_bound(PSetKind.KOROBOV_P, 1.0, 2, HALVING, 0.25)
+    with pytest.raises(ValueError, match="^s must be >= 1, got 0$"):
+        n_min_from_bound(PSetKind.KOROBOV_P, 0.5, 0, HALVING, 0.25)
     with pytest.raises(DivergenceError):
         n_min_from_bound(PSetKind.KOROBOV_P, 0.5, 2,
                          ProductWeights(tail=PowerLawTail(exponent=1.0, scale=1.0)), 0.25)

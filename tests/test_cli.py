@@ -417,6 +417,16 @@ EXIT_PATHS = {
     "bound-inf": (["bound", "--thm", "2", "--kind", "Q", "--p", "5", "--s", str(10**300),
                    "--weights", POW_FILE, "--delta", "0.25", "--t", "2"], None, None, 1,
                   "error: the envelope bound does not fit a float"),
+    "h-count": (["sum", "--p", "5", "--s", "3", "--h", "1,2"], None, None, 1,
+                "error: --h has 2 entries, --s is 3"),
+    "coeffs-count": (["integrate", "--kind", "P", "--s", "2", "--primes", "5", "--coeffs", "1"],
+                     None, None, 1, "error: --coeffs has 1 entries, --s is 2"),
+    **{f"no-weights-{thm}": (["bound", "--thm", thm, "--kind", "P", "--p", "5", "--s", "2"],
+                             None, None, 1, f"error: --thm {thm} requires --weights")
+       for thm in ("1", "2", "lemma2")},
+    **{f"max-ops-{n}": (["disc", "--kind", "P", "--p", "5", "--s", "1"], n, None, 1,
+                        f"error: PSET_DISC_MAX_OPS must be positive, got {n}")
+       for n in ("0", "-3")},
 }
 
 

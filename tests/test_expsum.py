@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from psetdisc import config, expsum
 from psetdisc.config import BudgetError, Caps
 from psetdisc.discrepancy import star_discrepancy_exact, weighted_star_discrepancy_exact
-from psetdisc.expsum import (_heads, _pairwise_sum, _PhaseSums, _rhs_sum_terms,
-                             _root_counts, _roots_of_unity, _screen, _screen_eps,
-                             _slab_dft, c_values,
+from psetdisc.expsum import (_chunk_heads, _heads, _pairwise_sum, _PhaseSums,
+                             _rhs_sum_terms, _root_counts, _roots, _screen,
+                             _screen_eps, c_values,
                              hua_wang_double_sum, hua_wang_root_count,
                              korobov_sum, niederreiter_rhs, WeilCheckReport,
                              WeightedRhsResult, weighted_niederreiter_rhs,
@@ -52,6 +52,11 @@ def _slab_vectors(heads, m):
 ])
 def test_c_values(m, expected):
     assert list(c_values(m)) == expected
+
+
+def test_c_values_refuses_modulus_1():
+    with pytest.raises(ValueError, match="^modulus must be >= 2, got 1$"):
+        c_values(1)
 
 
 # ---------------------------------------------------------------- korobov
@@ -133,7 +138,7 @@ def test_mod_p2_sums_are_stationary_phase_sums(p, s):
     # (p | j*h_j for every j) at most s - 1 roots remain; criterion 04's
     # violations at p = 2 all lie inside it
     m, eps = p * p, _stationary_eps(p)
-    roots = _roots_of_unity(m)
+    roots = _roots(np.arange(m), m)
     h = np.array(list(itertools.product(c_values(m), repeat=s)), dtype=np.int64)
     powers = power_table(m, s, first_power=1)  # n, ..., n^s mod M
     direct = roots[h @ powers.T % m].sum(axis=1)
@@ -159,9 +164,9 @@ def test_pairwise_sum_follows_numpy_split():
 
 @pytest.mark.parametrize("p", [q for q in range(2, 50) if is_prime(q)] + [1009])
 def test_korobov_sum_bit_identical_to_root_gather(p):
-    # each leaf's Horner phases go through _roots_of_unity's element-wise
-    # operations, and the leaves add up in numpy's pairwise split, so the same
-    # bits; budgets 16 and 2048 cut a sum into many leaves of 64 terms
+    # each leaf's Horner phases go through _roots, and the leaves add up in
+    # numpy's pairwise split, so the same bits; budgets 16 and 2048 cut a sum
+    # into many leaves of 64 terms
     rng = np.random.default_rng(p)
     budgets = (16, 2048, config.WORK_BYTES) if p < 50 else (config.WORK_BYTES,)
     for power in (1, 2):
@@ -173,7 +178,7 @@ def test_korobov_sum_bit_identical_to_root_gather(p):
             for h in rng.integers(lo, hi, size=(3 if p < 50 else 1, 3)).tolist():
                 for s in (1, 2, 3):
                     phase = table[:, :s] @ np.array(h[:s], dtype=np.int64) % m
-                    want = complex(_roots_of_unity(m)[phase].sum())
+                    want = complex(_roots(np.arange(m), m)[phase].sum())
                     for budget in budgets:
                         with mock.patch.object(config, "WORK_BYTES", budget):
                             got = korobov_sum(h[:s], p, modulus_power=power).value
@@ -413,6 +418,8 @@ def test_weil_validation():
         weil_bound_check(4, 5, 2)
     with pytest.raises(ValueError):
         weil_bound_check(3, 9, 2)
+    with pytest.raises(ValueError, match="^s must be >= 1, got 0$"):
+        weil_bound_check(3, 5, 0)
 
 
 # ---------------------------------------------------------------- weil screen
@@ -458,17 +465,15 @@ def _direct_report(p, bound, eps, swept):
 
 
 def _reference_report(lemma, p, s):
-    """The exhaustive lemma 3/5 report with every h through sums.slabs, and
-    the largest |screen - direct| of _slab_dft's magnitudes."""
+    """The exhaustive lemma 3/5 report with every h through sums.sums, and
+    the largest |screen - direct| of sums.screen's magnitudes."""
     m, bound, eps = _weil_setup(lemma, p, s)
-    points = power_table(m, s, first_power=1)
-    sums = _PhaseSums(points, m)
-    chunks = _heads(m, s, sums.per)
+    sums = _PhaseSums(power_table(m, s, first_power=1), m)
     screen_err = [0.0]
 
     def swept():
-        for (_, screened, _), (heads, out) in zip(_slab_dft(sums, points[:, -1], chunks),
-                                                  sums.slabs()):
+        for heads in _heads(m, s, _chunk_heads(m, m)):
+            screened, out = sums.screen(heads)[0], sums.sums(heads)
             screen_err[0] = max(screen_err[0], float(np.abs(screened - np.abs(out)).max()))
             yield _slab_vectors(heads, m), np.abs(out.ravel())
     return _direct_report(p, bound, eps, swept()), screen_err[0]
@@ -509,15 +514,17 @@ def test_weil_screen_memory_follows_budget():
 def test_weil_screen_band_decides_ties_at_threshold():
     # lemma 5, p = 5, s = 3: 5,000 magnitudes equal 5 up to rounding, on both
     # sides of it; with the threshold at 5 only the band sorts them out
-    m, threshold = 25, 5.0
-    points = power_table(m, 3, first_power=1)
-    sums = _PhaseSums(points, m)
-    slabs = _slab_dft(sums, points[:, -1], _heads(m, 3, sums.per))
-    swept = _screen(slabs, 5, threshold, _screen_eps(m, m))
-    got = sum(rest + int((mags > threshold).sum()) for _, mags, rest, _ in swept)
-    want = sum(int((np.abs(out.ravel()[~np.all(_slab_vectors(heads, m) % 5 == 0, axis=1)])
-                    > threshold).sum())
-               for heads, out in sums.slabs())
+    m, threshold, top, got, want = 25, 5.0, -np.inf, 0, 0
+    sums = _PhaseSums(power_table(m, 3, first_power=1), m)
+    for heads in _heads(m, 3, _chunk_heads(m, m)):
+        mags, head = sums.screen(heads)
+        mags[np.all(heads % 5 == 0, axis=1)[:, None] & (np.array(c_values(m)) % 5 == 0)] = -np.inf
+        keep, top = _screen(mags.ravel(), top, threshold, _screen_eps(m, m))
+        got += int((mags.ravel()[~keep] > threshold).sum())
+        got += int((sums.values(head, np.flatnonzero(keep)) > threshold).sum())
+        out = sums.sums(heads).ravel()
+        want += int((np.abs(out[~np.all(_slab_vectors(heads, m) % 5 == 0, axis=1)])
+                     > threshold).sum())
     assert got == want
 
 
@@ -595,21 +602,23 @@ def _rational_sets(draw):
 @given(_rational_sets(), st.integers(0, 2**32 - 1), st.sampled_from(_BUDGETS))
 @settings(max_examples=60, deadline=None)
 def test_candidate_values_bit_identical_to_direct_formula(ps, seed, budget):
-    # _slab_dft's value at every flat position of the first and last chunks
-    # of _heads and of seeded heads, from the head phases and last-axis rows
+    # sums.values on the screen's head phases at every flat position of the
+    # first and last chunks of _heads and of seeded heads, from the head
+    # phases and last-axis rows
     m, y, d = ps.modulus, ps.numerators, ps.dim
     rng = np.random.default_rng(seed)
     drawn = rng.integers(-((m - 1) // 2), m // 2 + 1, size=(7, d))
     drawn[:, -1] = 0
     with mock.patch.object(config, "WORK_BYTES", _budget(budget, len(y))):
         sums = _PhaseSums(y, m)
-        chunks = list(_heads(m, d, sums.per))
-    for heads, _, value in _slab_dft(sums, y[:, -1], [chunks[0], chunks[-1], drawn]):
+        chunks = list(_heads(m, d, _chunk_heads(len(y), m)))
+    for heads in [chunks[0], chunks[-1], drawn]:
+        head = sums.screen(heads)[1]
         at = np.arange(len(heads) * m)
         h = _slab_vectors(heads, m)
-        assert np.array_equal(value(at), _reference_magnitudes(y, m, h))
+        assert np.array_equal(sums.values(head, at), _reference_magnitudes(y, m, h))
         some = np.sort(rng.choice(at, size=min(len(at), 5), replace=False))
-        assert np.array_equal(value(some), _reference_magnitudes(y, m, h[some]))
+        assert np.array_equal(sums.values(head, some), _reference_magnitudes(y, m, h[some]))
 
 
 @given(_rational_sets(), st.sampled_from(_BUDGETS))
@@ -620,7 +629,9 @@ def test_sweep_every_block_bit_identical(ps, budget):
     # slabs split across chunks and gathers: every chunk, not only the ends
     m, y = ps.modulus, ps.numerators
     with mock.patch.object(config, "WORK_BYTES", _budget(budget, len(y))):
-        swept = list(_PhaseSums(y, m).slabs())
+        sums = _PhaseSums(y, m)
+        swept = [(heads, sums.sums(heads))
+                 for heads in _heads(m, ps.dim, _chunk_heads(len(y), m))]
     assert sum(len(heads) for heads, _ in swept) == m ** (ps.dim - 1)
     h = _slab_vectors(np.concatenate([heads for heads, _ in swept]), m)
     got = np.concatenate([out.ravel() for _, out in swept])
@@ -778,6 +789,14 @@ def test_niederreiter_p52_frozen():
 def test_niederreiter_dominates_dstar(kind, p, s):
     ps = generate(kind, p, s)
     assert niederreiter_rhs(ps) >= star_discrepancy_exact(ps).value - 1e-12
+
+
+def test_both_rhs_refuse_modulus_1():
+    ps = _point_set(1, [(0,), (0,)])
+    with pytest.raises(ValueError, match="^modulus must be >= 2 for the frequency spectrum$"):
+        niederreiter_rhs(ps)
+    with pytest.raises(ValueError, match="^modulus must be >= 2 for the frequency spectrum$"):
+        weighted_niederreiter_rhs(ps, HALVING)
 
 
 def test_niederreiter_budget():

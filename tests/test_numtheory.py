@@ -73,6 +73,15 @@ def test_baillie_psw_rejects_base_2_strong_pseudoprimes(n):
     assert not _baillie_psw(n)
 
 
+@pytest.mark.parametrize("n", [9, 1093 ** 2, (2 ** 61 - 1) ** 2])
+def test_strong_lucas_rejects_squares(n):
+    # no D has (D/n) = -1 for a square n: without the square guard the
+    # Selfridge search for D runs until |D| shares a factor with n, about
+    # 2^60 steps for the square of 2^61 - 1; 1093^2 is a base-2 strong
+    # pseudoprime as well
+    assert not _strong_lucas(n)
+
+
 @pytest.mark.parametrize("n", [5459, 5777, 10877])
 def test_baillie_psw_rejects_strong_lucas_pseudoprimes(n):
     # the Lucas half passes them; the base-2 half must catch them

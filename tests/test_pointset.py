@@ -130,6 +130,8 @@ def test_point_set_validation():
         RationalPointSet(modulus=4, dim=2, numerators=np.array([[0, -1]]))
     with pytest.raises(ValueError):
         RationalPointSet(modulus=4, dim=2, numerators=np.array([[0, 1, 2]]))
+    with pytest.raises(ValueError, match="^modulus and dim must be positive$"):
+        RationalPointSet(modulus=0, dim=1, numerators=np.zeros((1, 1), dtype=np.int64))
     for dtype in (float, object, str):  # an empty array of any dtype
         with pytest.raises(ValueError, match="point set is empty"):
             RationalPointSet(modulus=4, dim=2, numerators=np.zeros((0, 2), dtype=dtype))
