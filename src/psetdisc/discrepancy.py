@@ -21,14 +21,15 @@ over boxes [lo, hi] of corners: with C(hi) the points of index <= hi on every
 axis and C_open(lo) those < lo, every closed value in the box is at most
 C(hi)*M^s - N*vol(lo), every open one at most N*vol(hi) - C_open(lo)*M^s, and
 the same counts are the exact closed value at hi and open value at lo.  Boxes
-are cut into parts scored by one table over the parts' ends (by bitset counts
-if that lattice outgrows a table); a part whose bound is below the best value L
-found so far is dropped, and boxes whose corners fit one table are read whole,
-as is a grid that small.  A box holding a best corner has a bound >= D* >= L,
-so it is never dropped (ties are kept), and the least (corner, side) key wins,
-closed before open: the witness is the lexicographically first best corner in
-any order of visits.  The arithmetic runs in int64 when N*M^s < 2^62 and on
-dtype=object arrays of Python integers otherwise, on the same lines.
+are cut into parts, and bitset counts of those two corners bound and score
+each part; a part whose bound is below the best value L found so far is
+dropped.  Count tables read a grid that fits one table, before any box is set
+up, and a batch of boxes whose spans fit one.  A box holding a best corner has
+a bound >= D* >= L, so it is never dropped (ties are kept), and the least
+(corner, side) key wins, closed before open: the witness is the
+lexicographically first best corner in any order of visits.  The arithmetic
+runs in int64 when N*M^s < 2^62 and on dtype=object arrays of Python integers
+otherwise, on the same lines.
 
 The weighted star discrepancy max_u gamma_u D*(P_u) scans one projection per
 positive-weight subset, in descending gamma_u, and stops at the first gamma_u
@@ -147,7 +148,7 @@ def _scan(ps, grids, ms):
     keys = np.concatenate((keys, keys + 1), axis=1)
 
     def table(cuts):
-        """Numerators (closed, minus open) on the cuts' lattice; its best key."""
+        """The best key of the count table on the cuts' lattice."""
         shape = (2,) + tuple(len(c) for c in cuts)
         at = keys
         if any(c[-1] >= len(c) for c in cuts):  # cuts 0, 1, ..., k - 1 need no search
@@ -161,10 +162,10 @@ def _scan(ps, grids, ms):
         ic, io = int(value[0].argmax()), int(value[1].argmin())
         top, i, side = max((value[0].flat[ic], -ic, 0), (-value[1].flat[io], -io, -1))
         at = np.unravel_index(-i, shape[1:])
-        return value, (-int(top), tuple(int(c[k]) for c, k in zip(cuts, at)), -side)
+        return -int(top), tuple(int(c[k]) for c, k in zip(cuts, at)), -side
 
     if math.prod(sizes) <= limit:  # every corner in one table, before any box is set up
-        return table([np.arange(n) for n in sizes])[1]
+        return table([np.arange(n) for n in sizes])
     parts = max(1, config.WORK_BYTES // 256)  # boxes scored at once; 2 bitset counts each
     batch = max(1, parts >> s if s <= _HALVED_AXES else parts // 2)
     count_below = _bit_counter(keys[1:, :n_pts], [n + 1 for n in sizes])  # hi + 1 is a level
@@ -181,7 +182,7 @@ def _scan(ps, grids, ms):
                                           - np.bincount(hi[:, j] + 1, minlength=n + 1)))
                  for j, n in enumerate(sizes)]
         if math.prod(len(c) for c in spans) <= limit:  # one table reads every corner
-            best = min(best, table(spans)[1])
+            best = min(best, table(spans))
             continue
         # cut every box into q parts on each axis: 2, or for a lone box (the
         # whole grid) as many as a batch holds
@@ -202,26 +203,16 @@ def _scan(ps, grids, ms):
                       (lo[:, None] + (at + 1) * width[:, None] // q - 1).reshape(-1, s))
             keep = np.all(lo <= hi, axis=1)
             lo, hi = lo[keep], hi[keep]
-        cuts = [np.flatnonzero(np.bincount(np.concatenate((lo[:, j], hi[:, j])), minlength=n))
-                for j, n in enumerate(sizes)]
         vol_lo, vol_hi = (n_pts * math.prod(v[e[:, j]] for j, v in enumerate(vals))
                           for e in (lo, hi))
-        if math.prod(len(c) for c in cuts) <= limit:
-            value, key = table(cuts)
-            best = min(best, key)
-            at_lo = np.array([np.searchsorted(c, lo[:, j]) for j, c in enumerate(cuts)])
-            at_hi = np.array([np.searchsorted(c, hi[:, j]) for j, c in enumerate(cuts)])
-            closed, opened = value[0][tuple(at_hi)], -value[1][tuple(at_lo)]
-            done = np.all(at_hi - at_lo == (hi - lo).T, axis=0)  # every corner on the lattice
-        else:
-            count = count_below(np.concatenate((hi + 1, lo)).T).astype(dtype) * ms
-            closed, opened = count[:len(lo)] - vol_hi, vol_lo - count[len(lo):]
-            top = int(max(closed.max(), opened.max()))
-            best = min(best, (-top, *min((tuple(end[i].tolist()), side) for side, end, v in
-                                         ((0, hi, closed), (1, lo, opened))
-                                         for i in np.flatnonzero(v == top))))
-            done = np.all(lo == hi, axis=1)
-        keep = (np.maximum(closed, opened) + (vol_hi - vol_lo) >= -best[0]) & ~done
+        count = count_below(np.concatenate((hi + 1, lo)).T).astype(dtype) * ms
+        closed, opened = count[:len(lo)] - vol_hi, vol_lo - count[len(lo):]
+        top = int(max(closed.max(), opened.max()))
+        best = min(best, (-top, *min((tuple(end[i].tolist()), side) for side, end, v in
+                                     ((0, hi, closed), (1, lo, opened))
+                                     for i in np.flatnonzero(v == top))))
+        keep = np.maximum(closed, opened) + (vol_hi - vol_lo) >= -best[0]
+        keep &= np.any(lo < hi, axis=1)  # a part of one corner is done
         if keep.any():
             stack.append(np.stack((lo[keep], hi[keep]), axis=1))
     return best

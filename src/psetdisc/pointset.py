@@ -16,6 +16,7 @@ points are kept everywhere with multiplicity.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,11 @@ class RationalPointSet:
     numerators: np.ndarray  # (n, dim) int64, read-only
 
     def __post_init__(self):
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                   for v in (self.modulus, self.dim)):
+            raise ValueError("modulus and dim must be integers")
+        object.__setattr__(self, "modulus", int(self.modulus))
+        object.__setattr__(self, "dim", int(self.dim))
         raw = np.asarray(self.numerators)
         if raw.size and not _fits_int64(raw):
             raise ValueError("numerators must be integers that fit int64")

@@ -189,8 +189,8 @@ def test_modulus_past_int64():
 
 # Working-set budgets whose count tables (B/16 int64 corners a branch) split
 # even these small grids into boxes: almost only bitset counts (16, and
-# dtype=object at 48 and 256), and lattices of a few parts' ends (256, 1024),
-# whose bounds drop boxes before their corners are read.
+# dtype=object at 48 and 256), and bitset-scored parts whose bounds drop boxes
+# until a batch's spans fit one count table (256, 1024).
 SPLIT_BUDGETS = (16, 48, 256, 1024)
 
 
@@ -329,14 +329,14 @@ def test_exact_scan_reads_few_corners(kind, p, s, corners, exact, witness, side,
 
 @pytest.mark.parametrize("ps,paths", [
     (_point_set(31, np.random.default_rng(1).integers(0, 31, size=(20, 3))),
-     {16: "bits", 256: "lattices", 1024: "lattices"}),
+     {16: "bits", 256: "spans", 1024: "spans"}),
     (_point_set(2**64 + 13, [(5, 2**62, 1), (2**63 - 1, 7, 2), (5, 7, 3), (9, 9, 9)]),
      {48: "bits", 256: "bits"}),
 ], ids=["int64", "object"])
 def test_split_budgets_reach_their_paths(ps, paths):
     # each split budget takes the path SPLIT_BUDGETS names: "bits", tables of
-    # at most two corners and most corners read by bitsets; "lattices", tables
-    # of several parts' ends that leave most grid corners unread
+    # at most two corners and most corners read by bitsets; "spans", tables of
+    # a batch's spans, and most grid corners left unread by both counters
     for budget, path in paths.items():
         with mock.patch.object(config, "WORK_BYTES", budget):
             res, tables, bits = _reads(ps)

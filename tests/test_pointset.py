@@ -132,6 +132,11 @@ def test_point_set_validation():
         RationalPointSet(modulus=4, dim=2, numerators=np.array([[0, 1, 2]]))
     with pytest.raises(ValueError, match="^modulus and dim must be positive$"):
         RationalPointSet(modulus=0, dim=1, numerators=np.zeros((1, 1), dtype=np.int64))
+    for modulus, dim in ((7.0, 1), (2.5, 1), (7, 1.0), (True, 1), (7, True)):
+        with pytest.raises(ValueError, match="^modulus and dim must be integers$"):
+            RationalPointSet(modulus=modulus, dim=dim, numerators=[[0]])
+    ps = RationalPointSet(modulus=np.int64(7), dim=np.int32(1), numerators=[[3]])
+    assert (type(ps.modulus), type(ps.dim)) == (int, int)
     for dtype in (float, object, str):  # an empty array of any dtype
         with pytest.raises(ValueError, match="point set is empty"):
             RationalPointSet(modulus=4, dim=2, numerators=np.zeros((0, 2), dtype=dtype))

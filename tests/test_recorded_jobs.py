@@ -8,14 +8,23 @@ criterion 04's known-red `check-weil --p 2 --s 2 --lemma 5` (violations=4)
 included.  The record and perfbench/workloads.py are only read here; the
 weight files are written to a temporary working directory, under the relative
 path the recorded `# cmd:` lines name.
+
+The benchmark checks its large seeded `rational` library jobs only for
+self-consistency, so the seed-1 jobs whose grid outgrows one count table (the
+exact scan splits it into boxes) are pinned here to their recorded results.
 """
+import functools
 import importlib.util
 import json
+import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import psetdisc
+from psetdisc import config, discrepancy
 from psetdisc.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -56,3 +65,56 @@ def test_recorded_job(name, capsys, monkeypatch, tmp_path):
         (tmp_path / WORKLOADS.WORK_DIR / file_name).write_text(text, encoding="utf-8")
     assert main(list(job["argv"])) == job["exit"]
     assert capsys.readouterr().out == job["stdout"]
+
+
+# exact: (D*, witness, side); weighted: (value, subset, witness, side)
+RATIONAL_SEED_1 = {
+    "exact s2-n300-bigint": ("40029910045524877/637892824338066270",
+                             "342317969/437456109 117289347/145818703", "open"),
+    "exact s2-n300-int64": ("177818672208559/1540932612715200",
+                            "1810633/2266372 29052649/45327440", "open"),
+    "exact s3-n80-bigint": ("145502815097/901320909840", "729883/765414 114095/117756 1", "open"),
+    "exact s3-n80-int64": ("1606921314787/7286440104702",
+                           "43199/136884 2912/3111 129499/136884", "closed"),
+    "exact s4-n32-bigint": ("19948042135/59029556064", "18974/24797 66274/74391 1 1", "open"),
+    "exact s4-n32-int64": ("26431155/77177888", "1447/1553 1 3325/6212 1", "open"),
+    "exact s3-n100-sampled": ("391372178108809/2316574464349050",
+                              "16067/16602 41015/74709 101539/149418", "closed"),
+    "weighted-general s3-n80-bigint": (0.08071643157753283, (1, 2),
+                                       "729883/765414 114095/117756 1", "open"),
+    "weighted-general s3-n80-int64": (0.19691161859676806, (1,), "43199/136884 1 1", "closed"),
+    "weighted-geo s2-n300-bigint": (0.023435225749699154, (1,), "198402583/437456109 1", "open"),
+    "weighted-geo s2-n300-int64": (0.036278018348267625, (1,), "20966481/45327440 1", "open"),
+    "weighted-geo s3-n80-bigint": (0.032958813792274506, (1,), "913265/1530828 1 1", "closed"),
+    "weighted-geo s3-n80-int64": (0.09845580929838403, (1,), "43199/136884 1 1", "closed"),
+    "weighted-geo s4-n32-bigint": (0.12791344887150327, (1,), "53902/74391 1 1 1", "open"),
+    "weighted-geo s4-n32-int64": (0.14772818737926594, (1,), "4359/6212 1 1 1", "open"),
+}
+
+
+@functools.cache
+def _rational_jobs():
+    return {job.name: job for job in WORKLOADS.jobs_for("rational", 1)}
+
+
+def test_pinned_rational_jobs_are_the_split_scans():
+    # every seed-1 job past one int64 count table (B/16 corners) is pinned, and
+    # no other; no bigint job falls between that and its own smaller table
+    split = {name for name, job in _rational_jobs().items()
+             if name.split()[0] != "sampled-lb" and math.prod(
+                 len(g) for g in discrepancy._grids(job.ps)) > config.WORK_BYTES // 16}
+    assert split == set(RATIONAL_SEED_1)
+
+
+@pytest.mark.parametrize("name", sorted(RATIONAL_SEED_1))
+def test_split_rational_job_keeps_its_result(name):
+    job = _rational_jobs()[name]
+    func = getattr(psetdisc, job.func)
+    want = RATIONAL_SEED_1[name]
+    witness = tuple(map(Fraction, want[-2].split()))
+    if job.weights is None:
+        res = func(job.ps)
+        assert (res.exact, res.witness, res.side) == (Fraction(want[0]), witness, want[-1])
+    else:
+        res = func(job.ps, job.weights)
+        assert (res.value, res.subset, res.witness, res.side) == (*want[:2], witness, want[-1])
