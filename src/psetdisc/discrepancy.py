@@ -23,13 +23,14 @@ C(hi)*M^s - N*vol(lo), every open one at most N*vol(hi) - C_open(lo)*M^s, and
 the same counts are the exact closed value at hi and open value at lo.  Boxes
 are cut into parts, and bitset counts of those two corners bound and score
 each part; a part whose bound is below the best value L found so far is
-dropped.  Count tables read a grid that fits one table, before any box is set
-up, and a batch of boxes whose spans fit one.  A box holding a best corner has
-a bound >= D* >= L, so it is never dropped (ties are kept), and the least
-(corner, side) key wins, closed before open: the witness is the
-lexicographically first best corner in any order of visits.  The arithmetic
-runs in int64 when N*M^s < 2^62 and on dtype=object arrays of Python integers
-otherwise, on the same lines.
+dropped.  Boxes lie one row per axis and bitsets word-major, so each cut,
+count and prune runs along a batch.  Count tables read a grid that fits one
+table, before any box is set up, and a batch of boxes whose spans fit one.  A
+box holding a best corner has a bound >= D* >= L, so it is never dropped (ties
+are kept), and the least (corner, side) key wins, closed before open: the
+witness is the lexicographically first best corner in any order of visits.
+The arithmetic runs in int64 when N*M^s < 2^62 and on dtype=object arrays of
+Python integers otherwise, on the same lines.
 
 The weighted star discrepancy max_u gamma_u D*(P_u) scans one projection per
 positive-weight subset, in descending gamma_u, and stops at the first gamma_u
@@ -170,16 +171,16 @@ def _scan(ps, grids, ms):
     batch = max(1, parts >> s if s <= _HALVED_AXES else parts // 2)
     count_below = _bit_counter(keys[1:, :n_pts], [n + 1 for n in sizes])  # hi + 1 is a level
     best = (1, (), 0)
-    stack = [np.array([[[0] * s, [n - 1 for n in sizes]]])]  # boxes (lo, hi)
-    while stack:
+    stack = [np.array([[0] * s, [n - 1 for n in sizes]])[:, :, None]]
+    while stack:  # boxes (lo, hi), each an (s, k) array: a row an axis, a column a box
         boxes = stack.pop()
-        while stack and len(boxes) < batch:
-            boxes = np.concatenate((stack.pop(), boxes))
-        if len(boxes) > batch:
-            stack.append(boxes[:-batch])
-        lo, hi = boxes[-batch:, 0], boxes[-batch:, 1]
-        spans = [np.flatnonzero(np.cumsum(np.bincount(lo[:, j], minlength=n + 1)
-                                          - np.bincount(hi[:, j] + 1, minlength=n + 1)))
+        while stack and boxes.shape[2] < batch:
+            boxes = np.concatenate((stack.pop(), boxes), axis=2)
+        if boxes.shape[2] > batch:
+            stack.append(boxes[:, :, :-batch])
+        lo, hi = boxes[:, :, -batch:]
+        spans = [np.flatnonzero(np.cumsum(np.bincount(lo[j], minlength=n + 1)
+                                          - np.bincount(hi[j] + 1, minlength=n + 1)))
                  for j, n in enumerate(sizes)]
         if math.prod(len(c) for c in spans) <= limit:  # one table reads every corner
             best = min(best, table(spans))
@@ -188,33 +189,32 @@ def _scan(ps, grids, ms):
         # whole grid) as many as a batch holds
         width = hi - lo + 1
         k = 2
-        while (len(lo) == 1 and k < width.max()
-               and math.prod(np.minimum(2 * k, width[0]).tolist()) <= parts):
+        while (lo.shape[1] == 1 and k < width.max()
+               and math.prod(np.minimum(2 * k, width[:, 0]).tolist()) <= parts):
             k *= 2
         if k == 2 and s > _HALVED_AXES:  # in two on its widest axis only
-            r, a = np.arange(len(lo)), width.argmax(axis=1)
-            lo, hi = np.concatenate((lo, lo)), np.concatenate((hi, hi))
-            hi[r, a] = lo[r, a] + width[r, a] // 2 - 1
-            lo[r + len(r), a] = hi[r, a] + 1
-        else:
-            q = np.minimum(k, width.max(axis=0))
-            at = np.indices(q).reshape(s, -1).T
-            lo, hi = ((lo[:, None] + at * width[:, None] // q).reshape(-1, s),
-                      (lo[:, None] + (at + 1) * width[:, None] // q - 1).reshape(-1, s))
-            keep = np.all(lo <= hi, axis=1)
-            lo, hi = lo[keep], hi[keep]
-        vol_lo, vol_hi = (n_pts * math.prod(v[e[:, j]] for j, v in enumerate(vals))
-                          for e in (lo, hi))
-        count = count_below(np.concatenate((hi + 1, lo)).T).astype(dtype) * ms
-        closed, opened = count[:len(lo)] - vol_hi, vol_lo - count[len(lo):]
+            r, a = np.arange(lo.shape[1]), width.argmax(axis=0)
+            lo, hi = np.concatenate((lo, lo), axis=1), np.concatenate((hi, hi), axis=1)
+            hi[a, r] = lo[a, r] + width[a, r] // 2 - 1
+            lo[a, r + len(r)] = hi[a, r] + 1
+        else:  # parts part-major, (s, parts, boxes) flattened to (s, parts * boxes)
+            q = np.minimum(k, width.max(axis=1))
+            at, q = np.indices(q).reshape(s, -1, 1), q[:, None, None]
+            lo, hi = ((lo[:, None] + at * width[:, None] // q).reshape(s, -1),
+                      (lo[:, None] + (at + 1) * width[:, None] // q - 1).reshape(s, -1))
+            keep = np.all(lo <= hi, axis=0)
+            lo, hi = lo[:, keep], hi[:, keep]
+        vol_lo, vol_hi = (n_pts * math.prod(v[r] for v, r in zip(vals, e)) for e in (lo, hi))
+        count = count_below(np.concatenate((hi + 1, lo), axis=1)).astype(dtype) * ms
+        closed, opened = count[:lo.shape[1]] - vol_hi, vol_lo - count[lo.shape[1]:]
         top = int(max(closed.max(), opened.max()))
-        best = min(best, (-top, *min((tuple(end[i].tolist()), side) for side, end, v in
+        best = min(best, (-top, *min((tuple(end[:, i].tolist()), side) for side, end, v in
                                      ((0, hi, closed), (1, lo, opened))
                                      for i in np.flatnonzero(v == top))))
         keep = np.maximum(closed, opened) + (vol_hi - vol_lo) >= -best[0]
-        keep &= np.any(lo < hi, axis=1)  # a part of one corner is done
+        keep &= np.any(lo < hi, axis=0)  # a part of one corner is done
         if keep.any():
-            stack.append(np.stack((lo[keep], hi[keep]), axis=1))
+            stack.append(np.stack((lo[:, keep], hi[:, keep])))
     return best
 
 
@@ -234,14 +234,14 @@ def _item_bytes(dtype, top):
 
 def _bit_counter(ranks, levels):
     """count(at): for each column i of at, the points of rank below at[j, i] <
-    levels[j] on every axis j, by one AND of per-axis uint64-packed bitsets (row
-    l the points of rank < l) and a popcount, in 4*config.WORK_BYTES: blocks of
+    levels[j] on every axis j, by one AND of per-axis uint64-packed bitsets, word-major
+    (column l the points of rank < l), and a popcount, in 4*config.WORK_BYTES: blocks of
     points whose masks fit, bitsets built once if all fit, columns whose AND fits."""
     budget, n_pts = 4 * config.WORK_BYTES, len(ranks[0])
     block = max(64, budget // sum(levels) // 64 * 64)  # points per bitset table
     cols = max(1, budget // (24 * -(-min(n_pts, block) // 64)))  # result, gather, popcounts
     def build(lo):
-        return [np.pad(bits, ((0, 0), (0, -bits.shape[1] % 8))).view(np.uint64)
+        return [np.pad(bits, ((0, 0), (0, -bits.shape[1] % 8))).view(np.uint64).T.copy()
                 for bits in (np.packbits(np.arange(n)[:, None] > r[lo:lo + block], axis=1)
                              for n, r in zip(levels, ranks))]
     tables = functools.partial(map, build, range(0, n_pts, block))
@@ -252,10 +252,10 @@ def _bit_counter(ranks, levels):
         out = np.zeros(at.shape[1], dtype=np.int64)
         for bits in tables():
             for lo in range(0, at.shape[1], cols):
-                hit = bits[0][at[0, lo:lo + cols]]
+                hit = bits[0].take(at[0, lo:lo + cols], axis=1)
                 for j in range(1, len(bits)):
-                    hit &= bits[j][at[j, lo:lo + cols]]
-                out[lo:lo + cols] += np.bitwise_count(hit).sum(axis=1, dtype=np.int64)
+                    hit &= bits[j].take(at[j, lo:lo + cols], axis=1)
+                out[lo:lo + cols] += np.bitwise_count(hit).sum(axis=0, dtype=np.int64)
         return out
     return count
 

@@ -221,13 +221,16 @@ def test_split_scan_matches_oracles_big_modulus(case):
 @st.composite
 def tie_heavy_point_sets(draw):
     """Rows closed under every permutation of the axes and repeated, so a best
-    corner off the diagonal has twins; at s = 1, midpoints, where all tie."""
-    s = draw(st.integers(1, 3))
+    corner off the diagonal has twins; at s = 1, midpoints, where all tie.  At
+    s = 4, where a part is cut on four axes at once, M <= 5 and at most two base
+    rows (24 permutations each) keep the brute-force oracles fast."""
+    s = draw(st.integers(1, 4))
     if s == 1:
         k = draw(st.integers(1, 6))
         return _point_set(2 * k, [(2 * i + 1,) for i in range(k)] * draw(st.integers(1, 3)))
-    m = draw(st.integers(2, 9))
-    base = draw(st.lists(st.tuples(*[st.integers(0, m - 1)] * s), min_size=1, max_size=3))
+    m = draw(st.integers(2, 9 if s < 4 else 5))
+    base = draw(st.lists(st.tuples(*[st.integers(0, m - 1)] * s), min_size=1,
+                         max_size=3 if s < 4 else 2))
     rows = sorted({tuple(r[i] for i in perm) for r in base
                    for perm in itertools.permutations(range(s))})
     return _point_set(m, rows * draw(st.integers(1, 3)))
@@ -249,12 +252,14 @@ def _best_corners(ps):
 # tie-heavy sets, each with the number of (corner, side) pairs reaching D*
 TIES = [(_point_set(5, [(0, 0, 0), (0, 4, 4), (4, 0, 4), (4, 4, 0)] * 2), 12),
         (_point_set(7, [(0, 0), (0, 0)]), 3),
-        (_point_set(8, [(1,), (3,), (5,), (7,)]), 8)]
+        (_point_set(8, [(1,), (3,), (5,), (7,)]), 8),
+        (_point_set(5, [(0, 0, 0, 4), (0, 0, 4, 0), (0, 4, 0, 0), (4, 0, 0, 0)] * 2), 32)]
 
 
 @given(tie_heavy_point_sets())
 @example(TIES[0][0])
 @example(TIES[1][0])
+@example(TIES[3][0])
 @settings(max_examples=40, deadline=None)
 def test_split_scan_matches_oracles_on_ties(ps):
     _assert_split_scans_match_oracles(ps)
@@ -284,6 +289,29 @@ def test_split_scan_over_bitset_blocks_matches_oracle():
     ps = _point_set(12, np.random.default_rng(3).integers(0, 12, size=(150, 2)))
     with mock.patch.object(config, "WORK_BYTES", 16):
         assert _result_triple(ps) == naive_dstar_witness(ps.rows(), ps.modulus)
+
+
+@given(st.integers(1, 4), st.integers(1, 150), st.integers(1, 90), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_bit_counter_matches_brute_force(s, n_pts, n_cols, seed):
+    # budgets of 64-point blocks, rebuilt at every call once the points outgrow
+    # the budget, and of a few columns an AND (16, 48); of column batches that
+    # a call's columns cross (256); and of bitsets built once (the default);
+    # the columns come as contiguous rows, a strided view and a column slice,
+    # as the exact scan and the sampled bound pass them
+    rng = np.random.default_rng(seed)
+    levels = rng.integers(1, 12, size=s).tolist()
+    ranks = np.array([rng.integers(0, n, size=n_pts) for n in levels])
+    at = np.array([rng.integers(0, n, size=n_cols) for n in levels])
+    want = np.all(ranks[:, :, None] < at[:, None, :], axis=0).sum(axis=0)
+    strided = np.repeat(at, 2, axis=1)[:, ::2]
+    sliced = np.concatenate((at, at), axis=1)[:, n_cols // 2:n_cols // 2 + n_cols]
+    sliced_want = np.concatenate((want, want))[n_cols // 2:n_cols // 2 + n_cols]
+    for budget in (16, 48, 256, config.WORK_BYTES):
+        with mock.patch.object(config, "WORK_BYTES", budget):
+            count = discrepancy._bit_counter(ranks, levels)
+            for cols, expect in ((at, want), (strided, want), (sliced, sliced_want)):
+                assert count(cols).tolist() == expect.tolist(), budget
 
 
 # (kind, p, s, grid corners, D*, witness numerators, side, share of the grid
@@ -525,8 +553,9 @@ def test_sampled_lb_memory_holds_the_and_buffers_to_budget():
 
 def test_sampled_lb_python_integer_batch_follows_item_bytes():
     # N*M^s = 7*2^160 is past 2^62, so every score is a Python integer: a batch
-    # holds as many corners as fit the bytes of int64 ones, and each distinct
-    # rank vector is scored once (8^4 of them at most, against 10^5 boxes)
+    # holds as many corners as fit the bytes of int64 ones, and each batch
+    # scores its distinct rank vectors once (8^4 at most), so a rank vector
+    # drawn in several of the batches of 10^5 boxes is scored once in each
     m = 2**40
     ps = _point_set(m, np.random.default_rng(1).integers(0, m, size=(7, 4)))
     tracemalloc.start()
