@@ -13,10 +13,12 @@ engine holds its working arrays to a multiple of B: a korobov_sum leaf of B/32
 terms (B); a phase sweep's chunk of k heads, 16*k*max(N, M) <= B, whose gather,
 sums, bins and transform take B each and lemma 6's counts B/2; the exact scan's
 count tables of B/(2*item bytes) corners a branch, B/256 boxes scored at once
-and the sampled bound's batches of B/64 corners; the bitset counter of both,
-4*B.  What does not shrink with B: the point set, its ranks and the power
-tables; a phase sweep's axis table, kept while its M*N entries fit B, so up to
-8*B bytes; and one slab row, never split, about 40*N + 16*M bytes.
+and the sampled bound's batches of B/64 corners, its bucket index of B/8 bytes
+and, on its Python-integer path, a flag per corner while the grid has at most
+B corners (B); the bitset counter of both, 4*B.  What does not shrink with B:
+the point set, its ranks and the power tables; a phase sweep's axis table,
+kept while its M*N entries fit B, so up to 8*B bytes; and one slab row, never
+split, about 40*N + 16*M bytes.
 """
 from __future__ import annotations
 

@@ -260,6 +260,31 @@ def _bit_counter(ranks, levels):
     return count
 
 
+def _snapper(grids, m):
+    """snap(z): the (s, k) ranks np.searchsorted(g, z[:, j]) of the (k, s) float
+    boxes z on every axis's grid g.  The bucket b(x) = int(x*K/M) is monotone, as
+    is rounding to float, so a grid value in a lower bucket than z is below it and
+    one in a higher bucket above it, as floats and as integers: z in a bucket with
+    no grid value has rank #{g : b(g) < b(z)}, and only the others are searched.
+    x <= M gives b(x) <= K; K is 16 a grid value, B/64 entries over all axes at most."""
+    cap = max(1, config.WORK_BYTES // (64 * len(grids)) - 1)
+    axes = []  # per axis: grid, K/M, and per bucket the rank of its keys or -1
+    for g in grids:
+        k = min(16 * len(g), cap)
+        scale = k / m
+        held = np.bincount((g.astype(np.float64) * scale).astype(np.int64), minlength=k + 1)
+        axes.append((g, scale, np.where(held > 0, -1, np.cumsum(held) - held)))
+
+    def snap(z):
+        at = np.empty(z.shape[::-1], dtype=np.int64)
+        for j, (g, scale, index) in enumerate(axes):
+            at[j] = index.take((z[:, j] * scale).astype(np.int64))
+            miss = np.flatnonzero(at[j] < 0)
+            at[j, miss] = np.searchsorted(g, z[miss, j])
+        return at
+    return snap
+
+
 def star_discrepancy_sampled_lb(ps: RationalPointSet, trials: int,
                                 seed: int = 0) -> float:
     """Certified lower bound for D* from seeded random boxes.
@@ -269,30 +294,49 @@ def star_discrepancy_sampled_lb(ps: RationalPointSet, trials: int,
     grid values at or above z (or 1) for the open branch.  Both, and the
     closed and the open branch at every distinct point, are scored exactly in
     integers.  The returned value is the largest of these corner values, or 0,
-    so it is at most D*.
+    so it is at most D*.  The boxes are floats, so a modulus above the largest
+    float (sys.float_info.max) raises ValueError.
+
+    Cost: a box snaps through a bucket index, binary-searched only when its
+    bucket holds a grid value, and a batch of corners is counted by one bitset
+    AND and popcount per axis.  Past N*M^s = 2^62 the scores are Python
+    integers, and a distinct corner is scored once, or once a batch on a grid
+    of more than config.WORK_BYTES corners.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     n_pts, s, m = ps.n, ps.dim, ps.modulus
+    if m > sys.float_info.max:
+        raise ValueError(f"modulus {m} is above the largest float {sys.float_info.max!r}, "
+                         "and the sampled boxes are floats")
     ms = m ** s
     grids = _grids(ps)
     # A corner is a vector `at` of per-axis ranks.  The points of rank below at
     # on every axis are both the closed count at grid[at - 1] (when every
     # at > 0) and the open count at grid[at], where the last grid value is M.
     dtype, vals, rank = _ranked(ps, grids, ms)
-    width = sum(len(g) for g in grids)
+    dims = [len(g) for g in grids]
     # Corners per batch: a 64th of the budget (an 8th in each int64 array), or
-    # 8*width/s, whose ANDs of s/8 bytes a point pay for a block's bitsets.
-    batch = max(config.WORK_BYTES // 64, 8 * width // s)
+    # 8*sum(dims)/s, whose ANDs of s/8 bytes a point pay for a block's bitsets.
+    batch = max(config.WORK_BYTES // 64, 8 * sum(dims) // s)
     batch = max(1, batch * 8 // _item_bytes(dtype, n_pts * ms))  # fewer on dtype=object
+    # Python-integer scores cost more than a sort: score each rank vector once,
+    # over all batches while a flag a corner fits the budget
+    n_corners, seen = math.prod(dims), None
+    if dtype is object and n_corners <= config.WORK_BYTES:
+        seen = np.zeros(n_corners, dtype=bool)
 
     def corners():
         """Batches of rank vectors with the branches to score: 1 closed, 0 open."""
-        rng = np.random.default_rng(seed)
+        rng, snap = np.random.default_rng(seed), _snapper(grids, m)
         for lo in range(0, trials, batch):
-            boxes = rng.random((min(batch, trials - lo), s)) * m
-            at = np.stack([np.searchsorted(g, boxes[:, j]) for j, g in enumerate(grids)])
-            if dtype is object:  # Python-integer scores cost more than a sort
+            at = snap(rng.random((min(batch, trials - lo), s)) * m)
+            if seen is not None:
+                key = np.unique(np.ravel_multi_index(at, dims))
+                key = key[~seen[key]]
+                seen[key] = True
+                at = np.array(np.unravel_index(key, dims))
+            elif dtype is object:
                 at = np.unique(at, axis=1)
             yield at, (1, 0)
         points = np.unique(rank, axis=1)
@@ -300,9 +344,11 @@ def star_discrepancy_sampled_lb(ps: RationalPointSet, trials: int,
             yield points[:, lo:lo + batch] + 1, (1,)  # closed at the point
             yield points[:, lo:lo + batch], (0,)  # open at the point
 
-    count_below = _bit_counter(rank, [len(g) for g in grids])
+    count_below = _bit_counter(rank, dims)
     best = 0  # numerator over n_pts * ms
     for at, branches in corners():
+        if not at.shape[1]:
+            continue
         count = count_below(at).astype(dtype) * ms
         for closed in branches:
             # a closed corner with some at = 0 holds no point and wraps to M on

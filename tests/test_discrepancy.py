@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -516,12 +517,87 @@ def _snapped_corners_value(ps, trials, seed):
 @example(_point_set(5, [(3,)]), 1, 0)  # the open corner at the point wins
 # an open corner one rank above a point is not scored, and would win here
 @example(_point_set(4, [(2, 3), (0, 3), (3, 2)]), 1, 0)
+# every grid value in one bucket, and past 2^53 float(g) rounds (int64 grid)
+@example(_point_set(2**54, [(2**53 + 1, 5), (2**53 + 3, 2**53 + 2), (2**53 + 2, 7)]), 8, 1)
+# M >= 2^63: a dtype=object grid, compared with the boxes exactly
+@example(_point_set(2**64 + 1, [(2**62 + 1, 3), (2**62 + 2, 2**63 - 1), (3, 3)]), 8, 2)
 @settings(max_examples=120, deadline=None)
 def test_sampled_lb_scores_every_snapped_corner(ps, trials, seed):
     # the big-modulus sets reach the Python-integer path past N*M^s = 2^62
     lb = star_discrepancy_sampled_lb(ps, trials=trials, seed=seed)
     assert lb == _snapped_corners_value(ps, trials, seed)
     assert lb <= star_discrepancy_exact(ps).value
+
+
+@st.composite
+def crowded_grids(draw):
+    """(point set, budget): per axis a cluster of values within 40 of each
+    other, which share a bucket, and a few anywhere; moduli past 2^53, where
+    float(g) rounds, and past 2^63, where the grid is dtype=object; budgets
+    whose buckets are fewer than the grid values (16: one bucket and M's)."""
+    m = draw(st.sampled_from([7, 10**6, 2**54, 2**62 + 3, 2**64 + 1, 2**70]))
+    top = min(m, 2**63) - 1  # numerators fit int64
+    s = draw(st.integers(1, 3))
+    cols = []
+    for _ in range(s):
+        base = draw(st.integers(0, top))
+        near = st.integers(0, 40).map(lambda d, base=base: min(base + d, top))
+        cols.append(draw(st.lists(st.one_of(near, st.integers(0, top)), min_size=1, max_size=12)))
+    n = max(map(len, cols))
+    rows = np.stack([np.resize(np.array(c, dtype=np.int64), n) for c in cols], axis=1)
+    return RationalPointSet(modulus=m, dim=s, numerators=rows), draw(
+        st.sampled_from([16, 1024, config.WORK_BYTES]))
+
+
+@given(crowded_grids(), st.integers(0, 2**32 - 1))
+@example((_point_set(10**6, [(v,) for v in range(10)]), config.WORK_BYTES), 0)  # one bucket
+@example((_point_set(2**54, [(2**53 + v, 2**53 - v) for v in range(9)]), 1024), 0)
+@example((_point_set(2**64 + 1, [(2**63 - 1 - v, v) for v in range(9)]), 16), 0)
+@settings(max_examples=80, deadline=None)
+def test_snapper_ranks_are_searchsorted(case, seed):
+    # keys at float(g) for every grid value (M included when it is below M),
+    # one float either side of them, in the last bucket next to M, and uniform
+    ps, budget = case
+    m, grids = ps.modulus, discrepancy._grids(ps)
+    rng = np.random.default_rng(seed)
+    last = [float(m) * (1 - 2.0**-k) for k in (53, 52, 40, 12, 6)]
+    keys = []
+    for g in grids:
+        at = np.array([float(v) for v in g])
+        cand = np.concatenate((at, np.nextafter(at, -1.0), np.nextafter(at, np.inf), last,
+                               rng.random(32) * m))
+        keys.append(rng.permutation([k for k in cand.tolist() if 0 <= k < m]))
+    z = np.stack([np.resize(k, max(map(len, keys))) for k in keys], axis=1)
+    want = np.stack([np.searchsorted(g, z[:, j]) for j, g in enumerate(grids)])
+    with mock.patch.object(config, "WORK_BYTES", budget):
+        assert discrepancy._snapper(grids, m)(z).tolist() == want.tolist()
+
+
+def test_sampled_lb_refuses_a_modulus_past_float_range():
+    # the boxes are floats in [0, M); the exact scan takes any modulus
+    rows = [[5, 7], [3, 2**40]]
+    for m in (2**1100, int(sys.float_info.max) + 1):
+        ps = RationalPointSet(modulus=m, dim=2, numerators=rows)
+        assert star_discrepancy_exact(ps).value == 1.0
+        with pytest.raises(ValueError, match=f"modulus {m} is above the largest float"):
+            star_discrepancy_sampled_lb(ps, trials=10)
+    ps = RationalPointSet(modulus=int(sys.float_info.max), dim=2, numerators=rows)
+    assert star_discrepancy_sampled_lb(ps, trials=100, seed=1) == 1.0
+
+
+def test_sampled_lb_same_at_two_budgets():
+    # the budget sizes the batches, the buckets (fewer than the grid values at
+    # 2 KiB) and whether a Python-integer set flags its corners (8^4 of them:
+    # over all batches at the default budget, a batch at a time at 2 KiB)
+    m = 2**40
+    int64 = _point_set(1000, np.random.default_rng(2).integers(0, 1000, size=(50, 3)))
+    big = _point_set(m, np.random.default_rng(1).integers(0, m, size=(7, 4)))
+    for ps in (int64, big):
+        values = []
+        for budget in (2**11, config.WORK_BYTES):
+            with mock.patch.object(config, "WORK_BYTES", budget):
+                values.append(star_discrepancy_sampled_lb(ps, trials=10**4, seed=3))
+        assert values[0] == values[1]
 
 
 def test_sampled_lb_memory_with_many_points_and_few_values():
@@ -553,9 +629,8 @@ def test_sampled_lb_memory_holds_the_and_buffers_to_budget():
 
 def test_sampled_lb_python_integer_batch_follows_item_bytes():
     # N*M^s = 7*2^160 is past 2^62, so every score is a Python integer: a batch
-    # holds as many corners as fit the bytes of int64 ones, and each batch
-    # scores its distinct rank vectors once (8^4 at most), so a rank vector
-    # drawn in several of the batches of 10^5 boxes is scored once in each
+    # holds as many corners as fit the bytes of int64 ones, and each distinct
+    # rank vector (8^4 at most) is scored once over all the batches of 10^5 boxes
     m = 2**40
     ps = _point_set(m, np.random.default_rng(1).integers(0, m, size=(7, 4)))
     tracemalloc.start()
