@@ -291,11 +291,12 @@ def star_discrepancy_sampled_lb(ps: RationalPointSet, trials: int,
 
     Each sampled box z is snapped to two critical-grid corners: down to the
     largest grid values below z for the closed branch, and up to the smallest
-    grid values at or above z (or 1) for the open branch.  Both, and the
-    closed and the open branch at every distinct point, are scored exactly in
-    integers.  The returned value is the largest of these corner values, or 0,
-    so it is at most D*.  The boxes are floats, so a modulus above the largest
-    float (sys.float_info.max) raises ValueError.
+    grid values at or above z (or 1) for the open branch, as numpy compares z
+    with an int64 grid (M < 2^63), as floats, and a dtype=object grid, exactly.
+    Both, and the closed and the open branch at every distinct point, are grid
+    corners scored exactly in integers.  The returned value is the largest of
+    these corner values, or 0, so it is at most D*.  The boxes are floats, so
+    a modulus above the largest float (sys.float_info.max) raises ValueError.
 
     Cost: a box snaps through a bucket index, binary-searched only when its
     bucket holds a grid value, and a batch of corners is counted by one bitset

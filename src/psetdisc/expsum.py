@@ -26,17 +26,18 @@ one does; both are implemented verbatim and the discrepancy between them is
 deliberate (the weighted form is the one the closed-form bounds are derived
 from, and dropping the 1/2 only weakens it).
 
-A projection's spectrum is the full spectrum at the h that are zero off u,
-so the weighted rhs sweeps each maximal positive-weight subset U once and
-reads every smaller subset's sum term from that sweep, bit for bit.  For h
-zero off u (u within U), the head phase adds the zero rows of the tables off
-u, so the phase integers, the roots they index and the pairwise row sum over
-the same N points in the same order are those of u's own sweep, and r(h),
-an integer product with a factor 1 off u, is too.  Lexicographic order
-restricted to those h is the projection's own sweep order.  So the terms
-come in the same order with the same bits, and each subset re-cuts them into
-its own _BLOCK floats.  Walked largest first, a subset no earlier sweep
-serves is maximal, and its sweep serves every subset it holds not yet served.
+A projection's spectrum is the full spectrum at the h whose support, the set
+of axes where h is nonzero, lies in u, so the weighted rhs sweeps each
+maximal positive-weight subset U once and reads every smaller subset's sum
+term from that sweep, bit for bit.  For such h (u within U), the head phase
+adds the zero rows of the tables off u, so the phase integers, the roots
+they index and the pairwise row sum over the same N points in the same order
+are those of u's own sweep, and r(h), an integer product with a factor 1 off
+u, is too.  Lexicographic order restricted to those h is the projection's
+own sweep order.  So the terms come in the same order with the same bits,
+and each subset re-cuts them into its own _BLOCK floats.  Walked largest
+first, a subset no earlier sweep serves is maximal, and its sweep serves
+every subset it holds not yet served.
 
 Every exhaustive sweep walks C_d(M) in one order, that of
 itertools.product(C(M), repeat=d).  It comes in slabs: runs of M vectors that
@@ -63,19 +64,18 @@ _screen_eps bounds how far.  The rhs sums every magnitude, so it stays
 direct: an FFT would move its last printed digit.
 
 _BLOCK has two readers.  _rhs_sum_terms forms each chunk's terms
-|S(h)|/(N r(h)) once, and each head's support, the bits of its nonzero axes.
-For each subset u of the swept axes it takes, in sweep order, the terms of
-the heads whose support lies in u: whole slabs when u holds the last axis,
-else their c = 0 entry, h = 0 left out at the head of support 0.  It adds
-one float per 4096 consecutive terms of each u, keeping a running total and
-a rest of fewer than 4096 terms per u, so _BLOCK fixes the rhs's last
-printed digit.  The sampled Weil mode draws its seeded heads 4096 at a time,
-so the draws do not depend on the memory budget.
+|S(h)|/(N r(h)) once, and each term's support, the bits of h's nonzero axes
+(0 for h = 0 alone).  Subset u's terms are those whose support is nonzero
+and lies in u, taken in flat sweep order.  It adds one float per 4096
+consecutive terms of each u, keeping a running total and a rest of fewer
+than 4096 terms per u, so _BLOCK fixes the rhs's last printed digit.  The
+sampled Weil mode draws its seeded heads 4096 at a time, so the draws do not
+depend on the memory budget.
 
 Memory follows config.WORK_BYTES, B.  A chunk holds _chunk_heads heads.
 sums gathers k' heads by t last-axis rows, 16*k'*t*N bytes within B/2 (one
 row when B holds fewer than two), so a longer slab is split along its last
-axis.  An axis whose M*N table entries exceed B keeps only its column, from
+axis.  An axis whose table's 8*M*N bytes exceed B keeps only its column, from
 which _rows forms the same c*y_j mod M.
 
 Lemma 6 sums no phases.  _root_counts(heads, p) gives, for each head and each
@@ -245,7 +245,7 @@ class _PhaseSums:
         self.roots = np.tile(_roots(np.arange(m), m), d)
         # axis tables in C(M) order: row i holds (i - off)*y mod M
         self.tables = [np.outer(np.arange(-self.off, m - self.off), y) % m
-                       if m * n <= config.WORK_BYTES else y for y in points.T]
+                       if 8 * m * n <= config.WORK_BYTES else y for y in points.T]
         self.step = max(1, config.WORK_BYTES // (16 * n))  # rows per complex gather
         self.last = points[:, -1]
 
@@ -469,29 +469,23 @@ def _rhs_sum_terms(numerators: np.ndarray, m: int, masks) -> list[float]:
     h in C_d*(M) that are zero off u of |N^-1 sum_n e(2 pi i h.y_n / M)| / r(h),
     one float per _BLOCK consecutive terms in sweep order, from one sweep."""
     n_pts, d = numerators.shape
-    off = (m - 1) // 2
-    r_last = np.maximum(1, np.abs(np.array(c_values(m))))
-    bits = 1 << np.arange(d - 1)
+    c = np.array(c_values(m))
+    r_last = np.maximum(1, np.abs(c))
+    bits = 1 << np.arange(d)
     totals, rests = [0.0] * len(masks), [np.empty(0)] * len(masks)
     sums = _PhaseSums(numerators, m)
     for heads in _heads(m, d, _chunk_heads(n_pts, m)):
         r = np.prod(np.maximum(1, np.abs(heads)), axis=1)
-        terms = np.abs(sums.sums(heads)) / n_pts / np.multiply.outer(r, r_last)
-        support = ((heads[:, :-1] != 0) * bits).sum(axis=1)  # each head's nonzero axes
-        zero = np.flatnonzero(support == 0)  # the head of h = 0, if in this chunk
+        terms = (np.abs(sums.sums(heads)) / n_pts / np.multiply.outer(r, r_last)).ravel()
+        # each h's support, the bits of its nonzero axes: 0 for h = 0 alone
+        support = (((heads != 0) @ bits)[:, None] | (c != 0) * bits[-1]).ravel()
         for i, u in enumerate(masks):
-            mine = support & ~u == 0  # the heads zero off u
-            whole = u >> (d - 1) & 1  # u holds the last axis: whole slabs
-            sel = terms[mine].ravel() if whole else terms[mine, off]
-            if len(zero):  # h = 0 is no term: the zero head's c = 0 entry
-                at = np.count_nonzero(mine[:zero[0]])  # the heads of u before it
-                sel = np.delete(sel, at * m + off if whole else at)
-            sel = np.concatenate((rests[i], sel))
+            sel = np.concatenate((rests[i], terms[(support & ~u == 0) & (support != 0)]))
             cut = len(sel) - len(sel) % _BLOCK
             for j in range(0, cut, _BLOCK):
                 totals[i] += float(sel[j:j + _BLOCK].sum())
             rests[i] = sel[cut:]
-        del terms  # not held while the next chunk's sums are formed
+        del terms, support  # not held while the next chunk's sums are formed
     return [t + float(rest.sum()) for t, rest in zip(totals, rests)]
 
 

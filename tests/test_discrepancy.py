@@ -489,10 +489,13 @@ def test_sampled_lb_deterministic():
 def _snapped_corners_value(ps, trials, seed):
     """The largest exact corner value, or 0, over the seeded boxes snapped down
     to grid values below them (closed) and up to grid values at or above them,
-    or M (open), and over both branches at every distinct point.  Values are
-    compared as floats, the way a float box is compared with the grid."""
+    or M (open), and over both branches at every distinct point.  A grid value
+    v is compared with a box b as numpy compares the library's grids: as
+    floats, float(v) < b, below M = 2^63 (int64 grids), and exactly, v < b,
+    past it (dtype=object grids)."""
     m, rows = ps.modulus, ps.rows()
     grid = [sorted({row[j] for row in rows}) for j in range(ps.dim)]
+    key = float if m < 2**63 else int  # the type a grid value is compared as
 
     def value(corner, closed):
         count = sum(all(x <= c if closed else x < c for x, c in zip(row, corner))
@@ -502,10 +505,10 @@ def _snapped_corners_value(ps, trials, seed):
 
     best = Fraction(0)
     for box in (np.random.default_rng(seed).random((trials, ps.dim)) * m).tolist():
-        below = [[v for v in g if float(v) < b] for g, b in zip(grid, box)]
+        below = [[v for v in g if key(v) < b] for g, b in zip(grid, box)]
         if all(below):
             best = max(best, value([v[-1] for v in below], True))
-        up = [min((v for v in g if float(v) >= b), default=m) for g, b in zip(grid, box)]
+        up = [min((v for v in g if key(v) >= b), default=m) for g, b in zip(grid, box)]
         best = max(best, value(up, False))
     for row in set(rows):
         best = max(best, value(row, True), value(row, False))

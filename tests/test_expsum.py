@@ -574,7 +574,7 @@ def test_weil_sampled_refuses_a_cap_below_one_slab(lemma, p, s, cap):
 
 # ---------------------------------------------------------------- phase kernel
 
-# sub-block budgets: one row and no axis table, three rows with tables, default
+# sub-block budgets: one row and no axis table, three rows (tables while M <= 6), default
 _BUDGETS = ("one byte", "three rows", "default")
 
 
@@ -652,6 +652,11 @@ def _reference_rhs_sum_term(y, m):
 
 @given(_rational_sets())
 @example(_point_set(7, [[0, 1, 2, 3, 4], [6, 6, 0, 1, 5], [3, 3, 3, 3, 3]]))  # 7 not| 4096
+@example(_point_set(2, [[0, 1, 1], [0, 1, 1], [1, 0, 1]]))  # M = 2: C(M) = {0, 1}
+@example(_point_set(4, [[0, 3, 2, 1], [2, 1, 1, 0], [2, 1, 1, 0], [3, 3, 0, 2]]))  # C(4) holds 2
+@example(_point_set(11, [[3], [3], [10], [0]]))  # d = 1: the one mask holds the last axis
+# d = 3: at "one byte" each head is a chunk, h = 0's head the 13th of 25
+@example(_point_set(5, [[0, 1, 2], [4, 4, 0], [2, 3, 1], [2, 3, 1]]))
 @settings(max_examples=15, deadline=None)
 def test_rhs_sum_term_adds_blocks_of_the_direct_formula(ps):
     # one sweep, its chunks' terms picked per subset u and re-cut into the
@@ -727,7 +732,7 @@ def _rhs_at_budget(ps, budget):
 
 def test_phase_sums_memory_follows_budget():
     ps = generate(PSetKind.HUA_WANG_R, 101, 1)  # M = 101, N = 10,201
-    budget = 16 * len(ps.numerators) * 2  # two rows per sub-block; M*N is past it, so no table
+    budget = 16 * len(ps.numerators) * 2  # two rows per sub-block; no 8*M*N-byte table
     got, peak = _rhs_at_budget(ps, budget)
     assert got == niederreiter_rhs(ps)
     # one sub-block's int64 phases and complex gather, plus small arrays
@@ -736,16 +741,19 @@ def test_phase_sums_memory_follows_budget():
 
 @pytest.mark.parametrize("ps", [
     generate(PSetKind.HUA_WANG_R, 41, 2),  # M = 41, N = 1,681
-    # M = 33 is the least modulus whose two rows fall below its M*N table
+    # past M = 4 two rows fall below an axis table's 8*M*N bytes; M = 33 was
+    # the least modulus past them while the rule counted M*N entries
     _point_set(33, np.random.default_rng(0).integers(0, 33, size=(2048, 3))),
-], ids=["R 41/s2", "M 33 N 2048 s3"])
+    # the entry rule kept its three tables (M*N entries within B) and peaked at 17*B
+    _point_set(17, np.random.default_rng(0).integers(0, 17, size=(4096, 3))),
+], ids=["R 41/s2", "M 33 N 2048 s3", "M 17 N 4096 s3"])
 def test_phase_sums_memory_follows_budget_with_every_axis_a_column(ps):
     # the heads' phases come from the columns too, not only the last axis
     n = len(ps.numerators)
     budget = 16 * n * 2  # two rows per sub-block, fewer than one axis table
-    assert budget < ps.modulus * n
+    assert budget < 8 * ps.modulus * n
     got, peak = _rhs_at_budget(ps, budget)
-    assert got == niederreiter_rhs(ps)  # the default budget holds every table
+    assert got == niederreiter_rhs(ps)  # the same bits at the default budget
     assert peak < 2 * budget + 64 * 1024, peak
 
 
