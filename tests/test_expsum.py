@@ -891,11 +891,16 @@ def _rhs_point_sets(draw):
 @given(_rhs_point_sets(), st.lists(st.floats(0, 1), min_size=3, max_size=3))
 @example(_point_set(2, [(0, 1, 1), (0, 1, 1), (1, 0, 1)]), [1.0, 0.5, 0.25])  # M even
 @example(_point_set(7, [(3,)] * 5 + [(6,)]), [1.0, 1.0, 1.0])  # M odd, s = 1
+@example(_point_set(8, [(1,)]), [2.2250738585e-313, 0.0, 0.0])  # gamma_u * term is subnormal
 @settings(max_examples=60, deadline=None)
 def test_both_rhs_match_the_oracles_on_rational_multisets(ps, gammas):
     # both rhs within the stated bound of tests/oracles.py: the sum terms by
     # _rhs_eps, and the final roundings (s/M, the weight products, the
-    # products and sums of the two terms) within gamma_{s+2} of the value
+    # products and sums of the two terms) within gamma_{s+2} of the value.
+    # Both sides form gamma_u and gamma_u |u|/M by the same operations, so
+    # only gamma_u * term may round differently below the normal range: each
+    # side's product errs there by at most 2^-1075 absolute (Higham sec. 2.1,
+    # gradual underflow), so the two by 2^-1074.
     m, n, s, u = ps.modulus, ps.n, ps.dim, 2.0 ** -53
     rows, w = ps.rows(), ProductWeights(gammas=tuple(gammas))
     rounding = 4 * (s + 2) * u / (1 - (s + 2) * u)
@@ -904,7 +909,7 @@ def test_both_rhs_match_the_oracles_on_rational_multisets(ps, gammas):
     assert abs(niederreiter_rhs(ps) - want) <= eps
     want = naive_lemma2_rhs(rows, m, w.gamma)
     eps = max(gamma_u * _rhs_eps(n, m, len(u)) for u, gamma_u in
-              [((), 0.0)] + _enumerate_subsets(s, w)) + rounding * want
+              [((), 0.0)] + _enumerate_subsets(s, w)) + rounding * want + 2.0 ** -1074
     assert abs(weighted_niederreiter_rhs(ps, w).value - want) <= eps
 
 
