@@ -16,9 +16,9 @@ count tables of B/(2*item bytes) corners a branch, B/256 boxes scored at once
 and the sampled bound's batches of B/64 corners, its bucket index of B/8 bytes
 and, on its Python-integer path, a flag per corner while the grid has at most
 B corners (B); the bitset counter of both, 4*B; a phase sweep's axis tables,
-each kept while its 8*M*N bytes fit B.  What does not shrink with B: the
-point set, its ranks and the power tables, and one slab row, never split,
-about 40*N + 16*M bytes.
+each kept while its M*N phases, int16 to M = 2^15, fit B.  What does not
+shrink with B: the point set, its ranks and the power tables, and one slab
+row, never split, about 40*N + 16*M bytes.
 """
 from __future__ import annotations
 

@@ -64,9 +64,9 @@ _screen_eps bounds how far.  The rhs sums every magnitude, so it stays
 direct: an FFT would move its last printed digit.
 
 _BLOCK has two readers.  _rhs_sum_terms forms each chunk's terms
-|S(h)|/(N r(h)) once, and each term's support, the bits of h's nonzero axes
-(0 for h = 0 alone).  Subset u's terms are those whose support is nonzero
-and lies in u, taken in flat sweep order.  It adds one float per 4096
+|S(h)|/(N r(h)) once, and each term's support, the bits of h's nonzero axes,
+h = 0 given bit d, which no subset holds.  Subset u's terms are those whose
+support lies in u, taken in flat sweep order.  It adds one float per 4096
 consecutive terms of each u, keeping a running total and a rest of fewer
 than 4096 terms per u, so _BLOCK fixes the rhs's last printed digit.  The
 sampled Weil mode draws its seeded heads 4096 at a time, so the draws do not
@@ -75,8 +75,8 @@ depend on the memory budget.
 Memory follows config.WORK_BYTES, B.  A chunk holds _chunk_heads heads.
 sums gathers k' heads by t last-axis rows, 16*k'*t*N bytes within B/2 (one
 row when B holds fewer than two), so a longer slab is split along its last
-axis.  An axis whose table's 8*M*N bytes exceed B keeps only its column, from
-which _rows forms the same c*y_j mod M.
+axis.  An axis keeps its int16 table of M*N phases (int32, int64 past M = 2^15,
+2^31) while its bytes fit B, else its column; _rows forms the same c*y_j mod M.
 
 Lemma 6 sums no phases.  _root_counts(heads, p) gives, for each head and each
 last entry c of C(p), the number of roots a < p of the coefficient polynomial
@@ -243,16 +243,20 @@ class _PhaseSums:
         self.m, self.n = m, n
         self.off = (m - 1) // 2  # C(M) position of c = 0
         self.roots = np.tile(_roots(np.arange(m), m), d)
-        # axis tables in C(M) order: row i holds (i - off)*y mod M
-        self.tables = [np.outer(np.arange(-self.off, m - self.off), y) % m
-                       if 8 * m * n <= config.WORK_BYTES else y for y in points.T]
         self.step = max(1, config.WORK_BYTES // (16 * n))  # rows per complex gather
+        self.tables = list(points.T)  # each axis's column, or its table while that fits B
+        cell = np.dtype(np.int16 if m <= 2**15 else np.int32 if m <= 2**31 else np.int64)
+        if cell.itemsize * m * n <= config.WORK_BYTES:
+            for a, y in enumerate(points.T):  # in C(M) order: row i holds (i - off)*y mod M
+                t = self.tables[a] = np.empty((m, n), dtype=cell)
+                for i in range(0, m, self.step):  # formed B/2 bytes of int64 at a time
+                    t[i:i + self.step] = self._rows(y, np.arange(i, min(i + self.step, m)))
         self.last = points[:, -1]
 
     def _rows(self, t, c):
         """(len(c), n) phases c*y mod M of one axis at C(M) positions c."""
-        if t.ndim == 2:
-            return t[c]
+        if t.ndim == 2:  # widened once here, not in every sum it enters
+            return t[c].astype(np.int64)
         out = (c - self.off)[:, None] * t
         out %= self.m
         return out
@@ -477,10 +481,10 @@ def _rhs_sum_terms(numerators: np.ndarray, m: int, masks) -> list[float]:
     for heads in _heads(m, d, _chunk_heads(n_pts, m)):
         r = np.prod(np.maximum(1, np.abs(heads)), axis=1)
         terms = (np.abs(sums.sums(heads)) / n_pts / np.multiply.outer(r, r_last)).ravel()
-        # each h's support, the bits of its nonzero axes: 0 for h = 0 alone
-        support = (((heads != 0) @ bits)[:, None] | (c != 0) * bits[-1]).ravel()
+        support = (((heads != 0) @ bits)[:, None] | (c != 0) * bits[-1]).ravel()  # nonzero axes
+        support[support == 0] = 1 << d  # h = 0: a bit no subset holds
         for i, u in enumerate(masks):
-            sel = np.concatenate((rests[i], terms[(support & ~u == 0) & (support != 0)]))
+            sel = np.concatenate((rests[i], terms[support & ~u == 0]))
             cut = len(sel) - len(sel) % _BLOCK
             for j in range(0, cut, _BLOCK):
                 totals[i] += float(sel[j:j + _BLOCK].sum())

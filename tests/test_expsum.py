@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -574,7 +575,7 @@ def test_weil_sampled_refuses_a_cap_below_one_slab(lemma, p, s, cap):
 
 # ---------------------------------------------------------------- phase kernel
 
-# sub-block budgets: one row and no axis table, three rows (tables while M <= 6), default
+# sub-block budgets: one row and no axis table, three rows (tables while M <= 24), default
 _BUDGETS = ("one byte", "three rows", "default")
 
 
@@ -624,6 +625,7 @@ def test_candidate_values_bit_identical_to_direct_formula(ps, seed, budget):
 @given(_rational_sets(), st.sampled_from(_BUDGETS))
 @example(_point_set(12, [[0, 3, 7, 11], [5, 5, 1, 0]]), "default")  # one chunk
 @example(_point_set(4099, [[1], [5], [4098], [5]]), "three rows")  # slab > gather
+@example(_point_set(2**15 + 3, [[1], [2**15 + 2], [12345]]), "default")  # an int32 table
 @settings(max_examples=80, deadline=None)
 def test_sweep_every_block_bit_identical(ps, budget):
     # slabs split across chunks and gathers: every chunk, not only the ends
@@ -636,6 +638,24 @@ def test_sweep_every_block_bit_identical(ps, budget):
     h = _slab_vectors(np.concatenate([heads for heads, _ in swept]), m)
     got = np.concatenate([out.ravel() for _, out in swept])
     assert np.array_equal(np.abs(got), _reference_magnitudes(y, m, h))
+
+
+@pytest.mark.parametrize("m,cell", [(17, np.int16), (2**15, np.int16), (2**15 + 1, np.int32)])
+def test_phase_sums_keeps_an_axis_table_while_its_narrowest_phases_fit_budget(m, cell):
+    # a table holds the phases c*y mod M, C(M) order, in the narrowest of
+    # int16 and int32 that holds M, formed a few rows at a time; one byte
+    # less of budget and each axis keeps its column
+    y = np.random.default_rng(0).integers(0, m, size=(3, 2))
+    size = np.dtype(cell).itemsize * m * len(y)
+    for budget in (size, size - 1):
+        with mock.patch.object(config, "WORK_BYTES", budget):
+            tables = _PhaseSums(y, m).tables
+        for t, column in zip(tables, y.T):
+            if budget == size:
+                assert t.dtype == cell
+                assert np.array_equal(t, np.outer(c_values(m), column) % m)
+            else:
+                assert np.array_equal(t, column)
 
 
 def _reference_rhs_sum_term(y, m):
@@ -732,7 +752,7 @@ def _rhs_at_budget(ps, budget):
 
 def test_phase_sums_memory_follows_budget():
     ps = generate(PSetKind.HUA_WANG_R, 101, 1)  # M = 101, N = 10,201
-    budget = 16 * len(ps.numerators) * 2  # two rows per sub-block; no 8*M*N-byte table
+    budget = 16 * len(ps.numerators) * 2  # two rows per sub-block; no 2*M*N-byte table
     got, peak = _rhs_at_budget(ps, budget)
     assert got == niederreiter_rhs(ps)
     # one sub-block's int64 phases and complex gather, plus small arrays
@@ -741,17 +761,17 @@ def test_phase_sums_memory_follows_budget():
 
 @pytest.mark.parametrize("ps", [
     generate(PSetKind.HUA_WANG_R, 41, 2),  # M = 41, N = 1,681
-    # past M = 4 two rows fall below an axis table's 8*M*N bytes; M = 33 was
-    # the least modulus past them while the rule counted M*N entries
+    # M = 33: two rows are about half an int16 table
     _point_set(33, np.random.default_rng(0).integers(0, 33, size=(2048, 3))),
-    # the entry rule kept its three tables (M*N entries within B) and peaked at 17*B
+    # the least M whose int16 table passes two rows; kept as three int64
+    # tables while the rule counted M*N entries, it peaked at 17*B
     _point_set(17, np.random.default_rng(0).integers(0, 17, size=(4096, 3))),
 ], ids=["R 41/s2", "M 33 N 2048 s3", "M 17 N 4096 s3"])
 def test_phase_sums_memory_follows_budget_with_every_axis_a_column(ps):
     # the heads' phases come from the columns too, not only the last axis
     n = len(ps.numerators)
     budget = 16 * n * 2  # two rows per sub-block, fewer than one axis table
-    assert budget < 8 * ps.modulus * n
+    assert budget < 2 * ps.modulus * n  # an int16 table's bytes
     got, peak = _rhs_at_budget(ps, budget)
     assert got == niederreiter_rhs(ps)  # the same bits at the default budget
     assert peak < 2 * budget + 64 * 1024, peak
@@ -897,10 +917,9 @@ def test_both_rhs_match_the_oracles_on_rational_multisets(ps, gammas):
     # both rhs within the stated bound of tests/oracles.py: the sum terms by
     # _rhs_eps, and the final roundings (s/M, the weight products, the
     # products and sums of the two terms) within gamma_{s+2} of the value.
-    # Both sides form gamma_u and gamma_u |u|/M by the same operations, so
-    # only gamma_u * term may round differently below the normal range: each
-    # side's product errs there by at most 2^-1075 absolute (Higham sec. 2.1,
-    # gradual underflow), so the two by 2^-1074.
+    # Below the normal range that relative bound is under one ulp: there
+    # gamma_u * term errs by up to 2^-1075 absolute on each side (Higham
+    # sec. 2.1, gradual underflow), so a subnormal value may differ by 2^-1074.
     m, n, s, u = ps.modulus, ps.n, ps.dim, 2.0 ** -53
     rows, w = ps.rows(), ProductWeights(gammas=tuple(gammas))
     rounding = 4 * (s + 2) * u / (1 - (s + 2) * u)
@@ -909,7 +928,8 @@ def test_both_rhs_match_the_oracles_on_rational_multisets(ps, gammas):
     assert abs(niederreiter_rhs(ps) - want) <= eps
     want = naive_lemma2_rhs(rows, m, w.gamma)
     eps = max(gamma_u * _rhs_eps(n, m, len(u)) for u, gamma_u in
-              [((), 0.0)] + _enumerate_subsets(s, w)) + rounding * want + 2.0 ** -1074
+              [((), 0.0)] + _enumerate_subsets(s, w)) + rounding * want
+    eps += 2.0 ** -1074 if want < sys.float_info.min else 0.0
     assert abs(weighted_niederreiter_rhs(ps, w).value - want) <= eps
 
 
