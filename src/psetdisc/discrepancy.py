@@ -32,16 +32,22 @@ witness is the lexicographically first best corner in any order of visits.
 The arithmetic runs in int64 when N*M^s < 2^62 and on dtype=object arrays of
 Python integers otherwise, on the same lines.
 
-The weighted star discrepancy max_u gamma_u D*(P_u) scans one projection per
-positive-weight subset, in descending gamma_u, and stops at the first gamma_u
-below the best weighted value found: D*(P_u) <= 1 and float multiplication is
-monotone, so gamma_u * D*(P_u) <= gamma_u for this and every later subset.
-For weights that fall fast with |u| most subsets are never scanned.
+The weighted star discrepancy max_u gamma_u D*(P_u) reads the positive-weight
+subsets in descending gamma_u and stops at the first gamma_u below the best
+weighted value found: D*(P_u) <= 1 and float multiplication is monotone, so
+gamma_u * D*(P_u) <= gamma_u for this and every later subset.  Each axis's
+grid and ranks are built once, when a subset first needs them.  An anchored
+box of P_u is the box of P with sides 1 off u, so while P's full grid fits one
+count table and max_corners, that table serves every subset: D*(P_u) is its
+slice at index M off u, over M^(s-|u|).  A larger grid is scanned subset by
+subset.  max_corners is charged to every subset read.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,7 +57,7 @@ import numpy as np
 
 from . import config
 from .config import DEFAULT_CAPS, Caps
-from .pointset import RationalPointSet, project
+from .pointset import RationalPointSet
 from .weights import Weights, _enumerate_subsets
 
 # upper corner of an anchored box; entries in [0, 1] as float/int/Fraction
@@ -106,17 +112,20 @@ def local_discrepancy(ps: RationalPointSet, z: Box) -> float:
     return float(Fraction(n_strict, ps.n) - math.prod(fz))
 
 
-def _grids(ps: RationalPointSet) -> list[np.ndarray]:
+def _axis(ps: RationalPointSet, j: int):
+    """Axis j's (1-based) grid, its distinct numerators and then M, and each
+    point's index on it."""
+    col = ps.numerators[:, j - 1]
+    grid = np.unique(col)
     top = np.array([ps.modulus], dtype=np.int64 if ps.modulus < 2**63 else object)
-    return [np.concatenate([np.unique(ps.numerators[:, j]), top]) for j in range(ps.dim)]
+    return np.concatenate([grid, top]), np.searchsorted(grid, col)
 
 
-def _ranked(ps: RationalPointSet, grids, ms):
-    """The scores' dtype (int64 while N*M^s, which bounds every term, fits), the
-    grid values in it, and each point's index on every axis's grid, a row an axis."""
-    dtype = np.int64 if ps.n * ms < _INT64_SAFE else object
-    rank = np.array([np.searchsorted(g, ps.numerators[:, j]) for j, g in enumerate(grids)])
-    return dtype, [g.astype(dtype, copy=False) for g in grids], rank
+def _scores(top):
+    """The scores' dtype, int64 while top = N*M^s, which bounds every term,
+    fits, and the corners of one count table in it, a branch."""
+    dtype = np.int64 if top < _INT64_SAFE else object
+    return dtype, config.WORK_BYTES // (2 * _item_bytes(dtype, top))
 
 
 def star_discrepancy_exact(ps: RationalPointSet,
@@ -126,50 +135,41 @@ def star_discrepancy_exact(ps: RationalPointSet,
     Ties are broken to the lexicographically first corner (closed branch
     preferred at the same corner), so results are deterministic.
     """
-    grids = _grids(ps)
-    n_corners = math.prod(len(g) for g in grids)
+    return _projected(ps, functools.partial(_axis, ps), range(1, ps.dim + 1), caps)
+
+
+def _projected(ps, axis, u, caps, table=None):
+    """D*(P_u) on the axes axis(j), j in u: scanned, or read from table, the
+    count table of P's full grid, at index M on every axis outside u."""
+    axes = [axis(j) for j in u]
+    n_corners = math.prod(len(g) for g, _ in axes)
     caps.check("max_corners", n_corners)
-    ms = ps.modulus ** ps.dim
-    top, at, side = _scan(ps, grids, ms)
+    ms = ps.modulus ** len(u)
+    if table is None:
+        top, at, side = _scan(ps.n, axes, ms)
+    else:
+        top, at, side = _best(table[(slice(None),) + tuple(
+            slice(None) if j in u else -1 for j in range(1, ps.dim + 1))])
+        top //= ps.modulus ** (ps.dim - len(u))  # the box of P with sides 1 off u
     exact = Fraction(-top, ps.n * ms)
-    witness = tuple(Fraction(int(g[i]), ps.modulus) for g, i in zip(grids, at))
+    witness = tuple(Fraction(int(g[i]), ps.modulus) for (g, _), i in zip(axes, at))
     return DiscrepancyResult(value=float(exact), exact=exact, witness=witness,
                              side=("closed", "open")[side], corners_scanned=n_corners)
 
 
-def _scan(ps, grids, ms):
-    """The best corner's key: (-numerator over N*M^s, indices, 0 closed or 1 open)."""
-    n_pts, s = ps.n, ps.dim
-    dtype, vals, rank = _ranked(ps, grids, ms)
-    limit = config.WORK_BYTES // (2 * _item_bytes(dtype, n_pts * ms))  # corners a branch
-    sizes = [len(g) for g in grids]
-    # Row 0 of keys names the branch: a corner's closed count holds the points
-    # of index <= it on every axis, its open count those of index + 1 <= it.
-    keys = np.concatenate(([np.zeros(n_pts, dtype=np.int64)], rank))
-    keys = np.concatenate((keys, keys + 1), axis=1)
-
-    def table(cuts):
-        """The best key of the count table on the cuts' lattice."""
-        shape = (2,) + tuple(len(c) for c in cuts)
-        at = keys
-        if any(c[-1] >= len(c) for c in cuts):  # cuts 0, 1, ..., k - 1 need no search
-            at = np.array([keys[0]] + [np.searchsorted(c, r) for c, r in zip(cuts, keys[1:])])
-        if any(c[-1] < n - 1 for c, n in zip(cuts, sizes)):  # points past the last cut
-            at = at[:, np.all(at < np.array(shape)[:, None], axis=0)]
-        value = _lattice_counts(at, shape).astype(dtype, copy=False)
-        value *= ms
-        value -= functools.reduce(np.multiply.outer, [v[c] for v, c in zip(vals, cuts)], n_pts)
-        # the first best corner in lattice order wins, at one corner the closed branch
-        ic, io = int(value[0].argmax()), int(value[1].argmin())
-        top, i, side = max((value[0].flat[ic], -ic, 0), (-value[1].flat[io], -io, -1))
-        at = np.unravel_index(-i, shape[1:])
-        return -int(top), tuple(int(c[k]) for c, k in zip(cuts, at)), -side
-
+def _scan(n_pts, axes, ms):
+    """The best corner's key on the axes' (grid, ranks): (-numerator over
+    N*M^s, indices, 0 closed or 1 open)."""
+    s = len(axes)
+    dtype, limit = _scores(n_pts * ms)
+    vals = [g.astype(dtype, copy=False) for g, _ in axes]
+    sizes = [len(v) for v in vals]
+    ranks = [r for _, r in axes]
     if math.prod(sizes) <= limit:  # every corner in one table, before any box is set up
-        return table([np.arange(n) for n in sizes])
+        return _best(_table(ranks, [np.arange(n) for n in sizes], vals, n_pts, ms))
     parts = max(1, config.WORK_BYTES // 256)  # boxes scored at once; 2 bitset counts each
     batch = max(1, parts >> s if s <= _HALVED_AXES else parts // 2)
-    count_below = _bit_counter(keys[1:, :n_pts], [n + 1 for n in sizes])  # hi + 1 is a level
+    count_below = _bit_counter(ranks, [n + 1 for n in sizes])  # hi + 1 is a level
     best = (1, (), 0)
     stack = [np.array([[0] * s, [n - 1 for n in sizes]])[:, :, None]]
     while stack:  # boxes (lo, hi), each an (s, k) array: a row an axis, a column a box
@@ -183,7 +183,8 @@ def _scan(ps, grids, ms):
                                           - np.bincount(hi[j] + 1, minlength=n + 1)))
                  for j, n in enumerate(sizes)]
         if math.prod(len(c) for c in spans) <= limit:  # one table reads every corner
-            best = min(best, table(spans))
+            top, at, side = _best(_table(ranks, spans, vals, n_pts, ms))
+            best = min(best, (top, tuple(int(c[k]) for c, k in zip(spans, at)), side))
             continue
         # cut every box into q parts on each axis: 2, or for a lone box (the
         # whole grid) as many as a batch holds
@@ -216,6 +217,33 @@ def _scan(ps, grids, ms):
         if keep.any():
             stack.append(np.stack((lo[:, keep], hi[:, keep])))
     return best
+
+
+def _table(ranks, cuts, vals, n_pts, ms):
+    """The count table on the cuts' lattice: at each corner the closed (row 0)
+    and the negated open (row 1) numerator over N*M^s."""
+    shape = (2,) + tuple(len(c) for c in cuts)
+    # Row 0 of keys names the branch: a corner's closed count holds the points
+    # of index <= it on every axis, its open count those of index + 1 <= it.
+    keys = np.concatenate(([np.zeros(n_pts, dtype=np.int64)], ranks))
+    at = keys = np.concatenate((keys, keys + 1), axis=1)
+    if any(c[-1] >= len(c) for c in cuts):  # cuts 0, 1, ..., k - 1 need no search
+        at = np.array([keys[0]] + [np.searchsorted(c, r) for c, r in zip(cuts, keys[1:])])
+    if any(c[-1] < len(v) - 1 for c, v in zip(cuts, vals)):  # points past the last cut
+        at = at[:, np.all(at < np.array(shape)[:, None], axis=0)]
+    value = _lattice_counts(at, shape).astype(vals[0].dtype, copy=False)
+    value *= ms
+    value -= functools.reduce(np.multiply.outer, [v[c] for v, c in zip(vals, cuts)], n_pts)
+    return value
+
+
+def _best(value):
+    """The best key of a count table (or a view of one): (-numerator, lattice
+    indices, side); the first best corner in lattice order wins, at one corner
+    the closed branch."""
+    ic, io = int(value[0].argmax()), int(value[1].argmin())
+    top, i, side = max((value[0].flat[ic], -ic, 0), (-value[1].flat[io], -io, -1))
+    return -int(top), tuple(map(int, np.unravel_index(-i, value.shape[1:]))), -side
 
 
 def _lattice_counts(at, shape):
@@ -311,11 +339,13 @@ def star_discrepancy_sampled_lb(ps: RationalPointSet, trials: int,
         raise ValueError(f"modulus {m} is above the largest float {sys.float_info.max!r}, "
                          "and the sampled boxes are floats")
     ms = m ** s
-    grids = _grids(ps)
+    grids, rank = zip(*(_axis(ps, j) for j in range(1, s + 1)))
+    rank = np.array(rank)
     # A corner is a vector `at` of per-axis ranks.  The points of rank below at
     # on every axis are both the closed count at grid[at - 1] (when every
     # at > 0) and the open count at grid[at], where the last grid value is M.
-    dtype, vals, rank = _ranked(ps, grids, ms)
+    dtype = _scores(n_pts * ms)[0]
+    vals = [g.astype(dtype, copy=False) for g in grids]
     dims = [len(g) for g in grids]
     # Corners per batch: a 64th of the budget (an 8th in each int64 array), or
     # 8*sum(dims)/s, whose ANDs of s/8 bytes a point pay for a block's bitsets.
@@ -379,17 +409,28 @@ def weighted_star_discrepancy_exact(
     so gamma_u * D* <= gamma_u in floats too, and no later subset can reach
     that value.  Of the subsets that reach the maximum, the first in
     enumeration order wins.  `per_subset` holds the scanned subsets only, in
-    scan order, and `max_corners` is checked on each of them.
+    scan order, and `max_corners` is checked on each of them.  One count
+    table of the full grid serves every subset while it fits the exact scan's
+    one-table budget and max_corners; else each subset is scanned on its own.
     """
     per_subset: dict[tuple[int, ...], float] = {}
     subsets = _enumerate_subsets(ps.dim, w, caps)
+    axis = functools.cache(functools.partial(_axis, ps))
+    s, top = ps.dim, ps.n * ps.modulus ** ps.dim
+    dtype, limit = _scores(top)
+    table = None  # one count table for every subset while the full grid fits it
+    corners = itertools.accumulate((len(axis(j)[0]) for j in range(1, s + 1)), operator.mul)
+    if subsets and all(c <= min(limit, caps.max_corners) for c in corners):
+        grids, ranks = zip(*map(axis, range(1, s + 1)))
+        table = _table(ranks, [np.arange(len(g)) for g in grids],
+                       [g.astype(dtype, copy=False) for g in grids], ps.n, ps.modulus ** s)
     # best is (value, -enumeration index): the first maximum wins, and a value
     # of 0 does not beat the start (0.0, 1)
     best, best_u, wit, side = (0.0, 1), (), {}, "closed"
     for i, (u, g) in sorted(enumerate(subsets), key=lambda e: -e[1][1]):
         if g < best[0]:
             break
-        res = star_discrepancy_exact(project(ps, u), caps=caps)
+        res = _projected(ps, axis, u, caps, table)
         per_subset[u] = val = g * res.value
         if (val, -i) > best:
             best, best_u, wit, side = (val, -i), u, dict(zip(u, res.witness)), res.side

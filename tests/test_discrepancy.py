@@ -32,6 +32,11 @@ def _point_set(modulus, rows):
                             numerators=np.array(rows, dtype=np.int64))
 
 
+def _grids(ps):
+    """Every axis's grid: its distinct numerators, then M."""
+    return [discrepancy._axis(ps, j)[0] for j in range(1, ps.dim + 1)]
+
+
 @st.composite
 def small_point_sets(draw, max_dim=3):
     m = draw(st.integers(2, 9))
@@ -394,7 +399,7 @@ def test_one_table_grid_is_read_before_any_box(ps):
     with (mock.patch.object(discrepancy, "_lattice_counts", counted_lattice),
           mock.patch.object(discrepancy, "_bit_counter", no_bits)):
         got = _result_triple(ps)
-    assert shapes == [(2,) + tuple(len(g) for g in discrepancy._grids(ps))]
+    assert shapes == [(2,) + tuple(len(g) for g in _grids(ps))]
     assert got == naive_dstar_witness(ps.rows(), ps.modulus)
 
 
@@ -561,7 +566,7 @@ def test_snapper_ranks_are_searchsorted(case, seed):
     # keys at float(g) for every grid value (M included when it is below M),
     # one float either side of them, in the last bucket next to M, and uniform
     ps, budget = case
-    m, grids = ps.modulus, discrepancy._grids(ps)
+    m, grids = ps.modulus, _grids(ps)
     rng = np.random.default_rng(seed)
     last = [float(m) * (1 - 2.0**-k) for k in (53, 52, 40, 12, 6)]
     keys = []
@@ -648,6 +653,21 @@ def test_sampled_lb_python_integer_batch_follows_item_bytes():
 
 # ---------------------------------------------------------------- weighted
 
+# A budget whose count tables hold one corner: no full grid fits one, so the
+# weighted scan runs each subset on its own, where the default budget reads
+# these small sets' subsets from one table of the full grid.
+PER_SUBSET_BUDGET = 16
+
+
+def _weighted(ps, w):
+    """weighted_star_discrepancy_exact at the default budget and at the
+    per-subset one; both give the same result, per_subset in the same order."""
+    res = weighted_star_discrepancy_exact(ps, w)
+    with mock.patch.object(config, "WORK_BYTES", PER_SUBSET_BUDGET):
+        split = weighted_star_discrepancy_exact(ps, w)
+    assert split == res and list(split.per_subset) == list(res.per_subset)
+    return res
+
 
 @given(small_point_sets(), st.sets(st.integers(1, 3), min_size=1))
 @settings(max_examples=60, deadline=None)
@@ -661,7 +681,7 @@ def test_projection_monotonicity(ps, u):
 @settings(max_examples=40, deadline=None)
 def test_unit_weights_reduce_to_classical(ps):
     ones = ProductWeights(gammas=(1.0,) * ps.dim)
-    res = weighted_star_discrepancy_exact(ps, ones)
+    res = _weighted(ps, ones)
     classical = star_discrepancy_exact(ps)
     assert res.value == classical.value
     # the full subset attains the max (projections can tie, never exceed)
@@ -686,7 +706,7 @@ def test_weighted_p52_frozen():
 @given(small_point_sets())
 @settings(max_examples=40, deadline=None)
 def test_weighted_matches_subset_oracle(ps):
-    got = weighted_star_discrepancy_exact(ps, HALVING).value
+    got = _weighted(ps, HALVING).value
     want = naive_weighted_dstar(ps.rows(), ps.modulus, lambda j: 2.0**-j)
     assert got == pytest.approx(want, abs=1e-12)
 
@@ -695,7 +715,7 @@ def test_weighted_matches_subset_oracle(ps):
 @settings(max_examples=40, deadline=None)
 def test_weighted_matches_subset_oracle_big_modulus(case):
     ps, _ = case
-    res = weighted_star_discrepancy_exact(ps, HALVING)
+    res = _weighted(ps, HALVING)
     rows = ps.rows()
     want = naive_weighted_dstar(rows, ps.modulus, lambda j: 2.0**-j)
     assert res.value == pytest.approx(want, abs=1e-12)
@@ -709,10 +729,10 @@ def test_weighted_matches_subset_oracle_big_modulus(case):
 @given(small_point_sets(), st.floats(0.25, 4.0))
 @settings(max_examples=40, deadline=None)
 def test_weighted_scales_linearly(ps, lam):
-    base = weighted_star_discrepancy_exact(ps, HALVING)
+    base = _weighted(ps, HALVING)
     # scale every positive subset weight uniformly via general weights
     entries = {u: lam * g for u, g in _enumerate_subsets(ps.dim, HALVING)}
-    scaled = weighted_star_discrepancy_exact(ps, GeneralWeights(entries=entries))
+    scaled = _weighted(ps, GeneralWeights(entries=entries))
     assert scaled.value == pytest.approx(lam * base.value, rel=1e-12)
     if base.subset:
         assert scaled.subset == base.subset
@@ -732,8 +752,17 @@ def _unpruned_weighted(ps, w):
 
 
 def _assert_pruned_matches_unpruned(ps, w):
-    res = weighted_star_discrepancy_exact(ps, w)
+    res = _weighted(ps, w)
     assert (res.value, res.subset, res.witness, res.side) == _unpruned_weighted(ps, w)
+    # per_subset: gamma_u D*(P_u) of each subset scanned, in descending gamma_u
+    # (equal weights in enumeration order) up to the first gamma_u below the best
+    want, best = {}, 0.0
+    for u, g in sorted(_enumerate_subsets(ps.dim, w), key=lambda e: -e[1]):
+        if g < best:
+            break
+        want[u] = g * star_discrepancy_exact(project(ps, u)).value
+        best = max(best, want[u])
+    assert list(res.per_subset.items()) == list(want.items())
     return res
 
 
@@ -783,18 +812,11 @@ def test_weighted_pruned_scans_ties_at_the_best_value():
 
 
 def _counted_weighted(ps, w):
-    """The weighted result and the subsets whose projections were scanned."""
-    scanned = []
-
-    def counted_project(ps, u):
-        scanned.append(tuple(u))
-        return project(ps, u)
-
-    with (mock.patch.object(discrepancy, "project", counted_project),
-          mock.patch.object(discrepancy, "star_discrepancy_exact",
-                            wraps=star_discrepancy_exact) as scans):
+    """The weighted result and the subsets whose D* was read, in order."""
+    with mock.patch.object(discrepancy, "_projected", wraps=discrepancy._projected) as reads:
         res = weighted_star_discrepancy_exact(ps, w)
-    assert scans.call_count == len(scanned)
+    scanned = [tuple(call.args[2]) for call in reads.call_args_list]
+    assert len(set(scanned)) == len(scanned)  # each subset read once
     return res, scanned
 
 
@@ -822,6 +844,63 @@ def test_weighted_corner_cap_charges_scanned_subsets_only():
     limit = largest - 1
     with pytest.raises(BudgetError, match=f"^max_corners: requested {largest}, limit {limit}$"):
         weighted_star_discrepancy_exact(ps, w, caps=Caps(max_corners=limit))
+
+
+# N*M^s = 3*2^63: the full table is dtype=object, every pair's scores int64
+OBJECT_TABLE = _point_set(2**21, [(5, 2**20, 7), (2**21 - 1, 3, 7), (5, 9, 2**20)])
+# 31 values on every axis: 32^3 grid corners, one int64 table (B/16) exactly
+AT_LIMIT = _point_set(31, [(i, 3 * i % 31, 5 * i % 31) for i in range(31)])
+
+
+@given(st.one_of(small_point_sets(max_dim=4), big_modulus_point_sets().map(lambda c: c[0])),
+       st.lists(st.sampled_from([1e-6, 0.125, 0.5, 1.0]), min_size=4, max_size=4))
+@example(OBJECT_TABLE, [1.0, 0.5, 1.0, 1.0])
+@example(AT_LIMIT, [1.0, 0.5, 1.0, 1.0])
+@settings(max_examples=40, deadline=None)
+def test_weighted_paths_match_the_per_subset_reference(ps, gammas):
+    _assert_pruned_matches_unpruned(ps, ProductWeights(gammas=tuple(gammas[:ps.dim])))
+
+
+def _weighted_scans(ps, w, caps=Caps()):
+    """The weighted result and the number of subsets scanned, not read from a table."""
+    with mock.patch.object(discrepancy, "_scan", wraps=discrepancy._scan) as scans:
+        res = weighted_star_discrepancy_exact(ps, w, caps=caps)
+    return res, scans.call_count
+
+
+@pytest.mark.parametrize("ps,budget", [(AT_LIMIT, 16),
+                                       (OBJECT_TABLE, 2 * (8 + sys.getsizeof(3 * 2**63)))],
+                         ids=["int64", "object"])
+def test_weighted_full_table_holds_a_grid_at_its_limit(ps, budget):
+    # the full grid is exactly the corners one table holds at budget times
+    # its corners: every subset is read from it; a byte less and each subset
+    # is scanned on its own, with the same result
+    corners = math.prod(len(g) for g in _grids(ps))
+    assert ps is not AT_LIMIT or budget * corners == config.WORK_BYTES
+    w = ProductWeights(gammas=(1.0,) * 3)  # no subset can be skipped
+    with mock.patch.object(config, "WORK_BYTES", budget * corners):
+        res, scans = _weighted_scans(ps, w)
+    assert scans == 0 and len(res.per_subset) == 7
+    with mock.patch.object(config, "WORK_BYTES", budget * corners - 1):
+        split, scans = _weighted_scans(ps, w)
+    assert scans == 7
+    assert split == res and list(split.per_subset) == list(res.per_subset)
+
+
+def test_weighted_corner_cap_on_the_table_path():
+    # P 13/s3's full grid (14^3 corners) fits one table, and the scan stops
+    # after {1}: a cap below the full grid sends every subset to its own scan
+    # with the default result, and one below {1}'s grid refuses it
+    ps = generate(PSetKind.KOROBOV_P, 13, 3)
+    w = ProductWeights(gammas=(1.0, 0.05, 0.05))
+    want, scans = _weighted_scans(ps, w)
+    assert scans == 0 and list(want.per_subset) == [(1,)]
+    full = star_discrepancy_exact(ps).corners_scanned
+    assert _weighted_scans(ps, w, Caps(max_corners=full)) == (want, 0)
+    for cap in (14, full - 1):
+        assert _weighted_scans(ps, w, Caps(max_corners=cap)) == (want, 1)
+    with pytest.raises(BudgetError, match="^max_corners: requested 14, limit 13$"):
+        weighted_star_discrepancy_exact(ps, w, caps=Caps(max_corners=13))
 
 
 def test_weighted_zero_weights():

@@ -12,6 +12,8 @@ path the recorded `# cmd:` lines name.
 The benchmark checks its large seeded `rational` library jobs only for
 self-consistency, so the seed-1 jobs whose grid outgrows one count table (the
 exact scan splits it into boxes) are pinned here to their recorded results.
+Each `chain` job that exits 0 has its weighted D* (the `wdisc_exact` column)
+pinned by a library call; its Lemma 2 rhs and bounds are not replayed.
 """
 import functools
 import importlib.util
@@ -26,6 +28,8 @@ import pytest
 import psetdisc
 from psetdisc import config, discrepancy
 from psetdisc.cli import main
+from psetdisc.pointset import PSetKind, generate
+from psetdisc.weights import parse_weights
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 RECORD = PERFBENCH / "expected.json"
@@ -41,8 +45,10 @@ def _group(argv):
 
 GROUP_SIZES = {"check-weil": 5, "sum": 24, "bound --thm 1": 9, "bound --thm 2": 12,
                "nmin": 12, "gen": 6, "integrate": 3, "disc": 5, "wdisc": 3}
-JOBS = {name: job for name, job in json.loads(RECORD.read_text(encoding="utf-8"))["jobs"].items()
-        if _group(job["argv"]) in GROUP_SIZES}
+RECORDED = json.loads(RECORD.read_text(encoding="utf-8"))["jobs"]
+JOBS = {name: job for name, job in RECORDED.items() if _group(job["argv"]) in GROUP_SIZES}
+CHAINS = {name: job for name, job in RECORDED.items()
+          if job["argv"][0] == "chain" and job["exit"] == 0}
 
 
 def test_record_holds_the_exponential_sum_jobs():
@@ -53,6 +59,23 @@ def test_record_holds_the_exponential_sum_jobs():
 def test_record_holds_every_replayed_group():
     groups = [_group(job["argv"]) for job in JOBS.values()]
     assert {g: groups.count(g) for g in GROUP_SIZES} == GROUP_SIZES
+
+
+def test_record_holds_the_chain_jobs():
+    assert len(CHAINS) == 56
+
+
+@pytest.mark.parametrize("name", sorted(CHAINS))
+def test_recorded_chain_keeps_its_weighted_dstar(name):
+    # the CSV row's wdisc_exact field is repr of the weighted D* value
+    job = CHAINS[name]
+    flags = dict(zip(job["argv"][1::2], job["argv"][2::2]))
+    weights = parse_weights(WORKLOADS.WEIGHT_FILES[Path(flags["--weights"]).name])
+    header, row = [line.split(",") for line in job["stdout"].splitlines()
+                   if not line.startswith("#")]
+    ps = generate(PSetKind(flags["--kind"]), int(flags["--p"]), int(flags["--s"]))
+    res = psetdisc.weighted_star_discrepancy_exact(ps, weights)
+    assert repr(res.value) == dict(zip(header, row))["wdisc_exact"]
 
 
 @pytest.mark.parametrize("name", sorted(JOBS))
@@ -102,7 +125,8 @@ def test_pinned_rational_jobs_are_the_split_scans():
     # no other; no bigint job falls between that and its own smaller table
     split = {name for name, job in _rational_jobs().items()
              if name.split()[0] != "sampled-lb" and math.prod(
-                 len(g) for g in discrepancy._grids(job.ps)) > config.WORK_BYTES // 16}
+                 len(discrepancy._axis(job.ps, j)[0])
+                 for j in range(1, job.ps.dim + 1)) > config.WORK_BYTES // 16}
     assert split == set(RATIONAL_SEED_1)
 
 
