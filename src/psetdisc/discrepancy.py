@@ -20,15 +20,22 @@ axis), so one table scores its corners exactly.  The scan is a branch-and-bound
 over boxes [lo, hi] of corners: with C(hi) the points of index <= hi on every
 axis and C_open(lo) those < lo, every closed value in the box is at most
 C(hi)*M^s - N*vol(lo), every open one at most N*vol(hi) - C_open(lo)*M^s, and
-the same counts are the exact closed value at hi and open value at lo.  Boxes
-are cut into parts, and bitset counts of those two corners bound and score
-each part; a part whose bound is below the best value L found so far is
-dropped.  Boxes lie one row per axis and bitsets word-major, so each cut,
-count and prune runs along a batch.  Count tables read a grid that fits one
-table, before any box is set up, and a batch of boxes whose spans fit one.  A
-box holding a best corner has a bound >= D* >= L, so it is never dropped (ties
-are kept), and the least (corner, side) key wins, closed before open: the
-witness is the lexicographically first best corner in any order of visits.
+the same counts are the exact closed value at hi and open value at lo.  A box
+is cut at q_j + 1 levels on each axis j, and its part a holds the indices
+from level a_j to level a_j + 1, less one, on every axis, so the parts form a
+lattice: the bitset columns of the levels, ANDed as an outer product over the
+axes and popcounted, count every part's closed and open corner at once, and
+the same outer product of the levels' grid values gives their volumes (past
+_HALVED_AXES a box is halved on its widest axis, and its two parts' corners
+are counted one by one).  A part whose bound is below the best value L found
+so far is dropped; only the kept parts, and a batch's best corners, are
+formed as (lo, hi) rows.  Boxes lie one row per axis, and a batch's boxes are
+the last, contiguous axis of every lattice, so each cut, count and prune runs
+along a batch.  Count tables read a grid that fits one table, before any box
+is set up, and a batch of boxes whose spans fit one.  A box holding a best
+corner has a bound >= D* >= L, so it is never dropped (ties are kept), and the
+least (corner, side) key wins, closed before open: the witness is the
+lexicographically first best corner in any order of visits.
 The arithmetic runs in int64 when N*M^s < 2^62 and on dtype=object arrays of
 Python integers otherwise, on the same lines.
 
@@ -167,7 +174,7 @@ def _scan(n_pts, axes, ms):
     ranks = [r for _, r in axes]
     if math.prod(sizes) <= limit:  # every corner in one table, before any box is set up
         return _best(_table(ranks, [np.arange(n) for n in sizes], vals, n_pts, ms))
-    parts = max(1, config.WORK_BYTES // 256)  # boxes scored at once; 2 bitset counts each
+    parts = max(1, config.WORK_BYTES // 256)  # parts scored at once
     batch = max(1, parts >> s if s <= _HALVED_AXES else parts // 2)
     count_below = _bit_counter(ranks, [n + 1 for n in sizes])  # hi + 1 is a level
     best = (1, (), 0)
@@ -193,30 +200,47 @@ def _scan(n_pts, axes, ms):
         while (lo.shape[1] == 1 and k < width.max()
                and math.prod(np.minimum(2 * k, width[:, 0]).tolist()) <= parts):
             k *= 2
-        if k == 2 and s > _HALVED_AXES:  # in two on its widest axis only
+        # cuts[j][a, b] is box b's level a on axis j: its parts a on that axis hold
+        # the indices from it to cuts[j][a + 1, b] - 1, a (q_0, ..., q_{s-1}, boxes) lattice
+        if k == 2 and s > _HALVED_AXES:  # in two on its widest axis only: q = 1, a part a box
             r, a = np.arange(lo.shape[1]), width.argmax(axis=0)
             lo, hi = np.concatenate((lo, lo), axis=1), np.concatenate((hi, hi), axis=1)
             hi[a, r] = lo[a, r] + width[a, r] // 2 - 1
             lo[a, r + len(r)] = hi[a, r] + 1
-        else:  # parts part-major, (s, parts, boxes) flattened to (s, parts * boxes)
-            q = np.minimum(k, width.max(axis=1))
-            at, q = np.indices(q).reshape(s, -1, 1), q[:, None, None]
-            lo, hi = ((lo[:, None] + at * width[:, None] // q).reshape(s, -1),
-                      (lo[:, None] + (at + 1) * width[:, None] // q - 1).reshape(s, -1))
-            keep = np.all(lo <= hi, axis=0)
-            lo, hi = lo[:, keep], hi[:, keep]
-        vol_lo, vol_hi = (n_pts * math.prod(v[r] for v, r in zip(vals, e)) for e in (lo, hi))
-        count = count_below(np.concatenate((hi + 1, lo), axis=1)).astype(dtype) * ms
-        closed, opened = count[:lo.shape[1]] - vol_hi, vol_lo - count[lo.shape[1]:]
+            cuts = np.stack((lo, hi + 1), axis=1)
+            count = count_below(cuts[:, ::-1].reshape(s, 1, -1))
+            closed, opened = np.split(count, 2, axis=-1)  # the counts at hi + 1 and at lo
+        else:  # the levels' counts: a part's closed count is at level a + 1, its open at a
+            q = np.minimum(k, width.max(axis=1)).tolist()
+            cuts = [l + np.arange(n + 1)[:, None] * w // n for l, w, n in zip(lo, width, q)]
+            count = count_below(cuts)
+            closed, opened = count[(slice(1, None),) * s], count[(slice(-1),) * s]
+        size = [c[1:] - c[:-1] for c in cuts]  # the parts' widths
+        vol_lo = n_pts * _outer(np.multiply, [v[c[:-1]] for v, c in zip(vals, cuts)])
+        vol_hi = n_pts * _outer(np.multiply, [v[c[1:] - 1] for v, c in zip(vals, cuts)])
+        closed = closed.astype(dtype, copy=False) * ms - vol_hi
+        opened = vol_lo - opened.astype(dtype, copy=False) * ms
+        keep = _outer(np.logical_or, [w > 1 for w in size])  # a part of one corner is done
+        if not all(w.all() for w in size):  # where width < q: empty parts, below every corner
+            empty = ~_outer(np.logical_and, [w > 0 for w in size])
+            closed[empty] = opened[empty] = -n_pts * ms
+            keep &= ~empty
         top = int(max(closed.max(), opened.max()))
-        best = min(best, (-top, *min((tuple(end[:, i].tolist()), side) for side, end, v in
-                                     ((0, hi, closed), (1, lo, opened))
-                                     for i in np.flatnonzero(v == top))))
-        keep = np.maximum(closed, opened) + (vol_hi - vol_lo) >= -best[0]
-        keep &= np.any(lo < hi, axis=0)  # a part of one corner is done
+        if -top <= best[0]:  # the batch's best corners tie or beat the best: the least key
+            best = min(best, (-top, *min(
+                (tuple(row), side) for side, v in enumerate((closed, opened))
+                for row in _ends(cuts, np.nonzero(v == top), 1 - side).T.tolist())))
+        keep &= np.maximum(closed, opened) + (vol_hi - vol_lo) >= -best[0]
         if keep.any():
-            stack.append(np.stack((lo[:, keep], hi[:, keep])))
+            at = np.nonzero(keep)
+            stack.append(np.array((_ends(cuts, at, 0), _ends(cuts, at, 1))))
     return best
+
+
+def _ends(cuts, at, end):
+    """The corners of the parts at lattice cells at (an index per axis, then
+    the box's): their lo rows (end 0) or their hi rows (end 1)."""
+    return np.array([c[a + end, at[-1]] for c, a in zip(cuts, at)]) - end
 
 
 def _table(ranks, cuts, vals, n_pts, ms):
@@ -260,14 +284,25 @@ def _item_bytes(dtype, top):
     return np.dtype(dtype).itemsize + (sys.getsizeof(top) if dtype is object else 0)
 
 
+def _outer(op, factors):
+    """op's outer product over j of the (..., r_j, k) arrays factors, which
+    share their leading axes and their last: (..., r_0, ..., r_{s-1}, k)."""
+    out = factors[0]
+    for j, f in enumerate(factors[1:], 1):
+        out = op(out[..., None, :], f.reshape(f.shape[:-2] + (1,) * j + f.shape[-2:]))
+    return out
+
+
 def _bit_counter(ranks, levels):
-    """count(at): for each column i of at, the points of rank below at[j, i] <
-    levels[j] on every axis j, by one AND of per-axis uint64-packed bitsets, word-major
-    (column l the points of rank < l), and a popcount, in 4*config.WORK_BYTES: blocks of
-    points whose masks fit, bitsets built once if all fit, columns whose AND fits."""
+    """count(cuts): for s arrays cuts[j] of shape (r_j, k), the (r_0, ..., r_{s-1}, k)
+    lattice whose cell (a_0, ..., a_{s-1}, i) counts the points of rank below
+    cuts[j][a_j, i] < levels[j] on every axis j; explicit corners are r_j = 1.
+    Per-axis uint64-packed bitsets, word-major (column l the points of rank < l),
+    give each level's column once, and the columns' outer AND over the axes is
+    popcounted, in 4*config.WORK_BYTES: blocks of points whose masks fit,
+    bitsets built once if all fit, words of a block whose outer ANDs fit."""
     budget, n_pts = 4 * config.WORK_BYTES, len(ranks[0])
     block = max(64, budget // sum(levels) // 64 * 64)  # points per bitset table
-    cols = max(1, budget // (24 * -(-min(n_pts, block) // 64)))  # result, gather, popcounts
     def build(lo):
         return [np.pad(bits, ((0, 0), (0, -bits.shape[1] % 8))).view(np.uint64).T.copy()
                 for bits in (np.packbits(np.arange(n)[:, None] > r[lo:lo + block], axis=1)
@@ -276,14 +311,15 @@ def _bit_counter(ranks, levels):
     if sum(levels) * n_pts // 8 <= budget:
         tables = functools.cache(lambda: list(map(build, range(0, n_pts, block))))
 
-    def count(at):
-        out = np.zeros(at.shape[1], dtype=np.int64)
+    def count(cuts):
+        out = np.zeros(tuple(len(c) for c in cuts) + cuts[0].shape[-1:], dtype=np.int64)
+        # words an AND: its result, partial ANDs and popcounts fit, and their sums uint16
+        words = min(max(1, budget // (24 * out.size)), np.iinfo(np.uint16).max // 64)
         for bits in tables():
-            for lo in range(0, at.shape[1], cols):
-                hit = bits[0].take(at[0, lo:lo + cols], axis=1)
-                for j in range(1, len(bits)):
-                    hit &= bits[j].take(at[j, lo:lo + cols], axis=1)
-                out[lo:lo + cols] += np.bitwise_count(hit).sum(axis=0, dtype=np.int64)
+            for lo in range(0, len(bits[0]), words):
+                hit = _outer(np.bitwise_and, [b[lo:lo + words].take(c, axis=1)
+                                              for b, c in zip(bits, cuts)])
+                out += np.bitwise_count(hit).sum(axis=0, dtype=np.uint16)
         return out
     return count
 
@@ -380,7 +416,7 @@ def star_discrepancy_sampled_lb(ps: RationalPointSet, trials: int,
     for at, branches in corners():
         if not at.shape[1]:
             continue
-        count = count_below(at).astype(dtype) * ms
+        count = count_below(at[:, None]).ravel().astype(dtype) * ms
         for closed in branches:
             # a closed corner with some at = 0 holds no point and wraps to M on
             # that axis, so its numerator is at most 0 and never raises best

@@ -291,33 +291,45 @@ def test_tie_heavy_sets_have_several_best_corners():
 
 def test_split_scan_over_bitset_blocks_matches_oracle():
     # 150 points and a 64-byte bitset budget: the fallback counts run over
-    # blocks of 64 points, rebuilt at each call, two columns at a time
+    # blocks of 64 points, rebuilt at each call, one word at a time
     ps = _point_set(12, np.random.default_rng(3).integers(0, 12, size=(150, 2)))
     with mock.patch.object(config, "WORK_BYTES", 16):
         assert _result_triple(ps) == naive_dstar_witness(ps.rows(), ps.modulus)
 
 
-@given(st.integers(1, 4), st.integers(1, 150), st.integers(1, 90), st.integers(0, 2**32 - 1))
+@given(st.integers(1, 6), st.integers(1, 150), st.integers(1, 4), st.integers(1, 90),
+       st.integers(0, 2**32 - 1))
+@example(1, 150, 4, 8, 4)  # at 256, blocks of 128 points that one-word ANDs split
+@example(3, 150, 1, 90, 1)  # explicit corners, as an (s, 1, k) array
 @settings(max_examples=30, deadline=None)
-def test_bit_counter_matches_brute_force(s, n_pts, n_cols, seed):
-    # budgets of 64-point blocks, rebuilt at every call once the points outgrow
-    # the budget, and of a few columns an AND (16, 48); of column batches that
-    # a call's columns cross (256); and of bitsets built once (the default);
-    # the columns come as contiguous rows, a strided view and a column slice,
-    # as the exact scan and the sampled bound pass them
+def test_bit_counter_matches_brute_force(s, n_pts, most, n_cols, seed):
+    # per axis and box 1 to `most` levels, sorted and with repeats (the scan's
+    # empty parts), or at most = 1 explicit corners; budgets of 64-point
+    # blocks, rebuilt at every call once the points outgrow the budget, and of
+    # one word an AND (16, 48); of blocks that one AND's words split (256); of
+    # bitsets built once (the default); the levels come as contiguous rows, a
+    # strided view and a column slice, as the exact scan and the sampled bound
+    # pass them
     rng = np.random.default_rng(seed)
     levels = rng.integers(1, 12, size=s).tolist()
     ranks = np.array([rng.integers(0, n, size=n_pts) for n in levels])
-    at = np.array([rng.integers(0, n, size=n_cols) for n in levels])
-    want = np.all(ranks[:, :, None] < at[:, None, :], axis=0).sum(axis=0)
-    strided = np.repeat(at, 2, axis=1)[:, ::2]
-    sliced = np.concatenate((at, at), axis=1)[:, n_cols // 2:n_cols // 2 + n_cols]
-    sliced_want = np.concatenate((want, want))[n_cols // 2:n_cols // 2 + n_cols]
+    r = rng.integers(1, most + 1, size=s).tolist()
+    k = max(1, min(n_cols, 512 // math.prod(r)))  # boxes
+    cuts = [np.sort(rng.integers(0, n, size=(m, k)), axis=0) for n, m in zip(levels, r)]
+    if most == 1:
+        cuts = np.array(cuts)
+    hit = np.ones((n_pts, *r, k), dtype=bool)
+    for j, c in enumerate(cuts):  # cell (a, i): every axis j's rank below cuts[j][a_j, i]
+        hit &= (ranks[j][:, None, None] < c).reshape(n_pts, *[1] * j, r[j], *[1] * (s - 1 - j), k)
+    want = hit.sum(axis=0)
+    strided = [np.repeat(c, 2, axis=1)[:, ::2] for c in cuts]
+    sliced = [np.concatenate((c, c), axis=1)[:, k // 2:k // 2 + k] for c in cuts]
+    sliced_want = np.concatenate((want, want), axis=-1)[..., k // 2:k // 2 + k]
     for budget in (16, 48, 256, config.WORK_BYTES):
         with mock.patch.object(config, "WORK_BYTES", budget):
             count = discrepancy._bit_counter(ranks, levels)
-            for cols, expect in ((at, want), (strided, want), (sliced, sliced_want)):
-                assert count(cols).tolist() == expect.tolist(), budget
+            for at, expect in ((cuts, want), (strided, want), (sliced, sliced_want)):
+                assert count(at).tolist() == expect.tolist(), budget
 
 
 # (kind, p, s, grid corners, D*, witness numerators, side, share of the grid
@@ -330,7 +342,8 @@ READ_FEW = [(PSetKind.KOROBOV_P, 23, 5, 2_336_256, Fraction(3155938, 6436343),
 
 def _reads(ps):
     """The scan's result, and the corners it read: one entry per count table
-    (its corners), then the columns of every bitset count."""
+    (its corners), then per bitset count its lattice's cells, the product of
+    the levels per axis times the boxes."""
     tables, bits = [], []
     lattice_counts, bit_counter = discrepancy._lattice_counts, discrepancy._bit_counter
 
@@ -341,9 +354,9 @@ def _reads(ps):
     def counted_counter(ranks, levels):
         count = bit_counter(ranks, levels)
 
-        def counted(at):
-            bits.append(at.shape[1])
-            return count(at)
+        def counted(cuts):
+            bits.append(math.prod(len(c) for c in cuts) * cuts[0].shape[1])
+            return count(cuts)
         return counted
 
     with (mock.patch.object(discrepancy, "_lattice_counts", counted_lattice),
@@ -414,6 +427,21 @@ def test_exact_scan_memory_holds_tables_and_batches_to_budget():
     finally:
         tracemalloc.stop()
     assert res.exact == Fraction(9549758, 148035889)
+    assert peak <= 4 * 2**20
+
+
+def test_exact_scan_memory_holds_many_points_to_budget():
+    # 2,209 points on a 2,210 x 1,083 grid: the bitsets come in several blocks
+    # of points, and the first box is cut into a lattice of up to B/256 parts,
+    # whose outer ANDs are held to the counter's budget a block of words at a time
+    ps = generate(PSetKind.KOROBOV_Q, 47, 2)
+    tracemalloc.start()
+    try:
+        res = star_discrepancy_exact(ps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.exact, res.side) == (Fraction(121523, 4879681), "closed")
     assert peak <= 4 * 2**20
 
 
