@@ -11,15 +11,16 @@ and stays fixed.
 Memory is one working-set budget, WORK_BYTES = B, read at call time.  Each
 engine holds its working arrays to a multiple of B: a korobov_sum leaf of B/32
 terms (B); a phase sweep's chunk of k heads, 16*k*max(N, M) <= B, whose gather,
-sums, bins and transform take B each and lemma 6's counts B/2; the exact
-scan's count tables of B/(2*item bytes) corners a branch (B), and the weighted
-scan's one table of the full grid, held to the same budget B; the exact
-scan's B/256 parts scored at once and the sampled bound's batches of B/64
-corners, its bucket index of B/8 bytes and, on its Python-integer path, a flag
-per corner while the grid has at most B corners (B); the bitset counter of
-both, 4*B: its bitsets, and the outer ANDs over the axes of a lattice of levels
-(the scan's parts' corners, or the sampled bound's explicit corners); a phase
-sweep's axis tables, each kept while its M*N phases, int16 to M = 2^15, fit B.
+sums, bins and transform take B each and lemma 6's counts B/2; the count
+tables, which read whole grids only: the exact scan's of B/(2*item bytes)
+corners a branch (B), and the weighted scan's of the full grid, held to the
+same budget B; the exact scan's B/256 parts scored at once and the sampled
+bound's batches of B/64 corners, its bucket index of B/8 bytes and, on its
+Python-integer path, a flag per corner while the grid has at most B corners
+(B); the bitset counter of both, 4*B: its bitsets, and the outer ANDs over the
+axes of a lattice of levels (the scan's parts' corners, or the sampled bound's
+explicit corners); a phase sweep's axis tables, each kept while its M*N phases,
+int16 to M = 2^15, fit B.
 What does not shrink with B: the point set, its ranks and the power tables,
 and one slab row, never split, about 40*N + 16*M bytes.
 """

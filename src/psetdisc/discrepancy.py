@@ -14,27 +14,28 @@ rational (A*M^s - N*volnum) / (N*M^s) and the scan compares integers only;
 no floating point enters the maximization.
 
 Each coordinate is replaced by its index on its axis's grid.  A count table
-over a lattice of grid indices holds the closed and open counts of all its
-corners (the points binned at their next lattice index, summed along every
-axis), so one table scores its corners exactly.  The scan is a branch-and-bound
-over boxes [lo, hi] of corners: with C(hi) the points of index <= hi on every
-axis and C_open(lo) those < lo, every closed value in the box is at most
+of the whole grid holds the closed and open counts of all its corners (the
+points binned at their index, summed along every axis), so a grid that fits
+one table is scored by it before any box is set up; count tables read whole
+grids only.  A larger grid is scanned by a branch-and-bound over boxes
+[lo, hi] of corners: with C(hi) the points of index <= hi on every axis and
+C_open(lo) those < lo, every closed value in the box is at most
 C(hi)*M^s - N*vol(lo), every open one at most N*vol(hi) - C_open(lo)*M^s, and
 the same counts are the exact closed value at hi and open value at lo.  A box
 is cut at q_j + 1 levels on each axis j, and its part a holds the indices
 from level a_j to level a_j + 1, less one, on every axis, so the parts form a
-lattice: the bitset columns of the levels, ANDed as an outer product over the
-axes and popcounted, count every part's closed and open corner at once, and
-the same outer product of the levels' grid values gives their volumes (past
-_HALVED_AXES a box is halved on its widest axis, and its two parts' corners
-are counted one by one).  A part whose bound is below the best value L found
-so far is dropped; only the kept parts, and a batch's best corners, are
-formed as (lo, hi) rows.  Boxes lie one row per axis, and a batch's boxes are
-the last, contiguous axis of every lattice, so each cut, count and prune runs
-along a batch.  Count tables read a grid that fits one table, before any box
-is set up, and a batch of boxes whose spans fit one.  A box holding a best
-corner has a bound >= D* >= L, so it is never dropped (ties are kept), and the
-least (corner, side) key wins, closed before open: the witness is the
+lattice: a part's closed count is at its upper levels and its open count at
+its lower ones, so the bitset columns of the upper levels, ANDed as an outer
+product over the axes and popcounted, count every part's closed corner at
+once, those of the lower levels every open corner, and the same outer
+products of the levels' grid values give their volumes (past _HALVED_AXES a
+box is halved on its widest axis, q_j = 1 and a part a box).  A part whose
+bound is below the best value L found so far is dropped; only the kept
+parts, and a batch's best corners, are formed as (lo, hi) rows.  Boxes lie
+one row per axis, and a batch's boxes are the last, contiguous axis of every
+lattice, so each cut, count and prune runs along a batch.  A box holding a
+best corner has a bound >= D* >= L, so it is never dropped (ties are kept),
+and the least (corner, side) key wins, closed before open: the witness is the
 lexicographically first best corner in any order of visits.
 The arithmetic runs in int64 when N*M^s < 2^62 and on dtype=object arrays of
 Python integers otherwise, on the same lines.
@@ -80,7 +81,7 @@ class DiscrepancyResult:
     exact: Fraction
     witness: tuple[Fraction, ...]
     side: str  # "closed" | "open"
-    corners_scanned: int
+    corners_scanned: int  # the grid's prod_j (|C_j| + 1), charged to max_corners, not read
 
 
 @dataclass(frozen=True)
@@ -173,7 +174,7 @@ def _scan(n_pts, axes, ms):
     sizes = [len(v) for v in vals]
     ranks = [r for _, r in axes]
     if math.prod(sizes) <= limit:  # every corner in one table, before any box is set up
-        return _best(_table(ranks, [np.arange(n) for n in sizes], vals, n_pts, ms))
+        return _best(_table(ranks, vals, n_pts, ms))
     parts = max(1, config.WORK_BYTES // 256)  # parts scored at once
     batch = max(1, parts >> s if s <= _HALVED_AXES else parts // 2)
     count_below = _bit_counter(ranks, [n + 1 for n in sizes])  # hi + 1 is a level
@@ -186,13 +187,6 @@ def _scan(n_pts, axes, ms):
         if boxes.shape[2] > batch:
             stack.append(boxes[:, :, :-batch])
         lo, hi = boxes[:, :, -batch:]
-        spans = [np.flatnonzero(np.cumsum(np.bincount(lo[j], minlength=n + 1)
-                                          - np.bincount(hi[j] + 1, minlength=n + 1)))
-                 for j, n in enumerate(sizes)]
-        if math.prod(len(c) for c in spans) <= limit:  # one table reads every corner
-            top, at, side = _best(_table(ranks, spans, vals, n_pts, ms))
-            best = min(best, (top, tuple(int(c[k]) for c, k in zip(spans, at)), side))
-            continue
         # cut every box into q parts on each axis: 2, or for a lone box (the
         # whole grid) as many as a batch holds
         width = hi - lo + 1
@@ -208,13 +202,12 @@ def _scan(n_pts, axes, ms):
             hi[a, r] = lo[a, r] + width[a, r] // 2 - 1
             lo[a, r + len(r)] = hi[a, r] + 1
             cuts = np.stack((lo, hi + 1), axis=1)
-            count = count_below(cuts[:, ::-1].reshape(s, 1, -1))
-            closed, opened = np.split(count, 2, axis=-1)  # the counts at hi + 1 and at lo
-        else:  # the levels' counts: a part's closed count is at level a + 1, its open at a
+        else:
             q = np.minimum(k, width.max(axis=1)).tolist()
             cuts = [l + np.arange(n + 1)[:, None] * w // n for l, w, n in zip(lo, width, q)]
-            count = count_below(cuts)
-            closed, opened = count[(slice(1, None),) * s], count[(slice(-1),) * s]
+        # a part's closed count is at its upper levels, its open count at its lower
+        closed = count_below([c[1:] for c in cuts])
+        opened = count_below([c[:-1] for c in cuts])
         size = [c[1:] - c[:-1] for c in cuts]  # the parts' widths
         vol_lo = n_pts * _outer(np.multiply, [v[c[:-1]] for v, c in zip(vals, cuts)])
         vol_hi = n_pts * _outer(np.multiply, [v[c[1:] - 1] for v, c in zip(vals, cuts)])
@@ -243,21 +236,17 @@ def _ends(cuts, at, end):
     return np.array([c[a + end, at[-1]] for c, a in zip(cuts, at)]) - end
 
 
-def _table(ranks, cuts, vals, n_pts, ms):
-    """The count table on the cuts' lattice: at each corner the closed (row 0)
-    and the negated open (row 1) numerator over N*M^s."""
-    shape = (2,) + tuple(len(c) for c in cuts)
+def _table(ranks, vals, n_pts, ms):
+    """The count table of the whole grid of values vals: at each corner the
+    closed (row 0) and the negated open (row 1) numerator over N*M^s."""
+    shape = (2,) + tuple(len(v) for v in vals)
     # Row 0 of keys names the branch: a corner's closed count holds the points
     # of index <= it on every axis, its open count those of index + 1 <= it.
     keys = np.concatenate(([np.zeros(n_pts, dtype=np.int64)], ranks))
-    at = keys = np.concatenate((keys, keys + 1), axis=1)
-    if any(c[-1] >= len(c) for c in cuts):  # cuts 0, 1, ..., k - 1 need no search
-        at = np.array([keys[0]] + [np.searchsorted(c, r) for c, r in zip(cuts, keys[1:])])
-    if any(c[-1] < len(v) - 1 for c, v in zip(cuts, vals)):  # points past the last cut
-        at = at[:, np.all(at < np.array(shape)[:, None], axis=0)]
-    value = _lattice_counts(at, shape).astype(vals[0].dtype, copy=False)
+    keys = np.concatenate((keys, keys + 1), axis=1)
+    value = _lattice_counts(keys, shape).astype(vals[0].dtype, copy=False)
     value *= ms
-    value -= functools.reduce(np.multiply.outer, [v[c] for v, c in zip(vals, cuts)], n_pts)
+    value -= functools.reduce(np.multiply.outer, vals, n_pts)
     return value
 
 
@@ -296,7 +285,9 @@ def _outer(op, factors):
 def _bit_counter(ranks, levels):
     """count(cuts): for s arrays cuts[j] of shape (r_j, k), the (r_0, ..., r_{s-1}, k)
     lattice whose cell (a_0, ..., a_{s-1}, i) counts the points of rank below
-    cuts[j][a_j, i] < levels[j] on every axis j; explicit corners are r_j = 1.
+    cuts[j][a_j, i] < levels[j] on every axis j.  The exact scan passes a batch
+    of boxes' upper levels, then their lower ones, (q_j, k) per axis, or (1, k)
+    for its halved boxes; the sampled bound explicit corners, (1, k) per axis.
     Per-axis uint64-packed bitsets, word-major (column l the points of rank < l),
     give each level's column once, and the columns' outer AND over the axes is
     popcounted, in 4*config.WORK_BYTES: blocks of points whose masks fit,
@@ -458,8 +449,7 @@ def weighted_star_discrepancy_exact(
     corners = itertools.accumulate((len(axis(j)[0]) for j in range(1, s + 1)), operator.mul)
     if subsets and all(c <= min(limit, caps.max_corners) for c in corners):
         grids, ranks = zip(*map(axis, range(1, s + 1)))
-        table = _table(ranks, [np.arange(len(g)) for g in grids],
-                       [g.astype(dtype, copy=False) for g in grids], ps.n, ps.modulus ** s)
+        table = _table(ranks, [g.astype(dtype, copy=False) for g in grids], ps.n, ps.modulus ** s)
     # best is (value, -enumeration index): the first maximum wins, and a value
     # of 0 does not beat the start (0.0, 1)
     best, best_u, wit, side = (0.0, 1), (), {}, "closed"
