@@ -19,10 +19,12 @@ bound's batches of B/64 corners, its bucket index of B/8 bytes and, on its
 Python-integer path, a flag per corner while the grid has at most B corners
 (B); the bitset counter of both, 4*B: its bitsets, and the outer ANDs over the
 axes of a lattice of levels (the scan's parts' corners, or the sampled bound's
-explicit corners); a phase sweep's axis tables, each kept while its M*N phases,
-int16 to M = 2^15, fit B.
+explicit corners); a phase sweep's axis tables, each kept while its M*G phases
+over G generators, int16 to M = 2^15, fit B, and its root table of lattice
+runs, 16*d*M*M bytes, kept while it fits B.
 What does not shrink with B: the point set, its ranks and the power tables,
-and one slab row, never split, about 40*N + 16*M bytes.
+one slab row, never split, about 40*N + 16*M bytes, and the exact scan's
+floor of 16 boxes a batch, 16*2^min(s, 6) parts of 256 bytes, 256 KiB at most.
 """
 from __future__ import annotations
 

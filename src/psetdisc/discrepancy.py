@@ -176,7 +176,7 @@ def _scan(n_pts, axes, ms):
     if math.prod(sizes) <= limit:  # every corner in one table, before any box is set up
         return _best(_table(ranks, vals, n_pts, ms))
     parts = max(1, config.WORK_BYTES // 256)  # parts scored at once
-    batch = max(1, parts >> s if s <= _HALVED_AXES else parts // 2)
+    batch = max(16, parts >> s if s <= _HALVED_AXES else parts // 2)  # 32+ at the default B
     count_below = _bit_counter(ranks, [n + 1 for n in sizes])  # hi + 1 is a level
     best = (1, (), 0)
     stack = [np.array([[0] * s, [n - 1 for n in sizes]])[:, :, None]]

@@ -50,16 +50,24 @@ One kernel, _PhaseSums, serves the rhs and the lemma 3 and 5 sweeps
 one chunk it answers three ways.  sums.sums(heads) gives the (k, M) sums of
 the chunk's slabs directly, sums.screen(heads) their magnitudes by one
 length-M FFT per head, and sums.values(head, at) the direct magnitudes at
-chosen flat positions of the chunk's slabs.  Axis j has a table T_j whose
-rows c*y_j mod M run over c in C(M) order.  A head's phase row is
-T_0[h_0] + ... + T_{d-2}[h_{d-2}] (the last entry is 0, its row all zeros),
-and a slab adds each row of T_{d-1} to it.  The phases need no matmul and no
-modulo: they stay below d*M and index the roots of unity tiled d times.
-Each row gets the same numpy pairwise row sum of roots[h.y mod M], so every
-direct magnitude is bit-identical to the h @ y.T % M formula.  The screen
-bins each head's roots by the points' last column, with bins built at the
-first screen only.  An FFT adds the N terms of each S(h) in another order
-than the pairwise row sum, so its magnitudes move in their last bits;
+chosen flat positions of the chunk's slabs.  It reads the points as
+generators times multipliers.  While the rows are lattice runs, M rows
+k*v mod M (k = 0, ..., M-1) of a generator v each (R's p runs; P and Q at
+s = 1 are one), and w[x, k] = e(x*k/M), x < d*M, fits B, the N/M
+generators stand for the points; else each row is a generator of
+multiplier 1, and w is the roots tiled d times as one column.  Axis j has a
+table T_j whose rows c*v_j mod M run over c in C(M) order.  A head's phase
+row is T_0[h_0] + ... + T_{d-2}[h_{d-2}] (the last entry is 0, its row all
+zeros), and a slab adds each row of T_{d-1} to it.  The phases need no
+matmul and no modulo: they stay below d*M, int16 while d*M < 2^15 (int32
+below 2^31), and a generator's phase x gathers row x of w.  Those rows, end
+to end, are the N roots roots[h.y mod M] in point order, since
+h.(k*v) = k*(h.v) mod M and w indexes _roots(arange(M), M), no exp called.
+Each gets numpy's pairwise row sum of the same floats in the same order, so
+every direct magnitude is bit-identical to the h @ y.T % M formula.  The
+screen bins each head's roots by the points' last column, with bins built
+at the first screen only.  An FFT adds the N terms of each S(h) in another
+order than the pairwise row sum, so its magnitudes move in their last bits;
 _screen_eps bounds how far.  The rhs sums every magnitude, so it stays
 direct: an FFT would move its last printed digit.
 
@@ -75,8 +83,9 @@ depend on the memory budget.
 Memory follows config.WORK_BYTES, B.  A chunk holds _chunk_heads heads.
 sums gathers k' heads by t last-axis rows, 16*k'*t*N bytes within B/2 (one
 row when B holds fewer than two), so a longer slab is split along its last
-axis.  An axis keeps its int16 table of M*N phases (int32, int64 past M = 2^15,
-2^31) while its bytes fit B, else its column; _rows forms the same c*y_j mod M.
+axis.  An axis keeps its int16 table of M*G phases, G generators (int32,
+int64 past M = 2^15, 2^31), while its bytes fit B, else its column; _rows
+forms the same c*v_j mod M.  w takes 16*d*M*K bytes, K multipliers.
 
 Lemma 6 sums no phases.  _root_counts(heads, p) gives, for each head and each
 last entry c of C(p), the number of roots a < p of the coefficient polynomial
@@ -242,41 +251,51 @@ class _PhaseSums:
         n, d = points.shape
         self.m, self.n = m, n
         self.off = (m - 1) // 2  # C(M) position of c = 0
-        self.roots = np.tile(_roots(np.arange(m), m), d)
+        k = np.arange(m)  # multipliers: a lattice run's, or 1 alone
+        runs = n % m == 0 and 16 * d * m * m <= config.WORK_BYTES and (
+            points.reshape(-1, m, d) == k[:, None] * points[1::m, None] % m).all()
+        gens, k = (points[1::m], k) if runs else (points, k[1:2])
+        self.w = _roots(np.arange(m), m)[np.multiply.outer(np.arange(d * m), k) % m]
         self.step = max(1, config.WORK_BYTES // (16 * n))  # rows per complex gather
-        self.tables = list(points.T)  # each axis's column, or its table while that fits B
+        self.tables = list(gens.T)  # each axis's column, or its table while that fits B
         cell = np.dtype(np.int16 if m <= 2**15 else np.int32 if m <= 2**31 else np.int64)
-        if cell.itemsize * m * n <= config.WORK_BYTES:
-            for a, y in enumerate(points.T):  # in C(M) order: row i holds (i - off)*y mod M
-                t = self.tables[a] = np.empty((m, n), dtype=cell)
+        if cell.itemsize * m * len(gens) <= config.WORK_BYTES:
+            for a, y in enumerate(gens.T):  # in C(M) order: row i holds (i - off)*y mod M
+                t = self.tables[a] = np.empty((m, len(gens)), dtype=cell)
                 for i in range(0, m, self.step):  # formed B/2 bytes of int64 at a time
                     t[i:i + self.step] = self._rows(y, np.arange(i, min(i + self.step, m)))
+        self.phase_type = np.int16 if d * m < 2**15 else np.int32 if d * m < 2**31 else np.int64
         self.last = points[:, -1]
 
     def _rows(self, t, c):
-        """(len(c), n) phases c*y mod M of one axis at C(M) positions c."""
-        if t.ndim == 2:  # widened once here, not in every sum it enters
-            return t[c].astype(np.int64)
+        """(len(c), G) phases c*y mod M of one axis's generators at C(M)
+        positions c: a table's rows as stored, a column's formed in int64."""
+        if t.ndim == 2:
+            return t[c]
         out = (c - self.off)[:, None] * t
         out %= self.m
         return out
 
+    def _gather(self, phase: np.ndarray) -> np.ndarray:
+        """(..., N) roots of the points at (..., G) generator phases: w's rows."""
+        return np.take(self.w, phase, axis=0).reshape(phase.shape[:-1] + (self.n,))
+
     def head(self, heads: np.ndarray) -> np.ndarray:
-        """(k, n) phases of heads, (k, d) vectors with last entry 0, below M
+        """(k, G) phases of heads, (k, d) vectors with last entry 0, below M
         per axis."""
-        out = np.zeros((len(heads), self.n), dtype=np.int64)
+        out = np.zeros((len(heads), self.tables[0].shape[-1]), dtype=self.phase_type)
         for t, c in zip(self.tables, heads[:, :-1].T + self.off):
             out += self._rows(t, c)
         return out
 
     def values(self, head: np.ndarray, at: np.ndarray) -> np.ndarray:
         """|S| at the flat positions at of a chunk's (k, M) slabs, from the
-        chunk's (k, n) head phases plus the last axis's rows, step at a time."""
+        chunk's (k, G) head phases plus the last axis's rows, step at a time."""
         out = np.empty(len(at))
         for i in range(0, len(at), self.step):
             j = at[i:i + self.step]
             phase = head[j // self.m] + self._rows(self.tables[-1], j % self.m)
-            out[i:i + self.step] = np.abs(np.take(self.roots, phase).sum(axis=-1))
+            out[i:i + self.step] = np.abs(self._gather(phase).sum(axis=-1))
         return out
 
     def sums(self, heads: np.ndarray) -> np.ndarray:
@@ -290,8 +309,7 @@ class _PhaseSums:
         for c0 in range(0, m, t):
             last = self._rows(self.tables[-1], np.arange(c0, min(c0 + t, m)))
             for i in range(0, len(head), k):
-                phase = head[i:i + k, None] + last
-                out[i:i + k, c0:c0 + t] = np.take(self.roots, phase).sum(axis=-1)
+                out[i:i + k, c0:c0 + t] = self._gather(head[i:i + k, None] + last).sum(axis=-1)
         return out
 
     @cached_property
@@ -312,7 +330,7 @@ class _PhaseSums:
         order, bins, starts, read = self._bins
         head = self.head(heads)
         g = np.zeros((len(heads), self.m), dtype=np.complex128)
-        g[:, bins] = np.add.reduceat(np.take(self.roots, head[:, order]), starts, axis=1)
+        g[:, bins] = np.add.reduceat(self._gather(head)[:, order], starts, axis=1)
         return np.abs(np.fft.ifft(g, axis=1, norm="forward")[:, read]), head
 
 

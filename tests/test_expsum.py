@@ -600,44 +600,81 @@ def _rational_sets(draw):
     return _point_set(m, rows)  # few distinct rows: duplicates are common
 
 
-@given(_rational_sets(), st.integers(0, 2**32 - 1), st.sampled_from(_BUDGETS))
+@st.composite
+def _lattice_runs(draw, terms=10**6):
+    """Unions of rank-1 lattices, the rows k*v mod M (k < M) of each
+    generator v in turn; zero and repeated generators are common, and
+    M^d * N stays near terms at most."""
+    d = draw(st.integers(1, 4))
+    m = draw(st.integers(2, max(2, min(12, round(terms ** (1 / (d + 1)))))))
+    pool = draw(st.lists(st.lists(st.integers(0, m - 1), min_size=d, max_size=d),
+                         min_size=1, max_size=3)) + [[0] * d]
+    gens = np.array(draw(st.lists(st.sampled_from(pool), min_size=1,
+                                  max_size=max(1, min(4, terms // m ** (d + 1))))))
+    return _point_set(m, (np.arange(m)[:, None] * gens[:, None] % m).reshape(-1, d))
+
+
+def _multipliers(y, m, budget):
+    """How many multipliers _PhaseSums reads the rows y by: M while every row
+    is k*v mod M for its run's k and the run's row 1 v, and w fits, else 1."""
+    runs = len(y) % m == 0 and all(
+        np.array_equal(y[i], i % m * y[i - i % m + 1] % m) for i in range(len(y)))
+    return m if runs and 16 * y.shape[1] * m * m <= budget else 1
+
+
+# R 5/s2 with row 7 moved: not every row lies in a run
+_NEAR_RUN = _point_set(5, (generate(PSetKind.HUA_WANG_R, 5, 2).numerators
+                           + (np.arange(25) == 7)[:, None]) % 5)
+
+
+@given(st.one_of(_rational_sets(), _lattice_runs()), st.integers(0, 2**32 - 1))
+@example(_NEAR_RUN, 0)
 @settings(max_examples=60, deadline=None)
-def test_candidate_values_bit_identical_to_direct_formula(ps, seed, budget):
+def test_candidate_values_bit_identical_to_direct_formula(ps, seed):
     # sums.values on the screen's head phases at every flat position of the
     # first and last chunks of _heads and of seeded heads, from the head
-    # phases and last-axis rows
+    # phases and last-axis rows, at every budget
     m, y, d = ps.modulus, ps.numerators, ps.dim
     rng = np.random.default_rng(seed)
     drawn = rng.integers(-((m - 1) // 2), m // 2 + 1, size=(7, d))
     drawn[:, -1] = 0
-    with mock.patch.object(config, "WORK_BYTES", _budget(budget, len(y))):
-        sums = _PhaseSums(y, m)
-        chunks = list(_heads(m, d, _chunk_heads(len(y), m)))
-    for heads in [chunks[0], chunks[-1], drawn]:
-        head = sums.screen(heads)[1]
-        at = np.arange(len(heads) * m)
-        h = _slab_vectors(heads, m)
-        assert np.array_equal(sums.values(head, at), _reference_magnitudes(y, m, h))
-        some = np.sort(rng.choice(at, size=min(len(at), 5), replace=False))
-        assert np.array_equal(sums.values(head, some), _reference_magnitudes(y, m, h[some]))
+    for budget in _BUDGETS:
+        with mock.patch.object(config, "WORK_BYTES", _budget(budget, len(y))):
+            sums = _PhaseSums(y, m)
+            chunks = list(_heads(m, d, _chunk_heads(len(y), m)))
+        for heads in [chunks[0], chunks[-1], drawn]:
+            head = sums.screen(heads)[1]
+            at = np.arange(len(heads) * m)
+            h = _slab_vectors(heads, m)
+            assert np.array_equal(sums.values(head, at), _reference_magnitudes(y, m, h))
+            some = np.sort(rng.choice(at, size=min(len(at), 5), replace=False))
+            assert np.array_equal(sums.values(head, some), _reference_magnitudes(y, m, h[some]))
 
 
-@given(_rational_sets(), st.sampled_from(_BUDGETS))
-@example(_point_set(12, [[0, 3, 7, 11], [5, 5, 1, 0]]), "default")  # one chunk
-@example(_point_set(4099, [[1], [5], [4098], [5]]), "three rows")  # slab > gather
-@example(_point_set(2**15 + 3, [[1], [2**15 + 2], [12345]]), "default")  # an int32 table
+@given(st.one_of(_rational_sets(), _lattice_runs(terms=20000)))
+@example(_point_set(12, [[0, 3, 7, 11], [5, 5, 1, 0]]))  # one chunk
+@example(_point_set(4099, [[1], [5], [4098], [5]]))  # slab > gather at three rows
+@example(_point_set(2**15 + 3, [[1], [2**15 + 2], [12345]]))  # an int32 table
+@example(_NEAR_RUN)  # read as 25 generators of multiplier 1
+@example(generate(PSetKind.HUA_WANG_R, 7, 3))  # w fits at three rows and above
 @settings(max_examples=80, deadline=None)
-def test_sweep_every_block_bit_identical(ps, budget):
-    # slabs split across chunks and gathers: every chunk, not only the ends
+def test_sweep_every_block_bit_identical(ps):
+    # slabs split across chunks and gathers: every chunk, not only the ends,
+    # at every budget; lattice runs read by their generators while w fits
     m, y = ps.modulus, ps.numerators
-    with mock.patch.object(config, "WORK_BYTES", _budget(budget, len(y))):
-        sums = _PhaseSums(y, m)
-        swept = [(heads, sums.sums(heads))
-                 for heads in _heads(m, ps.dim, _chunk_heads(len(y), m))]
-    assert sum(len(heads) for heads, _ in swept) == m ** (ps.dim - 1)
-    h = _slab_vectors(np.concatenate([heads for heads, _ in swept]), m)
-    got = np.concatenate([out.ravel() for _, out in swept])
-    assert np.array_equal(np.abs(got), _reference_magnitudes(y, m, h))
+    want = None
+    for budget in _BUDGETS:
+        with mock.patch.object(config, "WORK_BYTES", _budget(budget, len(y))):
+            sums = _PhaseSums(y, m)
+            swept = [(heads, sums.sums(heads))
+                     for heads in _heads(m, ps.dim, _chunk_heads(len(y), m))]
+        assert sums.w.shape == (ps.dim * m, _multipliers(y, m, _budget(budget, len(y))))
+        assert sum(len(heads) for heads, _ in swept) == m ** (ps.dim - 1)
+        if want is None:
+            h = _slab_vectors(np.concatenate([heads for heads, _ in swept]), m)
+            want = _reference_magnitudes(y, m, h)
+        got = np.concatenate([out.ravel() for _, out in swept])
+        assert np.array_equal(np.abs(got), want)
 
 
 @pytest.mark.parametrize("m,cell", [(17, np.int16), (2**15, np.int16), (2**15 + 1, np.int32)])
@@ -777,6 +814,19 @@ def test_phase_sums_memory_follows_budget_with_every_axis_a_column(ps):
     assert peak < 2 * budget + 64 * 1024, peak
 
 
+@pytest.mark.parametrize("budget", [config.WORK_BYTES, config.WORK_BYTES // 16], ids=["B", "B/16"])
+@pytest.mark.parametrize("p,s", [(31, 3), (101, 1)], ids=["R 31/s3", "R 101/s1"])
+def test_phase_sums_memory_on_lattice_runs(p, s, budget):
+    # R's rows as lattice runs while w fits B (46 KB for R 31/s3, 163 KB for
+    # R 101/s1), else as rows of multiplier 1: within 2*B + 64 KB, or, where
+    # one slab row of N = 10,201 points is more (R 101/s1 at B/16), within the
+    # one-row floor config states
+    ps = generate(PSetKind.HUA_WANG_R, p, s)
+    got, peak = _rhs_at_budget(ps, budget)
+    assert got == niederreiter_rhs(ps)
+    assert peak < max(2 * budget, 40 * ps.n + 16 * ps.modulus) + 64 * 1024, peak
+
+
 def test_phase_sums_memory_at_a_one_row_budget():
     # below two rows a gather is one head by one row, never split: the
     # chunk's head phases, the row, its int64 phases and its complex gather,
@@ -908,10 +958,12 @@ def _rhs_point_sets(draw):
     return _point_set(m, rows)  # rows drawn from a pool: duplicates are common
 
 
-@given(_rhs_point_sets(), st.lists(st.floats(0, 1), min_size=3, max_size=3))
+@given(st.one_of(_rhs_point_sets(), _lattice_runs(terms=20000)),
+       st.lists(st.floats(0, 1), min_size=4, max_size=4))
 @example(_point_set(2, [(0, 1, 1), (0, 1, 1), (1, 0, 1)]), [1.0, 0.5, 0.25])  # M even
 @example(_point_set(7, [(3,)] * 5 + [(6,)]), [1.0, 1.0, 1.0])  # M odd, s = 1
 @example(_point_set(8, [(1,)]), [2.2250738585e-313, 0.0, 0.0])  # gamma_u * term is subnormal
+@example(_NEAR_RUN, [1.0, 0.5, 0.25])
 @settings(max_examples=60, deadline=None)
 def test_both_rhs_match_the_oracles_on_rational_multisets(ps, gammas):
     # both rhs within the stated bound of tests/oracles.py: the sum terms by
@@ -920,17 +972,22 @@ def test_both_rhs_match_the_oracles_on_rational_multisets(ps, gammas):
     # Below the normal range that relative bound is under one ulp: there
     # gamma_u * term errs by up to 2^-1075 absolute on each side (Higham
     # sec. 2.1, gradual underflow), so a subnormal value may differ by 2^-1074.
+    # Each budget reads the same rows, lattice runs by generators or not.
     m, n, s, u = ps.modulus, ps.n, ps.dim, 2.0 ** -53
     rows, w = ps.rows(), ProductWeights(gammas=tuple(gammas))
     rounding = 4 * (s + 2) * u / (1 - (s + 2) * u)
     want = naive_lemma1_rhs(rows, m)
     eps = 0.5 * _rhs_eps(n, m, s) + rounding * want
-    assert abs(niederreiter_rhs(ps) - want) <= eps
+    for budget in _BUDGETS:
+        with mock.patch.object(config, "WORK_BYTES", _budget(budget, n)):
+            assert abs(niederreiter_rhs(ps) - want) <= eps, budget
     want = naive_lemma2_rhs(rows, m, w.gamma)
     eps = max(gamma_u * _rhs_eps(n, m, len(u)) for u, gamma_u in
               [((), 0.0)] + _enumerate_subsets(s, w)) + rounding * want
     eps += 2.0 ** -1074 if want < sys.float_info.min else 0.0
-    assert abs(weighted_niederreiter_rhs(ps, w).value - want) <= eps
+    for budget in _BUDGETS:
+        with mock.patch.object(config, "WORK_BYTES", _budget(budget, n)):
+            assert abs(weighted_niederreiter_rhs(ps, w).value - want) <= eps, budget
 
 
 def _reference_weighted_rhs(ps, w):

@@ -13,7 +13,9 @@ The benchmark checks its large seeded `rational` library jobs only for
 self-consistency, so the seed-1 jobs whose grid outgrows one count table (the
 exact scan splits it into boxes) are pinned here to their recorded results.
 Each `chain` job that exits 0 has its weighted D* (the `wdisc_exact` column)
-pinned by a library call; its Lemma 2 rhs and bounds are not replayed.
+pinned by a library call, and so has each R job's Lemma 2 rhs (`lemma2_rhs`),
+whose rows the rhs reads as lattice runs; the four R `bound --thm lemma1|lemma2`
+jobs are replayed byte for byte.  No other rhs or bound of `chain` is replayed.
 """
 import functools
 import importlib.util
@@ -51,6 +53,16 @@ CHAINS = {name: job for name, job in RECORDED.items()
           if job["argv"][0] == "chain" and job["exit"] == 0}
 
 
+def _flags(job):
+    return dict(zip(job["argv"][1::2], job["argv"][2::2]))
+
+
+R_RHS = {name: job for name, job in RECORDED.items()
+         if _group(job["argv"]) in ("bound --thm lemma1", "bound --thm lemma2")
+         and _flags(job)["--kind"] == "R"}
+R_CHAINS = sorted(name for name, job in CHAINS.items() if _flags(job)["--kind"] == "R")
+
+
 def test_record_holds_the_exponential_sum_jobs():
     assert sum(job["argv"][0] == "check-weil" for job in JOBS.values()) == 5
     assert sum(job["argv"][0] == "sum" for job in JOBS.values()) == 24
@@ -63,24 +75,37 @@ def test_record_holds_every_replayed_group():
 
 def test_record_holds_the_chain_jobs():
     assert len(CHAINS) == 56
+    assert len(R_CHAINS) == 22 and len(R_RHS) == 4
+
+
+def _chain(name):
+    """A chain job's point set, its weights and its CSV row by column."""
+    job = CHAINS[name]
+    flags = _flags(job)
+    weights = parse_weights(WORKLOADS.WEIGHT_FILES[Path(flags["--weights"]).name])
+    header, row = [line.split(",") for line in job["stdout"].splitlines()
+                   if not line.startswith("#")]
+    ps = generate(PSetKind(flags["--kind"]), int(flags["--p"]), int(flags["--s"]))
+    return ps, weights, dict(zip(header, row))
 
 
 @pytest.mark.parametrize("name", sorted(CHAINS))
 def test_recorded_chain_keeps_its_weighted_dstar(name):
     # the CSV row's wdisc_exact field is repr of the weighted D* value
-    job = CHAINS[name]
-    flags = dict(zip(job["argv"][1::2], job["argv"][2::2]))
-    weights = parse_weights(WORKLOADS.WEIGHT_FILES[Path(flags["--weights"]).name])
-    header, row = [line.split(",") for line in job["stdout"].splitlines()
-                   if not line.startswith("#")]
-    ps = generate(PSetKind(flags["--kind"]), int(flags["--p"]), int(flags["--s"]))
-    res = psetdisc.weighted_star_discrepancy_exact(ps, weights)
-    assert repr(res.value) == dict(zip(header, row))["wdisc_exact"]
+    ps, weights, row = _chain(name)
+    assert repr(psetdisc.weighted_star_discrepancy_exact(ps, weights).value) == row["wdisc_exact"]
 
 
-@pytest.mark.parametrize("name", sorted(JOBS))
+@pytest.mark.parametrize("name", R_CHAINS)
+def test_recorded_r_chain_keeps_its_lemma2_rhs(name):
+    # the lemma2_rhs field is repr of the weighted rhs, here read as lattice runs
+    ps, weights, row = _chain(name)
+    assert repr(psetdisc.weighted_niederreiter_rhs(ps, weights).value) == row["lemma2_rhs"]
+
+
+@pytest.mark.parametrize("name", sorted(JOBS) + sorted(R_RHS))
 def test_recorded_job(name, capsys, monkeypatch, tmp_path):
-    job = JOBS[name]
+    job = RECORDED[name]
     monkeypatch.delenv("PSET_DISC_MAX_OPS", raising=False)
     monkeypatch.chdir(tmp_path)
     (tmp_path / WORKLOADS.WORK_DIR).mkdir(parents=True)
