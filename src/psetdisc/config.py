@@ -17,11 +17,12 @@ corners a branch (B), and the weighted scan's of the full grid, held to the
 same budget B; the exact scan's B/256 parts scored at once and the sampled
 bound's batches of B/64 corners, its bucket index of B/8 bytes and, on its
 Python-integer path, a flag per corner while the grid has at most B corners
-(B); the bitset counter of both, 4*B: its bitsets, and the outer ANDs over the
-axes of a lattice of levels (the scan's parts' corners, or the sampled bound's
-explicit corners); a phase sweep's axis tables, each kept while its M*G phases
-over G generators, int16 to M = 2^15, fit B, and its root table of lattice
-runs, 16*d*M*M bytes, kept while it fits B.
+(B); the bitset counter of both, 4*B: every level's columns of points, held
+while they fit 2*B, and in 2*B more a slice of words' outer ANDs over the axes
+of a lattice of levels (the scan's parts' corners, or the sampled bound's
+corners) and, unless held, its columns of those levels; a phase sweep's axis
+tables, each kept while its M*G phases over G generators, int16 to M = 2^15,
+fit B, and its root table of lattice runs, 16*d*M*M bytes, while it fits B.
 What does not shrink with B: the point set, its ranks and the power tables,
 one slab row, never split, about 40*N + 16*M bytes, and the exact scan's
 floor of 16 boxes a batch, 16*2^min(s, 6) parts of 256 bytes, 256 KiB at most.

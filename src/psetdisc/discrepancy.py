@@ -288,29 +288,36 @@ def _bit_counter(ranks, levels):
     cuts[j][a_j, i] < levels[j] on every axis j.  The exact scan passes a batch
     of boxes' upper levels, then their lower ones, (q_j, k) per axis, or (1, k)
     for its halved boxes; the sampled bound explicit corners, (1, k) per axis.
-    Per-axis uint64-packed bitsets, word-major (column l the points of rank < l),
-    give each level's column once, and the columns' outer AND over the axes is
-    popcounted, in 4*config.WORK_BYTES: blocks of points whose masks fit,
-    bitsets built once if all fit, words of a block whose outer ANDs fit."""
-    budget, n_pts = 4 * config.WORK_BYTES, len(ranks[0])
-    block = max(64, budget // sum(levels) // 64 * 64)  # points per bitset table
-    def build(lo):
-        return [np.pad(bits, ((0, 0), (0, -bits.shape[1] % 8))).view(np.uint64).T.copy()
-                for bits in (np.packbits(np.arange(n)[:, None] > r[lo:lo + block], axis=1)
-                             for n, r in zip(levels, ranks))]
-    tables = functools.partial(map, build, range(0, n_pts, block))
-    if sum(levels) * n_pts // 8 <= budget:
-        tables = functools.cache(lambda: list(map(build, range(0, n_pts, block))))
+    A level's column, a word-major uint64 bitset of the points of rank below it,
+    comes from one builder, and the columns' outer AND over the axes is popcounted,
+    in 4*config.WORK_BYTES: every level's columns, held while they fit 2*B, and a
+    slice of words' ANDs with, if none are held, the columns it reads, in 2*B."""
+    budget, n_pts = 2 * config.WORK_BYTES, len(ranks[0])
+    n_words = -(-n_pts // 64)
+    def columns(r, lo, hi, at):
+        """Words lo to hi of the columns of the sorted levels at, and of all points, on
+        the axis of ranks r: a point's bit is set at the first level above its rank."""
+        i = np.arange(64 * lo, min(64 * hi, n_pts))
+        cols = np.zeros((hi - lo, len(at) + 1), dtype=np.uint64)
+        np.bitwise_or.at(cols, (i // 64 - lo, np.searchsorted(at, r[i], side="right")),
+                         np.uint64(1) << (i % 64).astype(np.uint64))
+        return np.bitwise_or.accumulate(cols, axis=1, out=cols)
+    held = ([columns(r, 0, n_words, np.arange(n)) for r, n in zip(ranks, levels)]
+            if (sum(levels) + len(levels)) * n_words * 8 <= budget else None)
 
     def count(cuts):
         out = np.zeros(tuple(len(c) for c in cuts) + cuts[0].shape[-1:], dtype=np.int64)
-        # words an AND: its result, partial ANDs and popcounts fit, and their sums uint16
-        words = min(max(1, budget // (24 * out.size)), np.iinfo(np.uint16).max // 64)
-        for bits in tables():
-            for lo in range(0, len(bits[0]), words):
-                hit = _outer(np.bitwise_and, [b[lo:lo + words].take(c, axis=1)
-                                              for b, c in zip(bits, cuts)])
-                out += np.bitwise_count(hit).sum(axis=0, dtype=np.uint16)
+        cost = 24 * out.size  # bytes a word: its AND result, partial ANDs and popcounts
+        if held is None:  # and the columns of the distinct levels read, formed from
+            at, cuts = zip(*(np.unique(c, return_inverse=True) for c in cuts))
+            cost += 8 * sum(len(a) + 1 for a in at) + 64 * 40  # 64 points' int64 temporaries
+        # words a slice: their cost fits, and their popcounts' sums uint16
+        words = min(max(1, budget // cost), np.iinfo(np.uint16).max // 64)
+        for lo in range(0, n_words, words):
+            cols = ([b[lo:lo + words] for b in held] if held is not None else
+                    [columns(r, lo, min(lo + words, n_words), a) for r, a in zip(ranks, at)])
+            hit = _outer(np.bitwise_and, [b.take(c, axis=1) for b, c in zip(cols, cuts)])
+            out += np.bitwise_count(hit).sum(axis=0, dtype=np.uint16)
         return out
     return count
 
@@ -353,11 +360,11 @@ def star_discrepancy_sampled_lb(ps: RationalPointSet, trials: int,
     these corner values, or 0, so it is at most D*.  The boxes are floats, so
     a modulus above the largest float (sys.float_info.max) raises ValueError.
 
-    Cost: a box snaps through a bucket index, binary-searched only when its
-    bucket holds a grid value, and a batch of corners is counted by one bitset
-    AND and popcount per axis.  Past N*M^s = 2^62 the scores are Python
-    integers, and a distinct corner is scored once, or once a batch on a grid
-    of more than config.WORK_BYTES corners.
+    Cost: batches of B/64 corners (B = config.WORK_BYTES; fewer on dtype=object),
+    each box snapped through a bucket index, binary-searched only when its bucket
+    holds a grid value, and counted by one bitset AND and popcount per axis.
+    Past N*M^s = 2^62 the scores are Python integers, and a distinct corner is
+    scored once, or once a batch on a grid of more than B corners.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -374,10 +381,8 @@ def star_discrepancy_sampled_lb(ps: RationalPointSet, trials: int,
     dtype = _scores(n_pts * ms)[0]
     vals = [g.astype(dtype, copy=False) for g in grids]
     dims = [len(g) for g in grids]
-    # Corners per batch: a 64th of the budget (an 8th in each int64 array), or
-    # 8*sum(dims)/s, whose ANDs of s/8 bytes a point pay for a block's bitsets.
-    batch = max(config.WORK_BYTES // 64, 8 * sum(dims) // s)
-    batch = max(1, batch * 8 // _item_bytes(dtype, n_pts * ms))  # fewer on dtype=object
+    # Corners per batch: a 64th of the budget (an 8th in each int64 array), fewer on dtype=object
+    batch = max(1, config.WORK_BYTES // 64 * 8 // _item_bytes(dtype, n_pts * ms))
     # Python-integer scores cost more than a sort: score each rank vector once,
     # over all batches while a flag a corner fits the budget
     n_corners, seen = math.prod(dims), None

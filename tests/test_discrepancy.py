@@ -289,28 +289,33 @@ def test_tie_heavy_sets_have_several_best_corners():
 
 
 def test_split_scan_over_bitset_blocks_matches_oracle():
-    # 150 points and a 64-byte bitset budget: the fallback counts run over
-    # blocks of 64 points, rebuilt at each call, one word at a time
+    # 150 points and a 16-byte budget: no columns are held, so each count forms
+    # the columns of the levels it reads, one word of 64 points at a time
     ps = _point_set(12, np.random.default_rng(3).integers(0, 12, size=(150, 2)))
     with mock.patch.object(config, "WORK_BYTES", 16):
         assert _result_triple(ps) == naive_dstar_witness(ps.rows(), ps.modulus)
 
 
 @given(st.integers(1, 6), st.integers(1, 150), st.integers(1, 4), st.integers(1, 90),
-       st.integers(0, 2**32 - 1))
-@example(1, 150, 4, 8, 4)  # at 256, blocks of 128 points that one-word ANDs split
-@example(3, 150, 1, 90, 1)  # explicit corners, as an (s, 1, k) array
+       st.integers(0, 2**32 - 1), st.sampled_from((12, 2000)))
+@example(1, 150, 4, 8, 4, 12)  # at 256, held columns whose ANDs take a word a slice
+@example(3, 150, 1, 90, 1, 12)  # explicit corners, as an (s, 1, k) array
+@example(2, 150, 1, 4, 0, 2000)  # at half the held bytes, all three words form in one slice
 @settings(max_examples=30, deadline=None)
-def test_bit_counter_matches_brute_force(s, n_pts, most, n_cols, seed):
+def test_bit_counter_matches_brute_force(s, n_pts, most, n_cols, seed, top):
     # per axis and box 1 to `most` levels, sorted and with repeats (the scan's
-    # empty parts), or at most = 1 explicit corners; budgets of 64-point
-    # blocks, rebuilt at every call once the points outgrow the budget, and of
-    # one word an AND (16, 48); of blocks that one AND's words split (256); of
-    # bitsets built once (the default); the levels come as contiguous rows, a
-    # strided view and a column slice, as the exact scan and the sampled bound
-    # pass them
+    # empty parts), or at most = 1 explicit corners, on axes of up to 11 or
+    # 1,999 levels.  The budgets reach both ways to the columns: at 16 and 48
+    # bytes none are held, and each count forms the columns of the levels it
+    # reads, a word of points a slice; at 256 and 1,024 the columns are held
+    # while they fit 2*B, and a large enough lattice splits their ANDs into
+    # slices of words; at half the held columns' bytes a count forms its
+    # columns, all words in one slice while it reads few levels; at the default
+    # they are held, all words in one slice.  The levels come as contiguous
+    # rows, a strided view and a column slice, as the exact scan and the
+    # sampled bound pass them
     rng = np.random.default_rng(seed)
-    levels = rng.integers(1, 12, size=s).tolist()
+    levels = rng.integers(1, top, size=s).tolist()
     ranks = np.array([rng.integers(0, n, size=n_pts) for n in levels])
     r = rng.integers(1, most + 1, size=s).tolist()
     k = max(1, min(n_cols, 512 // math.prod(r)))  # boxes
@@ -324,7 +329,8 @@ def test_bit_counter_matches_brute_force(s, n_pts, most, n_cols, seed):
     strided = [np.repeat(c, 2, axis=1)[:, ::2] for c in cuts]
     sliced = [np.concatenate((c, c), axis=1)[:, k // 2:k // 2 + k] for c in cuts]
     sliced_want = np.concatenate((want, want), axis=-1)[..., k // 2:k // 2 + k]
-    for budget in (16, 48, 256, config.WORK_BYTES):
+    half_held = sum(levels) * -(-n_pts // 64) * 2  # 2*B: about half the held columns' words
+    for budget in (16, 48, 256, 1024, half_held, config.WORK_BYTES):
         with mock.patch.object(config, "WORK_BYTES", budget):
             count = discrepancy._bit_counter(ranks, levels)
             for at, expect in ((cuts, want), (strided, want), (sliced, sliced_want)):
@@ -425,9 +431,9 @@ def test_exact_scan_memory_holds_tables_and_batches_to_budget():
 
 
 def test_exact_scan_memory_holds_many_points_to_budget():
-    # 2,209 points on a 2,210 x 1,083 grid: the bitsets come in several blocks
-    # of points, and the first box is cut into a lattice of up to B/256 parts,
-    # whose outer ANDs are held to the counter's budget a block of words at a time
+    # 2,209 points on a 2,210 x 1,083 grid: the columns of its 3,295 levels, 0.9 MB,
+    # are held, and the first box is cut into a lattice of up to B/256 parts,
+    # whose outer ANDs are held to the counter's budget a slice of words at a time
     ps = generate(PSetKind.KOROBOV_Q, 47, 2)
     tracemalloc.start()
     try:
@@ -437,6 +443,37 @@ def test_exact_scan_memory_holds_many_points_to_budget():
         tracemalloc.stop()
     assert (res.exact, res.side) == (Fraction(121523, 4879681), "closed")
     assert peak <= 4 * 2**20
+
+
+# Sets whose columns of every level take more than 2*B (2.6 and 4.0 MB), so each
+# count forms the columns it reads: the exact key, and the sampled bound at
+# 2*10^4 boxes, whose values do not depend on how its boxes are batched
+FORMED = {"Q 61/s2": (generate(PSetKind.KOROBOV_Q, 61, 2), Fraction(241887, 13845841),
+                      (3720, 22), "closed", 0.016672660042824413),
+          "P 4001/s2": (generate(PSetKind.KOROBOV_P, 4001, 2), Fraction(207766, 16008001),
+                        (3947, 2969), "open", 0.012691840786366768)}
+
+
+@pytest.mark.parametrize("name", FORMED)
+@pytest.mark.parametrize("entry", ["exact", "sampled"])
+def test_formed_columns_memory_holds_to_budget(name, entry):
+    # the counter's 4*B and the scan's or the sampled bound's own arrays, past
+    # the point set and its ranks, about 40 bytes a point
+    ps, exact, witness, side, lb = FORMED[name]
+    def run(ps):
+        if entry == "exact":
+            return _result_triple(ps)
+        return star_discrepancy_sampled_lb(ps, trials=2 * 10**4, seed=0)
+    run(_point_set(5, [(1, 2), (3, 4)]))  # numpy's lazy imports come before the trace
+    tracemalloc.start()
+    try:
+        got = run(ps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = (exact, tuple(Fraction(c, ps.modulus) for c in witness), side) if entry == "exact" else lb
+    assert got == want
+    assert peak <= 4 * config.WORK_BYTES + 40 * ps.n
 
 
 @given(small_point_sets())
