@@ -10,8 +10,8 @@ where A_closed counts points with x_j <= y_j in every coordinate and A_open
 counts x_j < y_j strictly (the closed branch is the one-sided limit of the
 local discrepancy as boxes shrink to y from above).  Coordinates are integer
 numerators over the common modulus M, so every corner value is the exact
-rational (A*M^s - N*volnum) / (N*M^s) and the scan compares integers only;
-no floating point enters the maximization.
+rational (A*M^s - N*volnum) / (N*M^s), and integer comparisons decide the
+value, the witness and the side.
 
 Each coordinate is replaced by its index on its axis's grid.  A count table
 of the whole grid holds the closed and open counts of all its corners (the
@@ -37,8 +37,10 @@ lattice, so each cut, count and prune runs along a batch.  A box holding a
 best corner has a bound >= D* >= L, so it is never dropped (ties are kept),
 and the least (corner, side) key wins, closed before open: the witness is the
 lexicographically first best corner in any order of visits.
-The arithmetic runs in int64 when N*M^s < 2^62 and on dtype=object arrays of
-Python integers otherwise, on the same lines.
+The arithmetic runs in int64 when N*M^s < 2^62.  Past it float64 scores,
+within a stated error bound (_float_err), screen the parts, and only the
+corners near a batch's float top are scored in Python integers, which decide
+the key (_float_screen).  Count tables hold exact integers either way.
 
 The weighted star discrepancy max_u gamma_u D*(P_u) reads the positive-weight
 subsets in descending gamma_u and stops at the first gamma_u below the best
@@ -167,7 +169,9 @@ def _projected(ps, axis, u, caps, table=None):
 
 def _scan(n_pts, axes, ms):
     """The best corner's key on the axes' (grid, ranks): (-numerator over
-    N*M^s, indices, 0 closed or 1 open)."""
+    N*M^s, indices, 0 closed or 1 open).  The scores are int64 while
+    N*M^s < 2^62; past it floats screen the parts and Python integers decide
+    the key (_float_screen)."""
     s = len(axes)
     dtype, limit = _scores(n_pts * ms)
     vals = [g.astype(dtype, copy=False) for g, _ in axes]
@@ -178,6 +182,7 @@ def _scan(n_pts, axes, ms):
     parts = max(1, config.WORK_BYTES // 256)  # parts scored at once
     batch = max(16, parts >> s if s <= _HALVED_AXES else parts // 2)  # 32+ at the default B
     count_below = _bit_counter(ranks, [n + 1 for n in sizes])  # hi + 1 is a level
+    screen = _float_screen(n_pts, vals, ms) if dtype is object else None
     best = (1, (), 0)
     stack = [np.array([[0] * s, [n - 1 for n in sizes]])[:, :, None]]
     while stack:  # boxes (lo, hi), each an (s, k) array: a row an axis, a column a box
@@ -209,25 +214,94 @@ def _scan(n_pts, axes, ms):
         closed = count_below([c[1:] for c in cuts])
         opened = count_below([c[:-1] for c in cuts])
         size = [c[1:] - c[:-1] for c in cuts]  # the parts' widths
-        vol_lo = n_pts * _outer(np.multiply, [v[c[:-1]] for v, c in zip(vals, cuts)])
-        vol_hi = n_pts * _outer(np.multiply, [v[c[1:] - 1] for v, c in zip(vals, cuts)])
-        closed = closed.astype(dtype, copy=False) * ms - vol_hi
-        opened = vol_lo - opened.astype(dtype, copy=False) * ms
         keep = _outer(np.logical_or, [w > 1 for w in size])  # a part of one corner is done
+        empty = None
         if not all(w.all() for w in size):  # where width < q: empty parts, below every corner
             empty = ~_outer(np.logical_and, [w > 0 for w in size])
-            closed[empty] = opened[empty] = -n_pts * ms
             keep &= ~empty
-        top = int(max(closed.max(), opened.max()))
-        if -top <= best[0]:  # the batch's best corners tie or beat the best: the least key
-            best = min(best, (-top, *min(
-                (tuple(row), side) for side, v in enumerate((closed, opened))
-                for row in _ends(cuts, np.nonzero(v == top), 1 - side).T.tolist())))
-        keep &= np.maximum(closed, opened) + (vol_hi - vol_lo) >= -best[0]
+        if screen is not None:  # Python-integer scores: floats screen, integers decide
+            best, bound = screen(cuts, closed, opened, empty, best)
+            keep &= bound
+        else:
+            vol_lo = n_pts * _outer(np.multiply, [v[c[:-1]] for v, c in zip(vals, cuts)])
+            vol_hi = n_pts * _outer(np.multiply, [v[c[1:] - 1] for v, c in zip(vals, cuts)])
+            closed = closed * ms - vol_hi
+            opened = vol_lo - opened * ms
+            if empty is not None:
+                closed[empty] = opened[empty] = -n_pts * ms
+            top = int(max(closed.max(), opened.max()))
+            if -top <= best[0]:  # the batch's best corners tie or beat the best: the least key
+                best = min(best, (-top, *min(
+                    (tuple(row), side) for side, v in enumerate((closed, opened))
+                    for row in _ends(cuts, np.nonzero(v == top), 1 - side).T.tolist())))
+            keep &= np.maximum(closed, opened) + (vol_hi - vol_lo) >= -best[0]
         if keep.any():
             at = np.nonzero(keep)
             stack.append(np.array((_ends(cuts, at, 0), _ends(cuts, at, 1))))
     return best
+
+
+def _float_err(n_pts, s):
+    """A bound, in units of M^s, on a float score's error in _float_screen plus
+    the rounding of the best value L it is compared with, fl(L/M^s).
+
+    A float score is c - N*q_1*...*q_s or its negation, c <= N an exact count,
+    q_j = fl(g_j/M) <= 1 by Python's correctly rounded integer division (no
+    modulus overflows a float), N < 2^53 exact; a part's bound has the same
+    form.  In the standard model with gradual underflow (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 2.2 and 3.1) an operation gives
+    (x op y)(1 + d) + e, |d| <= u = 2^-53, |e| <= 2^-1075 < t = 2^-1074, and
+    e = 0 for a sum or difference.  With gamma_k = k*u/(1 - k*u):
+
+    * N*q_1*...*q_s, 2s roundings (s quotients, s - 1 products, one by N),
+      lies within gamma_2s*V + 2s*(1 + gamma_2s)*N*t of its exact value
+      V <= N, each e scaled by the later factors (at most N) and their 1 + d;
+    * c minus it, both in [0, N], rounds once more, by u*N at most;
+    * fl(L/M^s), |L/M^s| <= N, is one correctly rounded division: u*N + t.
+
+    The sum, about (2s + 2)*u*N, holds for every modulus; it is raised by
+    2^-20 of itself for the roundings of its own formula."""
+    u, t = 2.0 ** -53, 2.0 ** -1074
+    gamma = 2 * s * u / (1 - 2 * s * u)
+    return (gamma * n_pts + 2 * s * (1 + gamma) * n_pts * t + 2 * u * n_pts + t) * (1 + 2.0 ** -20)
+
+
+def _float_screen(n_pts, vals, ms):
+    """screen(cuts, closed, opened, empty, best) -> (best, keep) for _scan's
+    batches past N*M^s = 2^62: float64 scores in units of M^s screen the
+    parts, and Python-integer ones decide.  With err = _float_err(N, s), a part
+    whose exact bound ties or beats the best value L has a float bound of at
+    least fl(L/M^s) - err, so only parts below that are dropped.  Once a
+    batch's float top reaches that floor, every corner at its exact top has a
+    float score within 2*err of the float top; only those corners are scored
+    exactly (_exact_scores), and their least key decides, as in int64."""
+    s, m = len(vals), int(vals[0][-1])  # every grid ends at M
+    quot = [np.array([g / m for g in v.tolist()]) for v in vals]
+    err = _float_err(n_pts, s)
+
+    def screen(cuts, closed, opened, empty, best):
+        vol_lo = n_pts * _outer(np.multiply, [q[c[:-1]] for q, c in zip(quot, cuts)])
+        vol_hi = n_pts * _outer(np.multiply, [q[c[1:] - 1] for q, c in zip(quot, cuts)])
+        scores = (closed - vol_hi, vol_lo - opened)
+        if empty is not None:
+            for v in scores:
+                v[empty] = -np.inf
+        top = max(v.max() for v in scores)
+        if top >= -best[0] / ms - err:  # a corner may tie or beat the best: rescore near the top
+            for side, (v, count) in enumerate(zip(scores, (closed, opened))):
+                at = np.nonzero(v >= top - 2 * err)
+                rows = _ends(cuts, at, 1 - side)
+                best = min([best, *((-x, tuple(row), side) for x, row in zip(
+                    _exact_scores(vals, rows, count[at], n_pts, ms, side), rows.T.tolist()))])
+        return best, np.maximum(closed - vol_lo, vol_hi - opened) >= -best[0] / ms - err
+    return screen
+
+
+def _exact_scores(vals, rows, counts, n_pts, ms, side):
+    """The numerators over N*M^s of the corners at grid indices rows (s, k) with
+    these counts: count*M^s - N*vol closed (side 0), N*vol - count*M^s open."""
+    score = counts.astype(object) * ms - n_pts * math.prod(v[r] for v, r in zip(vals, rows))
+    return (-score if side else score).tolist()
 
 
 def _ends(cuts, at, end):

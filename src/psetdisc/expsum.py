@@ -397,9 +397,13 @@ def _screen(mags: np.ndarray, top: float, threshold: float, band: float):
     admissible h above the maximum before them less 2*band or within band of
     threshold, and top is the maximum through the chunk.  No other h can attain
     the maximum magnitude, be the first h attaining the maximum ratio, or lie
-    on the other side of threshold than mags says."""
-    run = np.maximum.accumulate(np.concatenate(([top], mags)))  # run[i]: max before mags[i]
-    keep = (mags > -np.inf) & ((mags > run[:-1] - 2 * band) | (np.abs(mags - threshold) <= band))
+    on the other side of threshold than mags says.  The running maximum is
+    taken over the h above top - 2*band only: no other h is kept by it, and
+    none lifts it past top."""
+    keep = np.abs(mags - threshold) <= band
+    at = np.flatnonzero(mags > top - 2 * band)  # admissible: -inf is never above
+    run = np.maximum.accumulate(np.concatenate(([top], mags[at])))  # run[i]: max before mags[at[i]]
+    keep[at] |= mags[at] > run[:-1] - 2 * band
     return keep, run[-1]
 
 
@@ -464,7 +468,7 @@ def weil_bound_check(lemma: int, p: int, s: int, caps: Caps = DEFAULT_CAPS,
         mags = mags.ravel()
         keep, top = _screen(mags, top, bound + eps, band)
         n_checked += int((mags > -np.inf).sum())
-        violations += int((mags[~keep] > bound + eps).sum())
+        violations += int(np.count_nonzero((mags > bound + eps) & ~keep))
         at = np.flatnonzero(keep)
         if not len(at):
             continue

@@ -191,6 +191,45 @@ def test_modulus_past_int64():
     ps = _point_set(2**64 + 13, [(5, 2**62), (2**63 - 1, 7), (5, 7)])
     assert _result_triple(ps) == naive_dstar_witness(ps.rows(), ps.modulus)
     assert star_discrepancy_sampled_lb(ps, 1000, 3) <= star_discrepancy_exact(ps).value
+    # past the largest float, on grids past one count table at the default
+    # budget, so the scan's float screen runs: the quotients g/M of the small g
+    # are subnormal at M = 2^1030, and every one is subnormal or 0 at
+    # 2^1100 + 7; values from 0 to 2^63 - 1, with duplicates
+    pool = [0, 1, 4, 5, 2**40, 2**62, 2**63 - 1] + [3**k for k in range(1, 40)]
+    rows = np.random.default_rng(7).choice(pool, size=(60, 2)).tolist()
+    for m in (2**1030, 2**1100 + 7):
+        ps = _point_set(m, rows)
+        assert math.prod(map(len, _grids(ps))) > discrepancy._scores(ps.n * m**2)[1]
+        assert _result_triple(ps) == naive_dstar_witness(ps.rows(), m)
+        assert weighted_star_discrepancy_exact(ps, HALVING).value == pytest.approx(
+            naive_weighted_dstar(ps.rows(), m, lambda j: 2.0**-j), abs=1e-12)
+
+
+@st.composite
+def float_score_cases(draw):
+    """(s, N, M, grid numerators g_j <= M, count c <= N, best value L over N*M^s):
+    moduli past the largest float too, and g over every magnitude, so that
+    fl(g/M) also goes subnormal or to 0."""
+    s, n = draw(st.integers(1, 8)), draw(st.integers(1, 10**6))
+    m = draw(st.one_of(st.integers(2, 2**64), st.integers(2**1020, 2**1100 + 7)))
+    g = [draw(st.integers(0, m >> draw(st.integers(0, m.bit_length())))) for _ in range(s)]
+    return s, n, m, g, draw(st.integers(0, n)), draw(st.integers(-n * m**s, n * m**s))
+
+
+@given(float_score_cases())
+@example((2, 3, 2**1100 + 7, [4, 2**62], 1, 5))  # both quotients subnormal, their product 0
+@example((3, 10**6, 2**1030, [2**1030, 2**1030 - 1, 2**10], 10**6, -10**6 * 2**3090))
+@settings(max_examples=200, deadline=None)
+def test_float_scores_lie_within_err(case):
+    # the Python-integer scan's float score c - N*prod_j fl(g_j/M), in units of
+    # M^s as _float_screen forms it, against the exact Fraction: with the
+    # rounding of fl(L/M^s), it stays within _float_err
+    s, n_pts, m, g, c, low = case
+    vol = n_pts * discrepancy._outer(np.multiply, [np.array([[x / m]]) for x in g])
+    score = (np.full(vol.shape, c) - vol).item()
+    exact = c - n_pts * math.prod(Fraction(x, m) for x in g)
+    error = abs(Fraction(score) - exact) + abs(Fraction(low / m**s) - Fraction(low, m**s))
+    assert error <= discrepancy._float_err(n_pts, s)
 
 
 # Working-set budgets whose count tables (B/16 int64 corners a branch, fewer
@@ -217,10 +256,34 @@ def test_split_scan_matches_oracles(ps):
     _assert_split_scans_match_oracles(ps)
 
 
+# moduli past the largest float: at 2^1030 the quotients g/M of the small g are
+# subnormal, at 2^1100 + 7 every one is subnormal or 0
+PAST_FLOAT = [_point_set(2**1030, [(5, 2**62), (2**63 - 1, 7), (5, 7)]),
+              _point_set(2**1100 + 7, [(0, 0, 0), (0, 4, 4), (4, 0, 4), (4, 4, 0)] * 2)]
+
+
 @given(big_modulus_point_sets())
+@example((PAST_FLOAT[0], True))
+@example((PAST_FLOAT[1], True))
 @settings(max_examples=40, deadline=None)
 def test_split_scan_matches_oracles_big_modulus(case):
     _assert_split_scans_match_oracles(case[0])
+
+
+def _scales(ps):
+    """The least and the largest K with K*(M - 1) < 2^63 and N*(K*M)^s >= 2^62:
+    ps times K has the same rational points, scored in Python integers."""
+    n, m, s = ps.n, ps.modulus, ps.dim
+    k = max(1, int((INT64_SAFE / n) ** (1 / s) / m) - 1)
+    while n * (k * m) ** s < INT64_SAFE:
+        k += 1
+    return k, (2**63 - 1) // (m - 1)
+
+
+def _scaled(ps, k=None):
+    """ps with its numerators and modulus times k, by default the least K of _scales."""
+    k = k or _scales(ps)[0]
+    return _point_set(k * ps.modulus, [[k * v for v in r] for r in ps.rows()])
 
 
 @st.composite
@@ -228,17 +291,20 @@ def tie_heavy_point_sets(draw):
     """Rows closed under every permutation of the axes and repeated, so a best
     corner off the diagonal has twins; at s = 1, midpoints, where all tie.  At
     s = 4, where a part is cut on four axes at once, M <= 5 and at most two base
-    rows (24 permutations each) keep the brute-force oracles fast."""
+    rows (24 permutations each) keep the brute-force oracles fast.  Half the
+    sets are scaled past N*M^s = 2^62, with the same ties."""
     s = draw(st.integers(1, 4))
     if s == 1:
         k = draw(st.integers(1, 6))
-        return _point_set(2 * k, [(2 * i + 1,) for i in range(k)] * draw(st.integers(1, 3)))
-    m = draw(st.integers(2, 9 if s < 4 else 5))
-    base = draw(st.lists(st.tuples(*[st.integers(0, m - 1)] * s), min_size=1,
-                         max_size=3 if s < 4 else 2))
-    rows = sorted({tuple(r[i] for i in perm) for r in base
-                   for perm in itertools.permutations(range(s))})
-    return _point_set(m, rows * draw(st.integers(1, 3)))
+        ps = _point_set(2 * k, [(2 * i + 1,) for i in range(k)] * draw(st.integers(1, 3)))
+    else:
+        m = draw(st.integers(2, 9 if s < 4 else 5))
+        base = draw(st.lists(st.tuples(*[st.integers(0, m - 1)] * s), min_size=1,
+                             max_size=3 if s < 4 else 2))
+        rows = sorted({tuple(r[i] for i in perm) for r in base
+                       for perm in itertools.permutations(range(s))})
+        ps = _point_set(m, rows * draw(st.integers(1, 3)))
+    return _scaled(ps, draw(st.integers(*_scales(ps)))) if draw(st.booleans()) else ps
 
 
 def _best_corners(ps):
@@ -265,6 +331,11 @@ TIES = [(_point_set(5, [(0, 0, 0), (0, 4, 4), (4, 0, 4), (4, 4, 0)] * 2), 12),
 @example(TIES[0][0])
 @example(TIES[1][0])
 @example(TIES[3][0])
+@example(_scaled(TIES[0][0]))  # the same ties past N*M^s = 2^62
+@example(_scaled(TIES[1][0]))
+@example(_scaled(TIES[2][0]))
+@example(_scaled(TIES[3][0]))
+@example(PAST_FLOAT[1])
 @settings(max_examples=40, deadline=None)
 def test_split_scan_matches_oracles_on_ties(ps):
     _assert_split_scans_match_oracles(ps)
@@ -274,12 +345,14 @@ def test_split_scan_matches_oracles_on_ties(ps):
     lambda s: st.lists(st.tuples(*[st.integers(0, 1)] * s), min_size=1, max_size=4)))
 @settings(max_examples=10, deadline=None)
 def test_split_scan_past_halved_axes_matches_oracle(rows):
-    # at s > _HALVED_AXES each box is cut in two on its widest axis only
+    # at s > _HALVED_AXES each box is cut in two on its widest axis only; the
+    # same points scaled past N*M^s = 2^62 have the same key
     ps = _point_set(2, rows)
     want = naive_dstar_witness(ps.rows(), ps.modulus)
     for budget in SPLIT_BUDGETS:
         with mock.patch.object(config, "WORK_BYTES", budget):
             assert _result_triple(ps) == want
+            assert _result_triple(_scaled(ps)) == want
 
 
 def test_tie_heavy_sets_have_several_best_corners():

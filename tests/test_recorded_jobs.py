@@ -167,3 +167,35 @@ def test_split_rational_job_keeps_its_result(name):
     else:
         res = func(job.ps, job.weights)
         assert (res.value, res.subset, res.witness, res.side) == (*want[:2], witness, want[-1])
+
+
+# seed-1 Python-integer jobs whose scans screen parts in floats, each with the
+# share of the screened float scores that may be rescored in Python integers
+RESCORE_FEW = [("exact s2-n300-bigint", 0.01), ("exact s3-n80-bigint", 0.01),
+               ("exact s4-n32-bigint", 0.01), ("weighted-geo s2-n300-bigint", 0.01),
+               ("weighted-general s3-n80-bigint", 0.01)]
+
+
+@pytest.mark.parametrize("name,share", RESCORE_FEW)
+def test_python_integer_scan_rescores_few_corners(name, share, monkeypatch):
+    # floats screen and integers decide: a mis-scaled error bound that rescored
+    # every corner would keep the results and lose the gain
+    counts = {"screened": 0, "rescored": 0}
+    float_screen, exact_scores = discrepancy._float_screen, discrepancy._exact_scores
+
+    def counted_screen(*args):
+        screen = float_screen(*args)
+
+        def counted(cuts, closed, opened, empty, best):
+            counts["screened"] += closed.size + opened.size
+            return screen(cuts, closed, opened, empty, best)
+        return counted
+
+    def counted_scores(vals, rows, *args):
+        counts["rescored"] += rows.shape[1]
+        return exact_scores(vals, rows, *args)
+
+    monkeypatch.setattr(discrepancy, "_float_screen", counted_screen)
+    monkeypatch.setattr(discrepancy, "_exact_scores", counted_scores)
+    test_split_rational_job_keeps_its_result(name)
+    assert 0 < counts["rescored"] < share * counts["screened"], counts
