@@ -14,14 +14,14 @@ terms (B); a phase sweep's chunk of k heads, 16*k*max(N, M) <= B, whose gather,
 sums, bins and transform take B each and lemma 6's counts B/2; the count
 tables, which read whole grids only: the exact scan's of B/(2*item bytes)
 corners a branch (B), and the weighted scan's of the full grid, held to the
-same budget B; the exact scan's B/256 parts scored at once, in int64 or,
-past N*M^s = 2^62, in float64 (Python integers only at the corners it
-rescores), and the sampled bound's batches of B/64 corners, its bucket index
-of B/8 bytes and, on its Python-integer path, a flag per corner while the
-grid has at most B corners (B); the bitset counter of both, 4*B: every level's columns of points, held
-while they fit 2*B, and in 2*B more a slice of words' outer ANDs over the axes
-of a lattice of levels (the scan's parts' corners, or the sampled bound's
-corners) and, unless held, its columns of those levels; a phase sweep's axis
+same budget B; the exact scan's B/256 parts scored at once and the sampled
+bound's batches of B/64 corners on every dtype, both scored in int64 or, past
+N*M^s = 2^62, in float64 (Python integers only at the corners they rescore),
+and the sampled bound's bucket index of B/8 bytes (B); the bitset counter of
+both, 4*B: every level's columns of points, held while they fit 2*B, and in
+2*B more a slice of words' outer ANDs over the axes of a lattice of levels
+(the scan's parts' corners, or the sampled bound's corners) and, unless
+held, its columns of those levels; a phase sweep's axis
 tables, each kept while its M*G phases over G generators, int16 to M = 2^15,
 fit B, and its root table of lattice runs, 16*d*M*M bytes, while it fits B.
 What does not shrink with B: the point set, its ranks and the power tables,

@@ -37,10 +37,12 @@ lattice, so each cut, count and prune runs along a batch.  A box holding a
 best corner has a bound >= D* >= L, so it is never dropped (ties are kept),
 and the least (corner, side) key wins, closed before open: the witness is the
 lexicographically first best corner in any order of visits.
-The arithmetic runs in int64 when N*M^s < 2^62.  Past it float64 scores,
-within a stated error bound (_float_err), screen the parts, and only the
-corners near a batch's float top are scored in Python integers, which decide
-the key (_float_screen).  Count tables hold exact integers either way.
+One scorer (_scorer) scores every batch: int64 numerators while
+N*M^s < 2^62; past it float64 scores, within a stated error bound
+(_float_err), screen the parts, and only the distinct corners near a batch's
+float top are scored in Python integers, which decide the key.  The sampled
+lower bound scores its snapped boxes and its points through the same scorer.
+Count tables hold exact integers either way.
 
 The weighted star discrepancy max_u gamma_u D*(P_u) reads the positive-weight
 subsets in descending gamma_u and stops at the first gamma_u below the best
@@ -169,9 +171,9 @@ def _projected(ps, axis, u, caps, table=None):
 
 def _scan(n_pts, axes, ms):
     """The best corner's key on the axes' (grid, ranks): (-numerator over
-    N*M^s, indices, 0 closed or 1 open).  The scores are int64 while
-    N*M^s < 2^62; past it floats screen the parts and Python integers decide
-    the key (_float_screen)."""
+    N*M^s, indices, 0 closed or 1 open).  A grid that fits one count table is
+    read from it; a larger one is cut into batches of parts, which _scorer
+    scores and prunes."""
     s = len(axes)
     dtype, limit = _scores(n_pts * ms)
     vals = [g.astype(dtype, copy=False) for g, _ in axes]
@@ -182,7 +184,7 @@ def _scan(n_pts, axes, ms):
     parts = max(1, config.WORK_BYTES // 256)  # parts scored at once
     batch = max(16, parts >> s if s <= _HALVED_AXES else parts // 2)  # 32+ at the default B
     count_below = _bit_counter(ranks, [n + 1 for n in sizes])  # hi + 1 is a level
-    screen = _float_screen(n_pts, vals, ms) if dtype is object else None
+    score = _scorer(n_pts, vals, ms)
     best = (1, (), 0)
     stack = [np.array([[0] * s, [n - 1 for n in sizes]])[:, :, None]]
     while stack:  # boxes (lo, hi), each an (s, k) array: a row an axis, a column a box
@@ -219,22 +221,7 @@ def _scan(n_pts, axes, ms):
         if not all(w.all() for w in size):  # where width < q: empty parts, below every corner
             empty = ~_outer(np.logical_and, [w > 0 for w in size])
             keep &= ~empty
-        if screen is not None:  # Python-integer scores: floats screen, integers decide
-            best, bound = screen(cuts, closed, opened, empty, best)
-            keep &= bound
-        else:
-            vol_lo = n_pts * _outer(np.multiply, [v[c[:-1]] for v, c in zip(vals, cuts)])
-            vol_hi = n_pts * _outer(np.multiply, [v[c[1:] - 1] for v, c in zip(vals, cuts)])
-            closed = closed * ms - vol_hi
-            opened = vol_lo - opened * ms
-            if empty is not None:
-                closed[empty] = opened[empty] = -n_pts * ms
-            top = int(max(closed.max(), opened.max()))
-            if -top <= best[0]:  # the batch's best corners tie or beat the best: the least key
-                best = min(best, (-top, *min(
-                    (tuple(row), side) for side, v in enumerate((closed, opened))
-                    for row in _ends(cuts, np.nonzero(v == top), 1 - side).T.tolist())))
-            keep &= np.maximum(closed, opened) + (vol_hi - vol_lo) >= -best[0]
+        best = score(cuts, closed, opened, best, empty, keep)
         if keep.any():
             at = np.nonzero(keep)
             stack.append(np.array((_ends(cuts, at, 0), _ends(cuts, at, 1))))
@@ -242,8 +229,8 @@ def _scan(n_pts, axes, ms):
 
 
 def _float_err(n_pts, s):
-    """A bound, in units of M^s, on a float score's error in _float_screen plus
-    the rounding of the best value L it is compared with, fl(L/M^s).
+    """A bound, in units of M^s, on a float score's error in _scorer plus the
+    rounding of the best value L it is compared with, fl(L/M^s).
 
     A float score is c - N*q_1*...*q_s or its negation, c <= N an exact count,
     q_j = fl(g_j/M) <= 1 by Python's correctly rounded integer division (no
@@ -266,42 +253,63 @@ def _float_err(n_pts, s):
     return (gamma * n_pts + 2 * s * (1 + gamma) * n_pts * t + 2 * u * n_pts + t) * (1 + 2.0 ** -20)
 
 
-def _float_screen(n_pts, vals, ms):
-    """screen(cuts, closed, opened, empty, best) -> (best, keep) for _scan's
-    batches past N*M^s = 2^62: float64 scores in units of M^s screen the
-    parts, and Python-integer ones decide.  With err = _float_err(N, s), a part
-    whose exact bound ties or beats the best value L has a float bound of at
-    least fl(L/M^s) - err, so only parts below that are dropped.  Once a
-    batch's float top reaches that floor, every corner at its exact top has a
-    float score within 2*err of the float top; only those corners are scored
-    exactly (_exact_scores), and their least key decides, as in int64."""
-    s, m = len(vals), int(vals[0][-1])  # every grid ends at M
-    quot = [np.array([g / m for g in v.tolist()]) for v in vals]
-    err = _float_err(n_pts, s)
+def _scorer(n_pts, vals, ms):
+    """score(cuts, closed, opened, best, empty=None, keep=None) -> best: the
+    least key of best and of the corners of a lattice of parts (cuts as in
+    _scan, closed and opened their counts, one array if the parts share them;
+    the parts at empty score none).
+    keep, if given, is cleared where a part's bound lies below the new best.
+    While N*M^s < 2^62 the scores are int64 numerators over N*M^s and err = 0;
+    past it they are float64, in units of M^s, within err = _float_err(N, s).
+    A part whose exact bound ties or beats the best value L then has a float
+    bound of at least fl(L/M^s) - err, so only parts below that are dropped.
+    Once a batch's top reaches that floor, every corner at its exact top scores
+    within 2*err of it, and those corners decide the least key: by their int64
+    scores, or by Python-integer ones (_exact_scores), each distinct corner once."""
+    if n_pts * ms < _INT64_SAFE:
+        unit, err, axes = ms, 0, vals
+    else:
+        m = int(vals[0][-1])  # every grid ends at M
+        unit, err = 1, _float_err(n_pts, len(vals))
+        axes = [np.array([g / m for g in v.tolist()]) for v in vals]
 
-    def screen(cuts, closed, opened, empty, best):
-        vol_lo = n_pts * _outer(np.multiply, [q[c[:-1]] for q, c in zip(quot, cuts)])
-        vol_hi = n_pts * _outer(np.multiply, [q[c[1:] - 1] for q, c in zip(quot, cuts)])
-        scores = (closed - vol_hi, vol_lo - opened)
+    def floor(best):
+        return -best[0] / ms - err if err else -best[0]
+
+    def score(cuts, closed, opened, best, empty=None, keep=None):
+        vol_lo = n_pts * _outer(np.multiply, [a[c[:-1]] for a, c in zip(axes, cuts)])
+        vol_hi = n_pts * _outer(np.multiply, [a[c[1:] - 1] for a, c in zip(axes, cuts)])
+        above = closed * unit  # the counts in the scores' unit
+        below = above if opened is closed else opened * unit
+        scores = (above - vol_hi, vol_lo - below)
         if empty is not None:
             for v in scores:
-                v[empty] = -np.inf
-        top = max(v.max() for v in scores)
-        if top >= -best[0] / ms - err:  # a corner may tie or beat the best: rescore near the top
+                v[empty] = -n_pts * unit
+        tops = [v.max() for v in scores]
+        top = max(tops)
+        if top >= floor(best):  # a corner may tie or beat the best
+            low = top - 2 * err
             for side, (v, count) in enumerate(zip(scores, (closed, opened))):
-                at = np.nonzero(v >= top - 2 * err)
-                rows = _ends(cuts, at, 1 - side)
-                best = min([best, *((-x, tuple(row), side) for x, row in zip(
-                    _exact_scores(vals, rows, count[at], n_pts, ms, side), rows.T.tolist()))])
-        return best, np.maximum(closed - vol_lo, vol_hi - opened) >= -best[0] / ms - err
-    return screen
+                if tops[side] < low:
+                    continue
+                at = np.unravel_index(np.flatnonzero(v >= low), v.shape)
+                rows = map(tuple, _ends(cuts, at, 1 - side).T.tolist())
+                # each distinct corner once: at the int64 top, or scored exactly
+                near = (_exact_scores(vals, dict(zip(rows, count[at].tolist())), n_pts, ms, side)
+                        if err else dict.fromkeys(rows, int(top)))
+                best = min([best, *((-x, row, side) for row, x in near.items())])
+        if keep is not None:
+            keep &= np.maximum(above - vol_lo, vol_hi - below) >= floor(best)
+        return best
+    return score
 
 
-def _exact_scores(vals, rows, counts, n_pts, ms, side):
-    """The numerators over N*M^s of the corners at grid indices rows (s, k) with
-    these counts: count*M^s - N*vol closed (side 0), N*vol - count*M^s open."""
-    score = counts.astype(object) * ms - n_pts * math.prod(v[r] for v, r in zip(vals, rows))
-    return (-score if side else score).tolist()
+def _exact_scores(vals, counts, n_pts, ms, side):
+    """{corner: numerator over N*M^s} for counts = {a corner's grid indices: its
+    count}: count*M^s - N*vol closed (side 0), N*vol - count*M^s open."""
+    sign = -1 if side else 1
+    return {row: sign * (c * ms - n_pts * math.prod(v[i] for v, i in zip(vals, row)))
+            for row, c in counts.items()}
 
 
 def _ends(cuts, at, end):
@@ -429,16 +437,18 @@ def star_discrepancy_sampled_lb(ps: RationalPointSet, trials: int,
     largest grid values below z for the closed branch, and up to the smallest
     grid values at or above z (or 1) for the open branch, as numpy compares z
     with an int64 grid (M < 2^63), as floats, and a dtype=object grid, exactly.
-    Both, and the closed and the open branch at every distinct point, are grid
-    corners scored exactly in integers.  The returned value is the largest of
-    these corner values, or 0, so it is at most D*.  The boxes are floats, so
-    a modulus above the largest float (sys.float_info.max) raises ValueError.
+    Both, and the closed and the open branch at every point, are grid corners,
+    screened in floats past N*M^s = 2^62 and decided in integers (_scorer).
+    The returned value is the largest of these corner values, or 0, so it is
+    at most D*.  The boxes are floats, so a modulus above the largest float
+    (sys.float_info.max) raises ValueError.
 
-    Cost: batches of B/64 corners (B = config.WORK_BYTES; fewer on dtype=object),
-    each box snapped through a bucket index, binary-searched only when its bucket
-    holds a grid value, and counted by one bitset AND and popcount per axis.
-    Past N*M^s = 2^62 the scores are Python integers, and a distinct corner is
-    scored once, or once a batch on a grid of more than B corners.
+    Cost: batches of B/64 boxes, then of B/64 points (B = config.WORK_BYTES),
+    each box snapped through a bucket index, binary-searched only when its
+    bucket holds a grid value, counted by one bitset AND and popcount per
+    axis, and scored as the exact scan scores a batch's parts: past 2^62 in
+    float64, with Python integers only at the distinct corners near a batch's
+    float top.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -449,50 +459,26 @@ def star_discrepancy_sampled_lb(ps: RationalPointSet, trials: int,
     ms = m ** s
     grids, rank = zip(*(_axis(ps, j) for j in range(1, s + 1)))
     rank = np.array(rank)
-    # A corner is a vector `at` of per-axis ranks.  The points of rank below at
-    # on every axis are both the closed count at grid[at - 1] (when every
-    # at > 0) and the open count at grid[at], where the last grid value is M.
     dtype = _scores(n_pts * ms)[0]
-    vals = [g.astype(dtype, copy=False) for g in grids]
-    dims = [len(g) for g in grids]
-    # Corners per batch: a 64th of the budget (an 8th in each int64 array), fewer on dtype=object
-    batch = max(1, config.WORK_BYTES // 64 * 8 // _item_bytes(dtype, n_pts * ms))
-    # Python-integer scores cost more than a sort: score each rank vector once,
-    # over all batches while a flag a corner fits the budget
-    n_corners, seen = math.prod(dims), None
-    if dtype is object and n_corners <= config.WORK_BYTES:
-        seen = np.zeros(n_corners, dtype=bool)
-
-    def corners():
-        """Batches of rank vectors with the branches to score: 1 closed, 0 open."""
-        rng, snap = np.random.default_rng(seed), _snapper(grids, m)
-        for lo in range(0, trials, batch):
-            at = snap(rng.random((min(batch, trials - lo), s)) * m)
-            if seen is not None:
-                key = np.unique(np.ravel_multi_index(at, dims))
-                key = key[~seen[key]]
-                seen[key] = True
-                at = np.array(np.unravel_index(key, dims))
-            elif dtype is object:
-                at = np.unique(at, axis=1)
-            yield at, (1, 0)
-        points = np.unique(rank, axis=1)
-        for lo in range(0, points.shape[1], batch):
-            yield points[:, lo:lo + batch] + 1, (1,)  # closed at the point
-            yield points[:, lo:lo + batch], (0,)  # open at the point
-
-    count_below = _bit_counter(rank, dims)
-    best = 0  # numerator over n_pts * ms
-    for at, branches in corners():
-        if not at.shape[1]:
-            continue
-        count = count_below(at[:, None]).ravel().astype(dtype) * ms
-        for closed in branches:
-            # a closed corner with some at = 0 holds no point and wraps to M on
-            # that axis, so its numerator is at most 0 and never raises best
-            vol = n_pts * math.prod(v[a - closed] for v, a in zip(vals, at))
-            best = max(best, int((count - vol if closed else vol - count).max()))
-    return float(Fraction(best, n_pts * ms))
+    count_below = _bit_counter(rank, [len(g) for g in grids])
+    score = _scorer(n_pts, [g.astype(dtype, copy=False) for g in grids], ms)
+    rng, snap = np.random.default_rng(seed), _snapper(grids, m)
+    batch = max(1, config.WORK_BYTES // 64)
+    # A box snapped to ranks at is the empty part from level at to level at: its
+    # closed corner at - 1 and its open corner at share one count, the points of
+    # rank below at on every axis (at a rank 0 the closed corner wraps to M and
+    # holds no point, so it scores at most 0).  A point is the part from its
+    # rank to rank + 1.  best starts at the value 0, below every corner's key.
+    best = (0, (), 0)
+    for lo in range(0, trials, batch):
+        at = snap(rng.random((min(batch, trials - lo), s)) * m)[:, None]
+        count = count_below(at)
+        best = score(np.broadcast_to(at, (s, 2, at.shape[2])), count, count, best)
+    for lo in range(0, n_pts, batch):
+        at = rank[:, None, lo:lo + batch]
+        best = score(np.concatenate((at, at + 1), axis=1), count_below(at + 1),
+                     count_below(at), best)
+    return float(Fraction(-best[0], n_pts * ms))
 
 
 def weighted_local_discrepancy(ps: RationalPointSet, w: Weights, z: Box,

@@ -222,7 +222,7 @@ def float_score_cases(draw):
 @settings(max_examples=200, deadline=None)
 def test_float_scores_lie_within_err(case):
     # the Python-integer scan's float score c - N*prod_j fl(g_j/M), in units of
-    # M^s as _float_screen forms it, against the exact Fraction: with the
+    # M^s as _scorer forms it, against the exact Fraction: with the
     # rounding of fl(L/M^s), it stays within _float_err
     s, n_pts, m, g, c, low = case
     vol = n_pts * discrepancy._outer(np.multiply, [np.array([[x / m]]) for x in g])
@@ -230,6 +230,28 @@ def test_float_scores_lie_within_err(case):
     exact = c - n_pts * math.prod(Fraction(x, m) for x in g)
     error = abs(Fraction(score) - exact) + abs(Fraction(low / m**s) - Fraction(low, m**s))
     assert error <= discrepancy._float_err(n_pts, s)
+
+
+def test_scorer_rescores_every_corner_near_the_float_top():
+    # two closed corners with equal counts whose float scores, in units of M^s,
+    # order them opposite to their exact scores: the key must come from both
+    # corners' Python-integer scores, not from the float top's alone
+    m, rng = 2**64 + 13, np.random.default_rng(0)  # every quotient a normal float
+    while True:
+        x1, y1, x2 = (int(v) for v in rng.integers(2**60, 2**63, size=3))
+        y2 = x1 * y1 // x2 + int(rng.choice((-3, 3)))
+        floats = [1 - (x / m) * (y / m) for x, y in ((x1, y1), (x2, y2))]
+        if (x1 != x2 and y1 != y2 and y2 < 2**63 and x1 * y1 != x2 * y2
+                and floats[0] != floats[1] and (floats[0] > floats[1]) == (x1 * y1 > x2 * y2)):
+            break
+    grids = [sorted((x1, x2)) + [m], sorted((y1, y2)) + [m]]
+    corners = [(grids[0].index(x), grids[1].index(y)) for x, y in ((x1, y1), (x2, y2))]
+    # each corner the closed corner of a part from its indices to them + 1, holding one point
+    cuts = [np.array([[c[j] for c in corners], [c[j] + 1 for c in corners]]) for j in (0, 1)]
+    ones = np.ones((1, 1, 2), dtype=np.int64)
+    score = discrepancy._scorer(1, [np.array(g, dtype=object) for g in grids], m**2)
+    want = min((x * y - m**2, c, 0) for (x, y), c in zip(((x1, y1), (x2, y2)), corners))
+    assert score(cuts, ones, ones, (1, (), 0)) == want
 
 
 # Working-set budgets whose count tables (B/16 int64 corners a branch, fewer
@@ -528,25 +550,28 @@ FORMED = {"Q 61/s2": (generate(PSetKind.KOROBOV_Q, 61, 2), Fraction(241887, 1384
 
 
 @pytest.mark.parametrize("name", FORMED)
-@pytest.mark.parametrize("entry", ["exact", "sampled"])
+@pytest.mark.parametrize("entry", ["exact", "sampled", "sampled B/16"])
 def test_formed_columns_memory_holds_to_budget(name, entry):
     # the counter's 4*B and the scan's or the sampled bound's own arrays, past
-    # the point set and its ranks, about 40 bytes a point
+    # the point set and its ranks, about 40 bytes a point; the sampled bound
+    # also at B/16, where its batches of B/64 boxes and points shrink with B
     ps, exact, witness, side, lb = FORMED[name]
     def run(ps):
         if entry == "exact":
             return _result_triple(ps)
         return star_discrepancy_sampled_lb(ps, trials=2 * 10**4, seed=0)
     run(_point_set(5, [(1, 2), (3, 4)]))  # numpy's lazy imports come before the trace
-    tracemalloc.start()
-    try:
-        got = run(ps)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    budget = config.WORK_BYTES // (16 if entry.endswith("B/16") else 1)
+    with mock.patch.object(config, "WORK_BYTES", budget):
+        tracemalloc.start()
+        try:
+            got = run(ps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     want = (exact, tuple(Fraction(c, ps.modulus) for c in witness), side) if entry == "exact" else lb
     assert got == want
-    assert peak <= 4 * config.WORK_BYTES + 40 * ps.n
+    assert peak <= 4 * budget + 40 * ps.n
 
 
 @given(small_point_sets())
@@ -726,9 +751,9 @@ def test_sampled_lb_refuses_a_modulus_past_float_range():
 
 
 def test_sampled_lb_same_at_two_budgets():
-    # the budget sizes the batches, the buckets (fewer than the grid values at
-    # 2 KiB) and whether a Python-integer set flags its corners (8^4 of them:
-    # over all batches at the default budget, a batch at a time at 2 KiB)
+    # the budget sizes the batches and the buckets (fewer than the grid values
+    # at 2 KiB); on the Python-integer set (8^4 corners) it decides which boxes
+    # share a batch, and so which corners near a batch's float top are rescored
     m = 2**40
     int64 = _point_set(1000, np.random.default_rng(2).integers(0, 1000, size=(50, 3)))
     big = _point_set(m, np.random.default_rng(1).integers(0, m, size=(7, 4)))
@@ -767,10 +792,10 @@ def test_sampled_lb_memory_holds_the_and_buffers_to_budget():
     assert peak <= 4e6
 
 
-def test_sampled_lb_python_integer_batch_follows_item_bytes():
-    # N*M^s = 7*2^160 is past 2^62, so every score is a Python integer: a batch
-    # holds as many corners as fit the bytes of int64 ones, and each distinct
-    # rank vector (8^4 at most) is scored once over all the batches of 10^5 boxes
+def test_sampled_lb_python_integer_batch_holds_to_budget():
+    # N*M^s = 7*2^160 is past 2^62, so floats screen the corners and Python
+    # integers decide: a batch of B/64 boxes holds float64 scores, and only
+    # the distinct corners near its float top are scored in Python integers
     m = 2**40
     ps = _point_set(m, np.random.default_rng(1).integers(0, m, size=(7, 4)))
     tracemalloc.start()
@@ -780,7 +805,7 @@ def test_sampled_lb_python_integer_batch_follows_item_bytes():
     finally:
         tracemalloc.stop()
     assert lb == 0.41745001694193257
-    assert peak < 4e6  # about 17 MB with a batch sized as for int64
+    assert peak < 4e6  # about 17 MB were a batch of B/64 boxes scored in Python integers
 
 
 # ---------------------------------------------------------------- weighted

@@ -25,12 +25,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import psetdisc
 from psetdisc import config, discrepancy
 from psetdisc.cli import main
-from psetdisc.pointset import PSetKind, generate
+from psetdisc.pointset import PSetKind, RationalPointSet, generate
 from psetdisc.weights import parse_weights
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -169,33 +170,48 @@ def test_split_rational_job_keeps_its_result(name):
         assert (res.value, res.subset, res.witness, res.side) == (*want[:2], witness, want[-1])
 
 
-# seed-1 Python-integer jobs whose scans screen parts in floats, each with the
-# share of the screened float scores that may be rescored in Python integers
+# seed-1 Python-integer jobs whose scans screen parts in floats, and the
+# sampled bound's 10^5 boxes on two Python-integer sets (modulus, rows, seed,
+# value), each with the share of the screened float scores that may be
+# rescored in Python integers
 RESCORE_FEW = [("exact s2-n300-bigint", 0.01), ("exact s3-n80-bigint", 0.01),
                ("exact s4-n32-bigint", 0.01), ("weighted-geo s2-n300-bigint", 0.01),
-               ("weighted-general s3-n80-bigint", 0.01)]
+               ("weighted-general s3-n80-bigint", 0.01), ("sampled s4-n7", 0.01),
+               ("sampled s3-n300", 0.01)]
+SAMPLED_BIGINT = {
+    "sampled s4-n7": (2**40, np.random.default_rng(1).integers(0, 2**40, size=(7, 4)), 1,
+                      0.41745001694193257),
+    # every coordinate below 1/2: most boxes snap to a few corners at the top
+    "sampled s3-n300": (2**64 + 1, np.random.default_rng(5).integers(0, 2**63, size=(300, 3)),
+                        0, 0.8762245256898225)}
 
 
 @pytest.mark.parametrize("name,share", RESCORE_FEW)
 def test_python_integer_scan_rescores_few_corners(name, share, monkeypatch):
-    # floats screen and integers decide: a mis-scaled error bound that rescored
-    # every corner would keep the results and lose the gain
+    # floats screen and integers decide: a mis-scaled error bound, or a batch
+    # that rescored each box at a tied top, would keep the results and lose the gain
     counts = {"screened": 0, "rescored": 0}
-    float_screen, exact_scores = discrepancy._float_screen, discrepancy._exact_scores
+    scorer, exact_scores = discrepancy._scorer, discrepancy._exact_scores
 
-    def counted_screen(*args):
-        screen = float_screen(*args)
+    def counted_scorer(n_pts, vals, ms):
+        score = scorer(n_pts, vals, ms)
 
-        def counted(cuts, closed, opened, empty, best):
-            counts["screened"] += closed.size + opened.size
-            return screen(cuts, closed, opened, empty, best)
+        def counted(cuts, closed, opened, *rest):
+            if n_pts * ms >= 2**62:  # float scores; a weighted scan's small subsets are int64
+                counts["screened"] += closed.size + opened.size
+            return score(cuts, closed, opened, *rest)
         return counted
 
-    def counted_scores(vals, rows, *args):
-        counts["rescored"] += rows.shape[1]
-        return exact_scores(vals, rows, *args)
+    def counted_scores(vals, corners, *args):
+        counts["rescored"] += len(corners)
+        return exact_scores(vals, corners, *args)
 
-    monkeypatch.setattr(discrepancy, "_float_screen", counted_screen)
+    monkeypatch.setattr(discrepancy, "_scorer", counted_scorer)
     monkeypatch.setattr(discrepancy, "_exact_scores", counted_scores)
-    test_split_rational_job_keeps_its_result(name)
+    if name in SAMPLED_BIGINT:
+        m, rows, seed, want = SAMPLED_BIGINT[name]
+        ps = RationalPointSet(modulus=m, dim=rows.shape[1], numerators=rows)
+        assert psetdisc.star_discrepancy_sampled_lb(ps, 10**5, seed) == want
+    else:
+        test_split_rational_job_keeps_its_result(name)
     assert 0 < counts["rescored"] < share * counts["screened"], counts
