@@ -214,6 +214,14 @@ def thm2_bound(kind: PSetKind, p: int, s: int, params: Thm2Params) -> float:
         raise ValueError(f"p must be >= 2, got {p}")
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
+    value = _thm2_value(kind, p, s, params)
+    if not is_prime(p):  # after the float check, as in thm1_bound
+        raise ValueError(f"p must be prime, got {p}")
+    return value
+
+
+def _thm2_value(kind: PSetKind, p: int, s: int, params: Thm2Params) -> float:
+    """thm2_bound's value at p >= 2 and s >= 1, prime p unchecked."""
     const, exponent = params.envelope(kind)
     try:
         factor = float(s) if params.part == 2 else 1.0
@@ -222,8 +230,6 @@ def thm2_bound(kind: PSetKind, p: int, s: int, params: Thm2Params) -> float:
         value = math.inf
     if not math.isfinite(value):
         raise ValueError("the envelope bound does not fit a float")
-    if not is_prime(p):  # after the float check, as in thm1_bound
-        raise ValueError(f"p must be prime, got {p}")
     return value
 
 
@@ -266,7 +272,8 @@ def n_min_from_bound(kind: PSetKind, eps: float, s: int, w: ProductWeights,
         # nudge up so float rounding can never land below the real target
         m_target = math.ceil((const / eps) ** inv_exp * (1.0 + 1e-12))
     p = next_prime(max(m_target, 1))
-    achieved = const / float(p) ** exponent  # thm2_bound's value, bit for bit
+    # thm2_bound's value, without testing next_prime's p again (Baillie-PSW past 3.3e24)
+    achieved = _thm2_value(kind, p, s, params)
     if achieved > eps:
         raise InvariantError(
             f"inverted bound {achieved} exceeds eps {eps} at p={p}")

@@ -11,12 +11,12 @@ and stays fixed.
 Memory is one working-set budget, WORK_BYTES = B, read at call time.  Each
 engine holds its working arrays to a multiple of B: a korobov_sum leaf of B/32
 terms (B); a phase sweep's chunk of k heads, 16*k*max(N, M) <= B, whose gather,
-sums, bins and transform take B each and lemma 6's counts B/2; the count
-tables, which read whole grids only: the exact scan's of B/(2*item bytes)
-corners a branch (B), and the weighted scan's of the full grid, held to the
-same budget B; the exact scan's B/256 parts scored at once and the sampled
-bound's batches of B/64 corners on every dtype, both scored in int64 or, past
-N*M^s = 2^62, in float64 (Python integers only at the corners they rescore),
+sums, bins and transform take B each and lemma 6's counts B/2; the exact
+scan's count tables, which read whole grids only (each subset's own in the
+weighted scan), of B/(2*item bytes) corners a branch (B); the exact scan's
+B/256 parts scored at once and the sampled bound's batches of B/64 corners
+on every dtype, both scored in int64 or, past N*M^s = 2^62, in float64
+(Python integers only at the corners they rescore),
 and the sampled bound's bucket index of B/8 bytes (B); the bitset counter of
 both, 4*B: every level's columns of points, held while they fit 2*B, and in
 2*B more a slice of words' outer ANDs over the axes of a lattice of levels

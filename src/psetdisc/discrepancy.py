@@ -14,10 +14,12 @@ rational (A*M^s - N*volnum) / (N*M^s), and integer comparisons decide the
 value, the witness and the side.
 
 Each coordinate is replaced by its index on its axis's grid.  A count table
-of the whole grid holds the closed and open counts of all its corners (the
-points binned at their index, summed along every axis), so a grid that fits
-one table is scored by it before any box is set up; count tables read whole
-grids only.  A larger grid is scanned by a branch-and-bound over boxes
+of the whole grid holds the closed and open counts of all its corners, from
+one cumulative count: the points binned once at their index and summed along
+every axis give the closed counts, and a corner's open count is the closed
+count one level lower on every axis (0 where an index is 0).  A grid that
+fits one table is scored by it before any box is set up; count tables read
+whole grids only.  A larger grid is scanned by a branch-and-bound over boxes
 [lo, hi] of corners: with C(hi) the points of index <= hi on every axis and
 C_open(lo) those < lo, every closed value in the box is at most
 C(hi)*M^s - N*vol(lo), every open one at most N*vol(hi) - C_open(lo)*M^s, and
@@ -48,18 +50,14 @@ The weighted star discrepancy max_u gamma_u D*(P_u) reads the positive-weight
 subsets in descending gamma_u and stops at the first gamma_u below the best
 weighted value found: D*(P_u) <= 1 and float multiplication is monotone, so
 gamma_u * D*(P_u) <= gamma_u for this and every later subset.  Each axis's
-grid and ranks are built once, when a subset first needs them.  An anchored
-box of P_u is the box of P with sides 1 off u, so while P's full grid fits one
-count table and max_corners, that table serves every subset: D*(P_u) is its
-slice at index M off u, over M^(s-|u|).  A larger grid is scanned subset by
-subset.  max_corners is charged to every subset read.
+grid and ranks are built once, when a subset first needs them, and each
+subset read is scanned on its own grid, by one count table while that grid
+fits one.  max_corners is charged to every subset read.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -150,19 +148,13 @@ def star_discrepancy_exact(ps: RationalPointSet,
     return _projected(ps, functools.partial(_axis, ps), range(1, ps.dim + 1), caps)
 
 
-def _projected(ps, axis, u, caps, table=None):
-    """D*(P_u) on the axes axis(j), j in u: scanned, or read from table, the
-    count table of P's full grid, at index M on every axis outside u."""
+def _projected(ps, axis, u, caps):
+    """D*(P_u), scanned on the axes axis(j), j in u."""
     axes = [axis(j) for j in u]
     n_corners = math.prod(len(g) for g, _ in axes)
     caps.check("max_corners", n_corners)
     ms = ps.modulus ** len(u)
-    if table is None:
-        top, at, side = _scan(ps.n, axes, ms)
-    else:
-        top, at, side = _best(table[(slice(None),) + tuple(
-            slice(None) if j in u else -1 for j in range(1, ps.dim + 1))])
-        top //= ps.modulus ** (ps.dim - len(u))  # the box of P with sides 1 off u
+    top, at, side = _scan(ps.n, axes, ms)
     exact = Fraction(-top, ps.n * ms)
     witness = tuple(Fraction(int(g[i]), ps.modulus) for (g, _), i in zip(axes, at))
     return DiscrepancyResult(value=float(exact), exact=exact, witness=witness,
@@ -320,33 +312,34 @@ def _ends(cuts, at, end):
 
 def _table(ranks, vals, n_pts, ms):
     """The count table of the whole grid of values vals: at each corner the
-    closed (row 0) and the negated open (row 1) numerator over N*M^s."""
-    shape = (2,) + tuple(len(v) for v in vals)
-    # Row 0 of keys names the branch: a corner's closed count holds the points
-    # of index <= it on every axis, its open count those of index + 1 <= it.
-    keys = np.concatenate(([np.zeros(n_pts, dtype=np.int64)], ranks))
-    keys = np.concatenate((keys, keys + 1), axis=1)
-    value = _lattice_counts(keys, shape).astype(vals[0].dtype, copy=False)
+    closed (row 0) and the negated open (row 1) numerator over N*M^s, formed
+    in place in the (2, grid) counts of the points at their ranks."""
+    value = _lattice_counts(ranks, tuple(len(v) for v in vals)).astype(vals[0].dtype, copy=False)
     value *= ms
     value -= functools.reduce(np.multiply.outer, vals, n_pts)
     return value
 
 
 def _best(value):
-    """The best key of a count table (or a view of one): (-numerator, lattice
-    indices, side); the first best corner in lattice order wins, at one corner
-    the closed branch."""
+    """The best key of a count table: (-numerator, lattice indices, side); the
+    first best corner in lattice order wins, at one corner the closed branch."""
     ic, io = int(value[0].argmax()), int(value[1].argmin())
     top, i, side = max((value[0].flat[ic], -ic, 0), (-value[1].flat[io], -io, -1))
     return -int(top), tuple(map(int, np.unravel_index(-i, value.shape[1:]))), -side
 
 
 def _lattice_counts(at, shape):
-    """Points binned at lattice indices (columns of at), summed on all axes but the first."""
+    """The (2,) + shape counts of the points at lattice indices at (columns):
+    row 0, the closed counts, holds at each index the points at or below it
+    on every axis (each point binned once, then summed along every axis);
+    row 1, the open counts, those below it on every axis, which is row 0 one
+    level lower on every axis (0 where an index is 0)."""
+    # every point is binned in row 0; row 1 stays 0 until the shift
     counts = np.bincount(np.ravel_multi_index(tuple(at), shape),
-                         minlength=math.prod(shape)).reshape(shape)
-    for axis in range(1, len(shape)):
-        counts.cumsum(axis=axis, out=counts)
+                         minlength=2 * math.prod(shape)).reshape((2,) + shape)
+    for axis in range(len(shape)):
+        counts[0].cumsum(axis=axis, out=counts[0])
+    counts[(1,) + (slice(1, None),) * len(shape)] = counts[(0,) + (slice(-1),) * len(shape)]
     return counts
 
 
@@ -501,27 +494,20 @@ def weighted_star_discrepancy_exact(
     so gamma_u * D* <= gamma_u in floats too, and no later subset can reach
     that value.  Of the subsets that reach the maximum, the first in
     enumeration order wins.  `per_subset` holds the scanned subsets only, in
-    scan order, and `max_corners` is checked on each of them.  One count
-    table of the full grid serves every subset while it fits the exact scan's
-    one-table budget and max_corners; else each subset is scanned on its own.
+    scan order, and `max_corners` is checked on each of them.  Each subset is
+    scanned on its own grid, as star_discrepancy_exact scans a point set: one
+    count table while the subset's grid fits one, else a branch-and-bound.
     """
     per_subset: dict[tuple[int, ...], float] = {}
     subsets = _enumerate_subsets(ps.dim, w, caps)
     axis = functools.cache(functools.partial(_axis, ps))
-    s, top = ps.dim, ps.n * ps.modulus ** ps.dim
-    dtype, limit = _scores(top)
-    table = None  # one count table for every subset while the full grid fits it
-    corners = itertools.accumulate((len(axis(j)[0]) for j in range(1, s + 1)), operator.mul)
-    if subsets and all(c <= min(limit, caps.max_corners) for c in corners):
-        grids, ranks = zip(*map(axis, range(1, s + 1)))
-        table = _table(ranks, [g.astype(dtype, copy=False) for g in grids], ps.n, ps.modulus ** s)
     # best is (value, -enumeration index): the first maximum wins, and a value
     # of 0 does not beat the start (0.0, 1)
     best, best_u, wit, side = (0.0, 1), (), {}, "closed"
     for i, (u, g) in sorted(enumerate(subsets), key=lambda e: -e[1][1]):
         if g < best[0]:
             break
-        res = _projected(ps, axis, u, caps, table)
+        res = _projected(ps, axis, u, caps)
         per_subset[u] = val = g * res.value
         if (val, -i) > best:
             best, best_u, wit, side = (val, -i), u, dict(zip(u, res.witness)), res.side

@@ -448,7 +448,7 @@ def _reads(ps):
     lattice_counts, bit_counter = discrepancy._lattice_counts, discrepancy._bit_counter
 
     def counted_lattice(at, shape):
-        tables.append(math.prod(shape[1:]))
+        tables.append(math.prod(shape))
         return lattice_counts(at, shape)
 
     def counted_counter(ranks, levels):
@@ -490,10 +490,14 @@ def test_split_budgets_reach_their_paths(ps, budgets):
 
 
 @pytest.mark.parametrize("ps", [generate(PSetKind.KOROBOV_P, 13, 3),  # 14^3 corners
-                                _point_set(2**64 + 13, [(5, 2**62), (2**63 - 1, 7), (5, 7)])],
-                         ids=["int64", "object"])
+                                _point_set(2**64 + 13, [(5, 2**62), (2**63 - 1, 7), (5, 7)]),
+                                _point_set(31, [(15, 30), (30, 8)]),
+                                _point_set(2**63 + 13, [(2**62, 2**63 - 1), (2**63 - 1, 2**61)])],
+                         ids=["int64", "object", "int64 open", "object open"])
 def test_one_table_grid_is_read_before_any_box(ps):
-    # a grid whose corners fit one table is one count table: no bitsets, no boxes
+    # a grid whose corners fit one table is one count table: no bitsets, no
+    # boxes; the open sets' D* is open at a corner with a point on each face,
+    # which an open count shifted other than one level on every axis misses
     shapes = []
     lattice_counts = discrepancy._lattice_counts
 
@@ -507,7 +511,7 @@ def test_one_table_grid_is_read_before_any_box(ps):
     with (mock.patch.object(discrepancy, "_lattice_counts", counted_lattice),
           mock.patch.object(discrepancy, "_bit_counter", no_bits)):
         got = _result_triple(ps)
-    assert shapes == [(2,) + tuple(len(g) for g in _grids(ps))]
+    assert shapes == [tuple(len(g) for g in _grids(ps))]
     assert got == naive_dstar_witness(ps.rows(), ps.modulus)
 
 
@@ -810,15 +814,16 @@ def test_sampled_lb_python_integer_batch_holds_to_budget():
 
 # ---------------------------------------------------------------- weighted
 
-# A budget whose count tables hold one corner: no full grid fits one, so the
-# weighted scan runs each subset on its own, where the default budget reads
-# these small sets' subsets from one table of the full grid.
+# A budget whose count tables hold one corner: no subset's grid fits one, so
+# the bitset counter scans every subset, where the default budget reads each
+# of these small sets' subsets from a count table of its own grid.
 PER_SUBSET_BUDGET = 16
 
 
 def _weighted(ps, w):
-    """weighted_star_discrepancy_exact at the default budget and at the
-    per-subset one; both give the same result, per_subset in the same order."""
+    """weighted_star_discrepancy_exact at the default budget, each subset read
+    from its own count table, and at PER_SUBSET_BUDGET, each subset a bitset
+    scan; both give the same result, per_subset in the same order."""
     res = weighted_star_discrepancy_exact(ps, w)
     with mock.patch.object(config, "WORK_BYTES", PER_SUBSET_BUDGET):
         split = weighted_star_discrepancy_exact(ps, w)
@@ -1003,7 +1008,52 @@ def test_weighted_corner_cap_charges_scanned_subsets_only():
         weighted_star_discrepancy_exact(ps, w, caps=Caps(max_corners=limit))
 
 
-# N*M^s = 3*2^63: the full table is dtype=object, every pair's scores int64
+def test_weighted_corner_cap_on_the_table_path():
+    # P 13/s3's scan stops after {1}, read from one count table of its own
+    # 14-corner grid, no bitsets: any cap from 14 corners up to the full
+    # grid's keeps the default result, and one below {1}'s grid refuses it
+    ps = generate(PSetKind.KOROBOV_P, 13, 3)
+    w = ProductWeights(gammas=(1.0, 0.05, 0.05))
+    want, scanned = _counted_weighted(ps, w)
+    assert scanned == [(1,)] and list(want.per_subset) == scanned
+    full = star_discrepancy_exact(ps).corners_scanned
+    shapes = []
+    lattice_counts = discrepancy._lattice_counts
+
+    def counted_lattice(at, shape):
+        shapes.append(shape)
+        return lattice_counts(at, shape)
+
+    def no_bits(*args):
+        raise AssertionError("a subset grid that fits one table was scanned")
+
+    for cap in (full, full - 1, 14):
+        shapes.clear()
+        with (mock.patch.object(discrepancy, "_lattice_counts", counted_lattice),
+              mock.patch.object(discrepancy, "_bit_counter", no_bits)):
+            got = weighted_star_discrepancy_exact(ps, w, caps=Caps(max_corners=cap))
+        assert got == want and shapes == [(14,)]
+    with pytest.raises(BudgetError, match="^max_corners: requested 14, limit 13$"):
+        weighted_star_discrepancy_exact(ps, w, caps=Caps(max_corners=13))
+
+
+def test_weighted_memory_holds_one_subset_table():
+    # R 31/s3 with gamma_j = 2^-j reads 6 of its 7 subsets, each from a count
+    # table of its own grid, 32^2 corners at most: the full grid's table, 32^3
+    # corners a branch in B bytes, is never built
+    ps = generate(PSetKind.HUA_WANG_R, 31, 3)
+    tracemalloc.start()
+    try:
+        res = weighted_star_discrepancy_exact(ps, HALVING)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.value, res.subset, res.side) == (1 / 62, (1,), "closed")
+    assert list(res.per_subset) == [(1,), (2,), (1, 2), (3,), (1, 3), (2, 3)]
+    assert peak < config.WORK_BYTES / 2
+
+
+# N*M^s = 3*2^63: the full subset's table is dtype=object, every pair's scores int64
 OBJECT_TABLE = _point_set(2**21, [(5, 2**20, 7), (2**21 - 1, 3, 7), (5, 9, 2**20)])
 # 31 values on every axis: 32^3 grid corners, one int64 table (B/16) exactly
 AT_LIMIT = _point_set(31, [(i, 3 * i % 31, 5 * i % 31) for i in range(31)])
@@ -1016,48 +1066,6 @@ AT_LIMIT = _point_set(31, [(i, 3 * i % 31, 5 * i % 31) for i in range(31)])
 @settings(max_examples=40, deadline=None)
 def test_weighted_paths_match_the_per_subset_reference(ps, gammas):
     _assert_pruned_matches_unpruned(ps, ProductWeights(gammas=tuple(gammas[:ps.dim])))
-
-
-def _weighted_scans(ps, w, caps=Caps()):
-    """The weighted result and the number of subsets scanned, not read from a table."""
-    with mock.patch.object(discrepancy, "_scan", wraps=discrepancy._scan) as scans:
-        res = weighted_star_discrepancy_exact(ps, w, caps=caps)
-    return res, scans.call_count
-
-
-@pytest.mark.parametrize("ps,budget", [(AT_LIMIT, 16),
-                                       (OBJECT_TABLE, 2 * (8 + sys.getsizeof(3 * 2**63)))],
-                         ids=["int64", "object"])
-def test_weighted_full_table_holds_a_grid_at_its_limit(ps, budget):
-    # the full grid is exactly the corners one table holds at budget times
-    # its corners: every subset is read from it; a byte less and each subset
-    # is scanned on its own, with the same result
-    corners = math.prod(len(g) for g in _grids(ps))
-    assert ps is not AT_LIMIT or budget * corners == config.WORK_BYTES
-    w = ProductWeights(gammas=(1.0,) * 3)  # no subset can be skipped
-    with mock.patch.object(config, "WORK_BYTES", budget * corners):
-        res, scans = _weighted_scans(ps, w)
-    assert scans == 0 and len(res.per_subset) == 7
-    with mock.patch.object(config, "WORK_BYTES", budget * corners - 1):
-        split, scans = _weighted_scans(ps, w)
-    assert scans == 7
-    assert split == res and list(split.per_subset) == list(res.per_subset)
-
-
-def test_weighted_corner_cap_on_the_table_path():
-    # P 13/s3's full grid (14^3 corners) fits one table, and the scan stops
-    # after {1}: a cap below the full grid sends every subset to its own scan
-    # with the default result, and one below {1}'s grid refuses it
-    ps = generate(PSetKind.KOROBOV_P, 13, 3)
-    w = ProductWeights(gammas=(1.0, 0.05, 0.05))
-    want, scans = _weighted_scans(ps, w)
-    assert scans == 0 and list(want.per_subset) == [(1,)]
-    full = star_discrepancy_exact(ps).corners_scanned
-    assert _weighted_scans(ps, w, Caps(max_corners=full)) == (want, 0)
-    for cap in (14, full - 1):
-        assert _weighted_scans(ps, w, Caps(max_corners=cap)) == (want, 1)
-    with pytest.raises(BudgetError, match="^max_corners: requested 14, limit 13$"):
-        weighted_star_discrepancy_exact(ps, w, caps=Caps(max_corners=13))
 
 
 def test_weighted_zero_weights():
